@@ -11,9 +11,10 @@
 //      different scales land on one comparable number.
 // A final save/load round-trip times the VBRSRVC1 checkpoint path and
 // verifies the restored service reproduces the same results hash, and an
-// overload phase prices the governor: fault-isolation overhead, shed
-// latency, and streams served under a seeded pressure window (with the
-// degraded-mode hash doubling as a determinism witness).
+// overload phase prices the governor: fault-isolation overhead, the
+// shed's excess over a plain round, and streams served under a seeded
+// pressure window (with the degraded-mode hash doubling as a determinism
+// witness).
 //
 // Usage:
 //   ./bench_service [streams] [samples_per_stream] [block] [thread_list]
@@ -55,6 +56,12 @@ double rss_mib(const char* field) {
     }
   }
   return 0.0;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 void appendf(std::string& out, const char* fmt, ...) {
@@ -189,8 +196,12 @@ int main(int argc, char** argv) {
   // Overload phase: attach the governor and measure what resilience costs.
   //   - quarantine_overhead_fraction: the snapshot-every-round guard (full
   //     retry/quarantine protection on every block) vs the ungoverned loop.
-  //   - shed_latency_seconds: wall time of the advance_round that crosses the
-  //     level-1 pressure epoch and applies the shed.
+  //   - shed_round_excess_seconds: wall time of the advance_round that
+  //     crosses the level-1 pressure epoch and applies the shed, minus the
+  //     median of the same-size rounds that cross no pressure epoch — the
+  //     cost of the shed itself, not of the round's generation. The
+  //     overload runs step in rounds of a sixteenth of the run (at most
+  //     `block`) so that such rounds always exist.
   //   - streams_served_under_pressure: streams still serving once shed and
   //     quarantine have both been applied.
   // The seeded schedule (2 faults + a level-1 window) must yield exactly 2
@@ -215,9 +226,11 @@ int main(int argc, char** argv) {
     std::uint64_t hash = 0;
     std::size_t failures = 0;
     std::uint64_t retries = 0;
-    double shed_latency_seconds = 0.0;
+    double shed_round_excess_seconds = 0.0;
     std::size_t streams_under_pressure = 0;
   };
+  const std::size_t overload_block =
+      std::min<std::size_t>(block, std::max<std::uint64_t>(1, total_samples / 16));
   const auto run_overloaded = [&](std::size_t threads) {
     vbr::service::ServiceConfig c = config;
     c.threads = threads;
@@ -225,19 +238,32 @@ int main(int argc, char** argv) {
     vbr::service::OverloadGovernor governor(svc, overload);
     const std::uint64_t shed_epoch = overload.pressure_schedule.front().at_epoch;
     OverloadRun run;
+    double shed_round_seconds = 0.0;
+    std::vector<double> plain_round_seconds;  // full-size rounds crossing no epoch
     while (governor.epoch() < total_samples) {
       const std::uint64_t before = governor.epoch();
-      const auto step =
-          static_cast<std::size_t>(std::min<std::uint64_t>(block, total_samples - before));
-      const bool crosses = before < shed_epoch && before + step >= shed_epoch;
+      const auto step = static_cast<std::size_t>(
+          std::min<std::uint64_t>(overload_block, total_samples - before));
+      const auto crosses = [&](std::uint64_t epoch) {
+        return before < epoch && before + step >= epoch;
+      };
+      const bool crosses_any = std::any_of(
+          overload.pressure_schedule.begin(), overload.pressure_schedule.end(),
+          [&](const auto& event) { return crosses(event.at_epoch); });
       const auto round_start = std::chrono::steady_clock::now();
       governor.advance_round(step);
-      if (crosses) {
-        run.shed_latency_seconds = seconds_since(round_start);
+      const double round_seconds = seconds_since(round_start);
+      if (crosses(shed_epoch)) {
+        shed_round_seconds = round_seconds;
         run.streams_under_pressure =
             c.num_streams - governor.shed_streams() - governor.quarantined_streams();
+      } else if (!crosses_any && step == overload_block) {
+        plain_round_seconds.push_back(round_seconds);
       }
     }
+    run.shed_round_excess_seconds =
+        shed_round_seconds -
+        (plain_round_seconds.empty() ? 0.0 : median(plain_round_seconds));
     run.hash = svc.results_hash();
     run.failures = governor.failures().size();
     run.retries = governor.transient_retries();
@@ -275,11 +301,11 @@ int main(int argc, char** argv) {
 
   appendf(json,
           "  \"overload\": {\"plain_seconds\": %.6f, \"guarded_seconds\": %.6f, "
-          "\"quarantine_overhead_fraction\": %.4f, \"shed_latency_seconds\": %.6f, "
+          "\"quarantine_overhead_fraction\": %.4f, \"shed_round_excess_seconds\": %.6f, "
           "\"streams_served_under_pressure\": %zu, \"stream_failures\": %zu, "
           "\"expected_stream_failures\": %zu, \"transient_retries\": %llu, "
           "\"results_hash\": \"%016llx\", \"hash_match\": %s},\n",
-          plain_seconds, guarded_seconds, quarantine_overhead, last.shed_latency_seconds,
+          plain_seconds, guarded_seconds, quarantine_overhead, last.shed_round_excess_seconds,
           last.streams_under_pressure, last.failures, expected_failures,
           static_cast<unsigned long long>(last.retries),
           static_cast<unsigned long long>(last.hash), overload_hash_match ? "true" : "false");

@@ -119,7 +119,10 @@ def check_service(doc):
     # The always-snapshot guard costs something but must stay sane; a
     # recorded 3x slowdown means the isolation path regressed.
     check_number(ov, "quarantine_overhead_fraction", lo=-0.5, hi=2.0)
-    check_number(ov, "shed_latency_seconds", lo=0.0)
+    # The crossing round minus a typical same-size round: the shed's own
+    # cost, which may read slightly negative because the crossing round
+    # serves the shed streams only up to the epoch.
+    check_number(ov, "shed_round_excess_seconds")
     check_number(ov, "streams_served_under_pressure", lo=1)
     failures = check_number(ov, "stream_failures", lo=0)
     expected = check_number(ov, "expected_stream_failures", lo=1)

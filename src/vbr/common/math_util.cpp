@@ -7,13 +7,6 @@
 
 namespace vbr {
 
-void KahanSum::add(double value) {
-  const double y = value - compensation_;
-  const double t = sum_ + y;
-  compensation_ = (t - sum_) - y;
-  sum_ = t;
-}
-
 double kahan_total(std::span<const double> values) {
   KahanSum sum;
   for (double v : values) sum.add(v);

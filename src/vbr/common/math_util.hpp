@@ -9,10 +9,17 @@
 
 namespace vbr {
 
-/// Kahan-compensated running sum.
+/// Kahan-compensated running sum. add() is inline so hot loops that keep
+/// several independent sums (the lockstep Hosking kernel) hold them in
+/// registers; its four operations and their order are the contract.
 class KahanSum {
  public:
-  void add(double value);
+  void add(double value) {
+    const double y = value - compensation_;
+    const double t = sum_ + y;
+    compensation_ = (t - sum_) - y;
+    sum_ = t;
+  }
   double value() const { return sum_; }
 
   /// The compensation term, exposed (with from_parts) so a checkpoint can

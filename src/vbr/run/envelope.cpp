@@ -2,7 +2,7 @@
 
 #include <cstring>
 #include <istream>
-#include <sstream>
+#include <string>
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
@@ -10,14 +10,27 @@
 
 namespace vbr::run {
 
+namespace {
+
+/// Append a header field in host byte order, as io::write_u32/u64 emit it.
+template <typename T>
+void append_raw(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+}  // namespace
+
 std::string seal_envelope(const EnvelopeSpec& spec, std::string_view payload) {
-  std::ostringstream out(std::ios::binary);
-  io::write_bytes(out, spec.magic.data(), spec.magic.size());
-  io::write_u32(out, spec.version);
-  io::write_u64(out, payload.size());
-  io::write_u32(out, crc32(payload.data(), payload.size()));
-  if (!payload.empty()) io::write_bytes(out, payload.data(), payload.size());
-  return out.str();
+  // Built in place so the payload is copied once; service checkpoints
+  // approach 100 MB.
+  std::string sealed;
+  sealed.reserve(spec.magic.size() + 16 + payload.size());  // + version, size, CRC
+  sealed.append(spec.magic.data(), spec.magic.size());
+  append_raw(sealed, spec.version);
+  append_raw(sealed, std::uint64_t{payload.size()});
+  append_raw(sealed, crc32(payload.data(), payload.size()));
+  sealed.append(payload);
+  return sealed;
 }
 
 namespace {
@@ -72,11 +85,12 @@ std::string open_envelope_prefix(std::istream& in, const EnvelopeSpec& spec,
 }
 
 std::string seal_record(std::string_view payload) {
-  std::ostringstream out(std::ios::binary);
-  io::write_u64(out, payload.size());
-  io::write_u32(out, crc32(payload.data(), payload.size()));
-  if (!payload.empty()) io::write_bytes(out, payload.data(), payload.size());
-  return out.str();
+  std::string sealed;
+  sealed.reserve(kRecordFrameBytes + payload.size());
+  append_raw(sealed, std::uint64_t{payload.size()});
+  append_raw(sealed, crc32(payload.data(), payload.size()));
+  sealed.append(payload);
+  return sealed;
 }
 
 RecordRead read_record(std::istream& in, std::uint64_t max_payload,

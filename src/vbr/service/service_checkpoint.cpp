@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "vbr/common/atomic_file.hpp"
 #include "vbr/common/serialize.hpp"
@@ -23,7 +24,10 @@ void save_service_checkpoint(const std::string& path, const TrafficService& serv
   service.save_state(payload);
   io::write_u8(payload, governor != nullptr ? 1 : 0);
   if (governor != nullptr) governor->save_state(payload);
-  write_file_atomic(path, run::seal_envelope(service_checkpoint_envelope(), payload.str()),
+  // Moving the buffer out of the stream leaves seal_envelope's append as
+  // the only copy of the payload.
+  write_file_atomic(path,
+                    run::seal_envelope(service_checkpoint_envelope(), std::move(payload).str()),
                     /*durable=*/true);
 }
 

@@ -1,6 +1,7 @@
 #include "vbr/service/streaming_hosking.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -124,29 +125,67 @@ double StreamingHosking::innovation_variance() const {
   return coeffs_->v[order];
 }
 
-double StreamingHosking::next_sample() {
-  const std::uint64_t k = position_;
-  double x = 0.0;
-  if (k == 0) {
-    x = rng_.normal(0.0, std::sqrt(coeffs_->v[0]));
-  } else {
-    const auto order = static_cast<std::size_t>(std::min<std::uint64_t>(k, horizon_));
-    const std::vector<double>& phi = coeffs_->phi[order - 1];
-    KahanSum m_acc;
-    for (std::size_t j = 1; j <= order; ++j) {
-      m_acc.add(phi[j - 1] * ring_[static_cast<std::size_t>((k - j) % horizon_)]);
-    }
-    x = rng_.normal(m_acc.value(), std::sqrt(coeffs_->v[order]));
+template <std::size_t G>
+void StreamingHosking::next_block_lockstep(std::span<StreamingHosking* const, G> lanes,
+                                           std::size_t n,
+                                           std::span<std::vector<double>* const, G> outs) {
+  const StreamingHosking& lead = *lanes[0];
+  for (std::size_t g = 1; g < G; ++g) {
+    VBR_DCHECK(lead.lockstep_compatible(*lanes[g]), "lockstep lanes disagree on predictor order");
   }
-  VBR_DCHECK(std::isfinite(x), "non-finite streaming Hosking sample");
-  ring_[static_cast<std::size_t>(k % horizon_)] = x;
-  ++position_;
-  return x;
+  const HoskingCoeffTable& table = *lead.coeffs_;
+  const std::size_t m = lead.horizon_;
+  const std::uint64_t k0 = lead.position_;
+  std::array<double*, G> ring{};
+  std::array<std::size_t, G> head{};  // ring slot of the lane's next sample
+  for (std::size_t g = 0; g < G; ++g) {
+    ring[g] = lanes[g]->ring_.data();
+    head[g] = static_cast<std::size_t>(lanes[g]->position_ % m);
+    outs[g]->reserve(outs[g]->size() + n);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    // Compatible lanes share the order: all are past the horizon or all
+    // sit at the lead's position.
+    const auto order = static_cast<std::size_t>(std::min<std::uint64_t>(k0 + i, m));
+    std::array<KahanSum, G> acc{};
+    if (order > 0) {
+      const double* phi = table.phi[order - 1].data();
+      // Tap j reads the sample j back, slot (k - j) mod m: each lane's
+      // cursor steps down from its head with a conditional wrap.
+      std::array<std::size_t, G> cur{};
+      for (std::size_t g = 0; g < G; ++g) cur[g] = (head[g] == 0 ? m : head[g]) - 1;
+      for (std::size_t j = 0; j < order; ++j) {
+        const double c = phi[j];
+        for (std::size_t g = 0; g < G; ++g) {
+          acc[g].add(c * ring[g][cur[g]]);
+          cur[g] = (cur[g] == 0 ? m : cur[g]) - 1;
+        }
+      }
+    }
+    const double sd = std::sqrt(table.v[order]);
+    for (std::size_t g = 0; g < G; ++g) {
+      StreamingHosking& lane = *lanes[g];
+      const double x = lane.rng_.normal(acc[g].value(), sd);
+      VBR_DCHECK(std::isfinite(x), "non-finite streaming Hosking sample");
+      ring[g][head[g]] = x;
+      head[g] = (head[g] + 1 == m) ? 0 : head[g] + 1;
+      ++lane.position_;
+      outs[g]->push_back(x);
+    }
+  }
 }
 
+template void StreamingHosking::next_block_lockstep<1>(
+    std::span<StreamingHosking* const, 1>, std::size_t, std::span<std::vector<double>* const, 1>);
+template void StreamingHosking::next_block_lockstep<kLockstepLanes>(
+    std::span<StreamingHosking* const, kLockstepLanes>, std::size_t,
+    std::span<std::vector<double>* const, kLockstepLanes>);
+
 void StreamingHosking::next_block(std::size_t n, std::vector<double>& out) {
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(next_sample());
+  StreamingHosking* const lane[] = {this};
+  std::vector<double>* const dst[] = {&out};
+  next_block_lockstep<1>(lane, n, dst);
 }
 
 void StreamingHosking::save(std::ostream& out) const {

@@ -14,12 +14,20 @@
 // (H, variance, m), so all streams of one service share a single immutable
 // table through a process-wide cache — per-stream state is just the
 // m-sample ring, the Rng, and a position counter.
+//
+// Generation runs through one kernel, next_block_lockstep<G>, which
+// advances G streams together one tap at a time: the lanes share the
+// coefficient row, and each lane keeps its own Kahan accumulator and ring
+// cursor, so G independent dependency chains overlap. Every lane adds its
+// taps in exactly the width-1 order, so a stream's samples do not depend on
+// which group (if any) it ran in. next_block is the kernel at G = 1.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vbr/common/rng.hpp"
@@ -27,6 +35,12 @@
 #include "vbr/service/streaming_source.hpp"
 
 namespace vbr::service {
+
+/// Lanes of the lockstep kernel the traffic service dispatches. On an
+/// x86-64 Xeon at the default horizon (64 taps), one core: 1 lane ~165,
+/// 4 lanes ~80, 8 lanes ~75 and 16 lanes ~110 ns/sample (16 lanes no
+/// longer fit the accumulators in registers).
+inline constexpr std::size_t kLockstepLanes = 8;
 
 /// Immutable shared Durbin-Levinson state for one (H, variance, horizon).
 struct HoskingCoeffTable {
@@ -50,6 +64,22 @@ class StreamingHosking final : public StreamingSource {
   void save(std::ostream& out) const override;
   void restore(std::istream& in) override;
 
+  /// Advance each of the G `lanes` by n samples, appending lane g's samples
+  /// to *outs[g]. The lanes must be pairwise lockstep_compatible. Each lane
+  /// draws bit-for-bit what its own next_block(n) would.
+  template <std::size_t G>
+  static void next_block_lockstep(std::span<StreamingHosking* const, G> lanes, std::size_t n,
+                                  std::span<std::vector<double>* const, G> outs);
+
+  /// True when this stream and `other` can be lanes of one lockstep group:
+  /// they share a coefficient table, and their predictor orders agree for
+  /// every future sample (both past the horizon, or both at one position).
+  bool lockstep_compatible(const StreamingHosking& other) const {
+    return coeffs_ == other.coeffs_ &&
+           (position_ == other.position_ ||
+            (position_ >= horizon_ && other.position_ >= horizon_));
+  }
+
   std::size_t horizon() const { return horizon_; }
   /// Innovation variance of the *next* draw (equals the batch generator's
   /// innovation_variance() while position <= horizon).
@@ -67,8 +97,6 @@ class StreamingHosking final : public StreamingSource {
   Rng rng_;
   std::vector<double> ring_;  ///< last min(position, horizon) samples
   std::uint64_t position_ = 0;
-
-  double next_sample();
 };
 
 }  // namespace vbr::service

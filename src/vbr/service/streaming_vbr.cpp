@@ -1,6 +1,7 @@
 #include "vbr/service/streaming_vbr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -95,6 +96,41 @@ void StreamingVbrSource::next_block(std::size_t n, std::vector<double>& out) {
   // buffer, so the wrapper adds nothing to the per-stream footprint.
   const std::size_t base = out.size();
   core_->next_block(n, out);
+  apply_head(out, base);
+}
+
+template <std::size_t G>
+void StreamingVbrSource::next_block_lockstep(std::span<StreamingVbrSource* const, G> lanes,
+                                             std::size_t n,
+                                             std::span<std::vector<double>* const, G> outs) {
+  std::array<StreamingHosking*, G> cores{};
+  std::array<std::size_t, G> base{};
+  for (std::size_t g = 0; g < G; ++g) {
+    VBR_DCHECK(lanes[0]->lockstep_compatible(*lanes[g]), "lockstep lanes are incompatible");
+    cores[g] = &lanes[g]->hosking_core();
+    base[g] = outs[g]->size();
+  }
+  StreamingHosking::next_block_lockstep<G>(cores, n, outs);
+  for (std::size_t g = 0; g < G; ++g) lanes[g]->apply_head(*outs[g], base[g]);
+}
+
+template void StreamingVbrSource::next_block_lockstep<kLockstepLanes>(
+    std::span<StreamingVbrSource* const, kLockstepLanes>, std::size_t,
+    std::span<std::vector<double>* const, kLockstepLanes>);
+
+bool StreamingVbrSource::lockstep_compatible(const StreamingVbrSource& other) const {
+  return core_ != nullptr && other.core_ != nullptr &&
+         backend_ == model::GeneratorBackend::kHosking &&
+         other.backend_ == model::GeneratorBackend::kHosking &&
+         hosking_core().lockstep_compatible(other.hosking_core());
+}
+
+StreamingHosking& StreamingVbrSource::hosking_core() const {
+  // make_streaming_core builds a StreamingHosking for the hosking backend.
+  return static_cast<StreamingHosking&>(*core_);
+}
+
+void StreamingVbrSource::apply_head(std::vector<double>& out, std::size_t base) const {
   if (variant_ == model::ModelVariant::kGaussianFarima) {
     for (std::size_t i = base; i < out.size(); ++i) {
       VBR_DCHECK(std::isfinite(out[i]), "non-finite Gaussian core sample");

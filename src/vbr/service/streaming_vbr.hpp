@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vbr/common/rng.hpp"
@@ -31,6 +32,7 @@ namespace vbr::service {
 /// Opaque shared head state: the marginal distribution plus the tabulated
 /// map that references it (defined in streaming_vbr.cpp).
 struct MarginalMapEntry;
+class StreamingHosking;
 
 class StreamingVbrSource final : public StreamingSource {
  public:
@@ -42,6 +44,20 @@ class StreamingVbrSource final : public StreamingSource {
 
   using StreamingSource::next_block;
   void next_block(std::size_t n, std::vector<double>& out) override;
+
+  /// Advance G streams together: their Hosking cores run as lanes of one
+  /// StreamingHosking::next_block_lockstep group, then each lane's samples
+  /// go through its own marginal head. Lanes must be pairwise
+  /// lockstep_compatible; each appends exactly what its next_block(n) would.
+  template <std::size_t G>
+  static void next_block_lockstep(std::span<StreamingVbrSource* const, G> lanes, std::size_t n,
+                                  std::span<std::vector<double>* const, G> outs);
+
+  /// True when both streams have Hosking cores that can share a lockstep
+  /// group (StreamingHosking::lockstep_compatible); never for other backends
+  /// or the i.i.d. variant.
+  bool lockstep_compatible(const StreamingVbrSource& other) const;
+
   std::uint64_t position() const override;
   const char* kind() const override { return "vbr-stream"; }
   void save(std::ostream& out) const override;
@@ -52,6 +68,12 @@ class StreamingVbrSource final : public StreamingSource {
   static void marginal_map_cache_clear();
 
  private:
+  /// The core as its concrete type; only valid when backend_ is hosking
+  /// and the variant has a core.
+  StreamingHosking& hosking_core() const;
+  /// Map core samples out[base..] through the variant's marginal head.
+  void apply_head(std::vector<double>& out, std::size_t base) const;
+
   model::VbrModelParams params_;
   model::ModelVariant variant_;
   model::GeneratorBackend backend_;

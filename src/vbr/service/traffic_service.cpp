@@ -1,6 +1,7 @@
 #include "vbr/service/traffic_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "vbr/common/serialize.hpp"
 #include "vbr/engine/thread_pool.hpp"
 #include "vbr/model/fgn_generator.hpp"
+#include "vbr/service/streaming_hosking.hpp"
 
 namespace vbr::service {
 namespace {
@@ -40,8 +42,8 @@ TrafficService::TrafficService(const ServiceConfig& config) : config_(config) {
 
   streams_.reserve(config.num_streams);
   for (std::size_t i = 0; i < config.num_streams; ++i) {
-    streams_.push_back(make_streaming_source(config.params, config.variant, config.backend,
-                                             config.tuning, stream_rngs[i]));
+    streams_.push_back(std::make_unique<StreamingVbrSource>(
+        config.params, config.variant, config.backend, config.tuning, stream_rngs[i]));
   }
   status_.assign(config.num_streams, StreamStatus::kActive);
   stream_hash_.assign(config.num_streams, Fnv1a::kOffsetBasis);
@@ -70,23 +72,29 @@ void TrafficService::advance_round(std::size_t block, StreamGovernor* governor) 
 
   for (std::size_t base = 0; base < n; base += kChunkStreams) {
     const std::size_t count = std::min(kChunkStreams, n - base);
-    // Parallel generation: worker i writes only scratch_[i] (and its own
-    // quarantine byte); scheduling decides who computes each stream, never
-    // what is computed. The governor hook catches every stream exception
-    // internally, so nothing escapes the worker.
-    engine::parallel_for_index(count, std::min(threads, count), [&](std::size_t i) {
-      std::vector<double>& buf = scratch_[i];
-      buf.clear();
-      quarantine_pending_[i] = 0;
-      if (status_[base + i] != StreamStatus::kActive) return;
-      if (governor != nullptr) {
+    // Parallel generation: a worker writes only the scratch slots (and
+    // quarantine bytes) of the streams it was given; scheduling decides who
+    // computes each stream, never what is computed. Ungoverned, a task is
+    // kLockstepLanes consecutive streams; the governor's faults and retries
+    // are per stream, so governed tasks are single streams, and its hook
+    // catches every stream exception internally.
+    if (governor == nullptr) {
+      const std::size_t groups = (count + kLockstepLanes - 1) / kLockstepLanes;
+      engine::parallel_for_index(groups, std::min(threads, groups), [&](std::size_t t) {
+        const std::size_t first = t * kLockstepLanes;
+        generate_group(base, first, std::min(first + kLockstepLanes, count), block);
+      });
+    } else {
+      engine::parallel_for_index(count, std::min(threads, count), [&](std::size_t i) {
+        std::vector<double>& buf = scratch_[i];
+        buf.clear();
+        quarantine_pending_[i] = 0;
+        if (status_[base + i] != StreamStatus::kActive) return;
         if (!governor->generate(base + i, *streams_[base + i], block, buf)) {
           quarantine_pending_[i] = 1;
         }
-      } else {
-        streams_[base + i]->next_block(block, buf);
-      }
-    });
+      });
+    }
     // Sequential fold in stream order: hash, sink, totals, aggregate. This
     // is the only place round results are observed, so thread count can
     // never reorder the reduction.
@@ -113,6 +121,30 @@ void TrafficService::advance_round(std::size_t block, StreamGovernor* governor) 
     }
   }
   ++rounds_;
+}
+
+void TrafficService::generate_group(std::size_t base, std::size_t first, std::size_t last,
+                                    std::size_t block) {
+  std::array<StreamingVbrSource*, kLockstepLanes> lanes{};
+  std::array<std::vector<double>*, kLockstepLanes> outs{};
+  bool lockstep = last - first == kLockstepLanes;
+  for (std::size_t i = first; i < last; ++i) {
+    scratch_[i].clear();
+    quarantine_pending_[i] = 0;
+    lanes[i - first] = streams_[base + i].get();
+    outs[i - first] = &scratch_[i];
+    lockstep = lockstep && status_[base + i] == StreamStatus::kActive &&
+               lanes[0]->lockstep_compatible(*lanes[i - first]);
+  }
+  if (lockstep) {
+    StreamingVbrSource::next_block_lockstep<kLockstepLanes>(lanes, block, outs);
+    return;
+  }
+  for (std::size_t i = first; i < last; ++i) {
+    if (status_[base + i] == StreamStatus::kActive) {
+      streams_[base + i]->next_block(block, scratch_[i]);
+    }
+  }
 }
 
 void TrafficService::pause(std::size_t stream) {
@@ -247,8 +279,8 @@ void TrafficService::restore_state(std::istream& in) {
         Rng master(config_.seed);
         Rng stream_rng;
         for (std::size_t k = 0; k <= i; ++k) stream_rng = master.split();
-        streams_[i] = make_streaming_source(config_.params, config_.variant, config_.backend,
-                                            config_.tuning, stream_rng);
+        streams_[i] = std::make_unique<StreamingVbrSource>(
+            config_.params, config_.variant, config_.backend, config_.tuning, stream_rng);
       }
       streams_[i]->restore(in);
     }

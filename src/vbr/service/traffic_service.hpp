@@ -44,6 +44,7 @@
 #include "vbr/model/vbr_source.hpp"
 #include "vbr/net/fluid_queue.hpp"
 #include "vbr/service/streaming_source.hpp"
+#include "vbr/service/streaming_vbr.hpp"
 #include "vbr/stream/moments.hpp"
 
 namespace vbr::service {
@@ -149,7 +150,7 @@ class TrafficService {
 
  private:
   ServiceConfig config_;
-  std::vector<std::unique_ptr<StreamingSource>> streams_;
+  std::vector<std::unique_ptr<StreamingVbrSource>> streams_;
   std::vector<StreamStatus> status_;
   stream::StreamingMoments moments_;
   std::unique_ptr<net::FluidQueue> queue_;
@@ -165,6 +166,11 @@ class TrafficService {
   std::vector<std::uint8_t> quarantine_pending_;
   /// Per-frame-offset aggregate accumulators, reset every round.
   std::vector<KahanSum> aggregate_;
+
+  /// Fill scratch_[first, last) for chunk `base` without a governor: one
+  /// lockstep group when the slots are kLockstepLanes active, compatible
+  /// streams, else each active stream on its own.
+  void generate_group(std::size_t base, std::size_t first, std::size_t last, std::size_t block);
 };
 
 }  // namespace vbr::service

@@ -39,6 +39,41 @@ TEST(ChecksumTest, Crc32MatchesTheZlibReferenceVector) {
   EXPECT_EQ(crc32(data + 4, 5, crc32(data, 4)), 0xCBF43926u);
 }
 
+/// The textbook one-byte-at-a-time CRC-32, bit by bit: the definition the
+/// table-driven crc32() must reproduce.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksumTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Word-at-a-time CRC has a bulk loop and a byte tail: every length 0..1024
+  // crosses both, every start offset 0..7 shifts the word boundaries, and
+  // seeded calls must chain across any split point.
+  Rng rng(32);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng() & 0xFFu);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc32(p, len), crc32_bitwise(p, len, 0)) << "offset " << offset << " len " << len;
+    }
+  }
+  for (const std::uint32_t seed : {0u, 1u, 0xCBF43926u, 0xFFFFFFFFu}) {
+    for (const std::size_t split : {std::size_t{0}, std::size_t{3}, std::size_t{8},
+                                    std::size_t{13}, std::size_t{512}, std::size_t{1024}}) {
+      const std::uint32_t head = crc32(buf.data(), split, seed);
+      EXPECT_EQ(crc32(buf.data() + split, 1024 - split, head),
+                crc32_bitwise(buf.data(), 1024, seed))
+          << "seed " << seed << " split " << split;
+    }
+  }
+}
+
 TEST(ChecksumTest, Fnv1aIsChunkingInvariant) {
   const std::vector<double> samples{1.5, -0.25, 3.75e9, 0.0};
   Fnv1a whole;

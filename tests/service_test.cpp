@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -271,6 +274,140 @@ TEST(StreamingSourceTest, SharedCoefficientTablesAreCachedPerConfiguration) {
 }
 
 // ---------------------------------------------------------------------------
+// Lockstep kernel: G lanes advanced together must each emit exactly what the
+// same stream emits alone through next_block (the width-1 kernel).
+
+/// kLockstepLanes Hosking streams from consecutive splits of Rng(seed).
+std::vector<std::unique_ptr<StreamingHosking>> hosking_lanes(std::size_t horizon,
+                                                             std::uint64_t seed) {
+  const model::HoskingOptions options{.hurst = 0.8, .variance = 1.0};
+  Rng parent(seed);
+  std::vector<std::unique_ptr<StreamingHosking>> lanes;
+  for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+    lanes.push_back(std::make_unique<StreamingHosking>(options, horizon, parent));
+  }
+  return lanes;
+}
+
+/// Advance every lane of `lanes` by n through one lockstep call.
+template <typename Source>
+void lockstep_step(const std::vector<std::unique_ptr<Source>>& lanes, std::size_t n,
+                   std::vector<std::vector<double>>& outs) {
+  std::array<Source*, kLockstepLanes> ptrs{};
+  std::array<std::vector<double>*, kLockstepLanes> dst{};
+  for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+    ptrs[g] = lanes[g].get();
+    dst[g] = &outs[g];
+  }
+  Source::template next_block_lockstep<kLockstepLanes>(ptrs, n, dst);
+}
+
+TEST(StreamingHoskingTest, LockstepLanesBitEqualSingleStreamsFromWarmUp) {
+  // Warm-up groups: all lanes start at position 0 and share every order
+  // 0..m; blocks of several sizes cross the horizon mid-block. Horizons 1
+  // and 7 wrap the ring every few samples; 600 >= n never truncates.
+  constexpr std::size_t kFrames = 512;
+  for (const std::size_t horizon :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{600}}) {
+    const auto lanes = hosking_lanes(horizon, 21);
+    const auto solo = hosking_lanes(horizon, 21);
+    std::vector<std::vector<double>> got(kLockstepLanes);
+    std::size_t served = 0;
+    for (std::size_t block = 1; served < kFrames; block = block * 3 + 1) {
+      const std::size_t n = std::min(block, kFrames - served);
+      for (std::size_t g = 1; g < kLockstepLanes; ++g) {
+        ASSERT_TRUE(lanes[0]->lockstep_compatible(*lanes[g]));
+      }
+      lockstep_step(lanes, n, got);
+      served += n;
+    }
+    for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+      SCOPED_TRACE("horizon " + std::to_string(horizon) + " lane " + std::to_string(g));
+      EXPECT_EQ(lanes[g]->position(), kFrames);
+      expect_bit_equal(got[g], drain(*solo[g], kFrames, 64));
+    }
+  }
+}
+
+TEST(StreamingHoskingTest, LockstepLanesPastTheHorizonMayDifferInPosition) {
+  // Past the horizon every lane predicts at order m whatever its position,
+  // so lanes with different ring cursors (and Rngs mid-normal-pair at odd
+  // positions) still group; below the horizon only equal positions do.
+  for (const std::size_t horizon : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    const auto lanes = hosking_lanes(horizon, 5);
+    const auto solo = hosking_lanes(horizon, 5);
+    std::vector<std::vector<double>> expected(kLockstepLanes);
+    for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+      const std::size_t lead_in = horizon + 3 * g;
+      (void)drain(*lanes[g], lead_in, 5);
+      expected[g] = drain(*solo[g], lead_in + 200, 200);
+      expected[g].erase(expected[g].begin(),
+                        expected[g].begin() + static_cast<std::ptrdiff_t>(lead_in));
+    }
+    for (std::size_t g = 1; g < kLockstepLanes; ++g) {
+      ASSERT_TRUE(lanes[0]->lockstep_compatible(*lanes[g]));
+    }
+    std::vector<std::vector<double>> got(kLockstepLanes);
+    lockstep_step(lanes, 120, got);
+    lockstep_step(lanes, 80, got);
+    for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+      SCOPED_TRACE("horizon " + std::to_string(horizon) + " lane " + std::to_string(g));
+      expect_bit_equal(got[g], expected[g]);
+    }
+  }
+  // Below the horizon: equal positions group, unequal ones do not, and a
+  // different coefficient table (another horizon) never does.
+  const auto lanes = hosking_lanes(64, 8);
+  EXPECT_TRUE(lanes[0]->lockstep_compatible(*lanes[1]));
+  (void)drain(*lanes[1], 3, 3);
+  EXPECT_FALSE(lanes[0]->lockstep_compatible(*lanes[1]));
+  (void)drain(*lanes[0], 3, 3);
+  EXPECT_TRUE(lanes[0]->lockstep_compatible(*lanes[1]));
+  const auto other = hosking_lanes(65, 8);
+  (void)drain(*other[0], 3, 3);
+  EXPECT_FALSE(lanes[0]->lockstep_compatible(*other[0]));
+}
+
+TEST(StreamingVbrTest, LockstepGroupsBitEqualSingleSourcesThroughTheMarginalHead) {
+  const auto params = paper_params();
+  const StreamingTuning tuning;
+  for (const auto variant : {model::ModelVariant::kFull, model::ModelVariant::kGaussianFarima}) {
+    const auto make_lanes = [&] {
+      Rng parent(77);
+      std::vector<std::unique_ptr<StreamingVbrSource>> lanes;
+      for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+        Rng stream_rng = parent.split();
+        lanes.push_back(std::make_unique<StreamingVbrSource>(
+            params, variant, model::GeneratorBackend::kHosking, tuning, stream_rng));
+      }
+      return lanes;
+    };
+    const auto lanes = make_lanes();
+    const auto solo = make_lanes();
+    std::vector<std::vector<double>> got(kLockstepLanes);
+    lockstep_step(lanes, 50, got);  // warm-up, crossing the horizon
+    lockstep_step(lanes, 50, got);
+    for (std::size_t g = 0; g < kLockstepLanes; ++g) {
+      expect_bit_equal(got[g], drain(*solo[g], 100, 7));
+    }
+  }
+  // Only Hosking cores have a lockstep kernel.
+  for (const auto backend :
+       {model::GeneratorBackend::kPaxson, model::GeneratorBackend::kAggregatedOnOff}) {
+    Rng parent(4);
+    StreamingVbrSource a(params, model::ModelVariant::kFull, backend, tuning, parent);
+    StreamingVbrSource b(params, model::ModelVariant::kFull, backend, tuning, parent);
+    EXPECT_FALSE(a.lockstep_compatible(b));
+  }
+  Rng parent(4);
+  StreamingVbrSource a(params, model::ModelVariant::kIidGammaPareto,
+                       model::GeneratorBackend::kHosking, tuning, parent);
+  StreamingVbrSource b(params, model::ModelVariant::kIidGammaPareto,
+                       model::GeneratorBackend::kHosking, tuning, parent);
+  EXPECT_FALSE(a.lockstep_compatible(b));
+}
+
+// ---------------------------------------------------------------------------
 // TrafficService.
 
 ServiceConfig small_service_config() {
@@ -444,6 +581,100 @@ TEST(TrafficServiceTest, CheckpointRejectsHostileFiles) {
   TrafficService other(other_config);
   EXPECT_THROW(load_service_checkpoint(path, other), IoError);
   EXPECT_EQ(other.rounds(), 0u);
+  fs::remove(path);
+}
+
+TEST(TrafficServiceTest, MultiChunkFleetHashIsPinned) {
+  // A fleet spanning three scheduler chunks (the last one partial) with
+  // paused, resumed and retired streams, served through warm-up and past
+  // the Hosking horizon. The pin was recorded with the one-stream-at-a-time
+  // generator, so any change in how advance_round groups streams must
+  // reproduce it exactly.
+  ServiceConfig config;
+  config.num_streams = 2600;
+  config.seed = 1994;
+  config.params = paper_params();
+  config.variant = model::ModelVariant::kFull;
+  config.backend = model::GeneratorBackend::kHosking;
+  config.threads = 2;
+  TrafficService service(config);
+  service.advance_round(5);
+  for (const std::size_t s : {std::size_t{3}, std::size_t{1030}, std::size_t{2599}}) {
+    service.pause(s);
+  }
+  service.retire(17);
+  service.retire(1500);
+  service.advance_round(40);
+  service.resume(3);
+  service.advance_round(30);
+  service.resume(2599);
+  service.advance_round(40);
+  EXPECT_EQ(service.total_samples(), 5u * 2600u + 40u * 2595u + 30u * 2596u + 40u * 2597u);
+  EXPECT_EQ(service.results_hash(), 0xf799f5378d51d784ULL);
+}
+
+TEST(TrafficServiceTest, LockstepRoundsBitEqualSingleStreamGeneration) {
+  // Every stream's digest must equal the digest of the same stream driven
+  // alone through next_block, whatever grouping advance_round chose: warm-up
+  // groups, a partial last group and chunk (2061 = 2 * 1024 + 13), a retired
+  // hole, pause/resume leaving one stream behind its group (width-1
+  // fallback below the horizon, a lockstep lane past it), and a restored
+  // fleet with those mixed positions. Horizon 128 exceeds the 81 samples
+  // served, so that fleet never leaves the warm-up.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "vbr_service_lockstep.ckpt";
+  const auto params = paper_params();
+  for (const std::size_t horizon :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{128}}) {
+    std::uint64_t reference_hash = 0;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("horizon " + std::to_string(horizon) + " threads " +
+                   std::to_string(threads));
+      ServiceConfig config;
+      config.num_streams = 2061;
+      config.seed = 31;
+      config.params = params;
+      config.variant = model::ModelVariant::kFull;
+      config.tuning.hosking_horizon = horizon;
+      config.threads = threads;
+      std::vector<std::uint64_t> served(config.num_streams, 0);
+      const auto round = [&](TrafficService& s, std::size_t block) {
+        s.advance_round(block);
+        for (std::size_t i = 0; i < served.size(); ++i) {
+          served[i] += s.status(i) == StreamStatus::kActive ? block : 0;
+        }
+      };
+      TrafficService service(config);
+      round(service, 3);
+      service.pause(2);
+      service.pause(1029);
+      service.retire(9);
+      round(service, 4);
+      service.resume(2);
+      round(service, 5);
+      save_service_checkpoint(path, service);
+      TrafficService restored(config);
+      load_service_checkpoint(path, restored);
+      round(restored, 60);
+      restored.resume(1029);
+      round(restored, 9);
+
+      Rng master(config.seed);
+      for (std::size_t i = 0; i < config.num_streams; ++i) {
+        Rng stream_rng = master.split();
+        StreamingVbrSource solo(params, config.variant, config.backend, config.tuning,
+                                stream_rng);
+        Fnv1a h;
+        h.update(std::span<const double>(drain(solo, served[i], 17)));
+        ASSERT_EQ(restored.stream_digest(i), h.digest()) << "stream " << i;
+      }
+      if (threads == 1) {
+        reference_hash = restored.results_hash();
+      } else {
+        EXPECT_EQ(restored.results_hash(), reference_hash);
+      }
+    }
+  }
   fs::remove(path);
 }
 
