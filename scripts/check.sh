@@ -4,7 +4,8 @@
 #   ./scripts/check.sh            # every stage, in order
 #   ./scripts/check.sh --tier1    # configure + build + ctest (canonical gate)
 #   ./scripts/check.sh --asan     # full ctest under ASan+UBSan
-#   ./scripts/check.sh --tsan     # engine/fft/generator tests under TSan
+#   ./scripts/check.sh --tsan     # engine/fft/generator tests and the service
+#                                 # scheduler/governor cases under TSan
 #   ./scripts/check.sh --analyze  # vbr_analyze over the full tree (build the
 #                                 # analyzer, zero findings required)
 #   ./scripts/check.sh --lint     # domain lint + clang-tidy (if installed)
@@ -65,12 +66,18 @@ if [[ $run_asan -eq 1 ]]; then
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
-  echo "=== tsan: engine + fft + generator tests under -fsanitize=thread ==="
+  echo "=== tsan: engine + fft + generator tests, service scheduler + governor under -fsanitize=thread ==="
   cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j --target engine_test fft_test generators_test >/dev/null
+  cmake --build --preset tsan -j \
+    --target engine_test fft_test generators_test service_test governor_test >/dev/null
   ./build-tsan/tests/engine_test
   ./build-tsan/tests/fft_test
   ./build-tsan/tests/generators_test
+  # The round scheduler's turn handoff and the governed rounds: the
+  # multi-threaded service cases, not the single-stream statistics.
+  ./build-tsan/tests/service_test --gtest_filter='TrafficServiceTest.*:TrafficSchedulerTest.*'
+  ./build-tsan/tests/governor_test \
+    --gtest_filter='FaultIsolationTest.*:DegradationTest.*:GovernorCheckpointTest.*'
 fi
 
 if [[ $run_analyze -eq 1 ]]; then

@@ -54,7 +54,7 @@ Rng Rng::from_state(const std::array<std::uint64_t, 4>& state) {
   return rng;
 }
 
-void Rng::save(std::ostream& out) const {
+void Rng::save(std::string& out) const {
   for (const std::uint64_t word : state_) io::write_u64(out, word);
   io::write_u8(out, has_cached_normal_ ? 1 : 0);
   io::write_f64(out, has_cached_normal_ ? cached_normal_ : 0.0);

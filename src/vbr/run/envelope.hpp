@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -42,8 +43,16 @@ struct EnvelopeSpec {
   const char* kind = "artifact";
 };
 
+/// Bytes of the envelope header (magic + version + size + CRC).
+inline constexpr std::size_t kEnvelopeHeaderBytes = 8 + 4 + 8 + 4;
+
 /// Wrap `payload` in the full envelope (magic + version + size + CRC).
 std::string seal_envelope(const EnvelopeSpec& spec, std::string_view payload);
+
+/// One-buffer form for large artifacts: `buffer` holds kEnvelopeHeaderBytes
+/// of room followed by the payload, and the header is written into that
+/// room, so the payload is never copied.
+void seal_envelope_in_place(const EnvelopeSpec& spec, std::string& buffer);
 
 /// Read and verify an envelope, returning the payload bytes. Throws
 /// vbr::IoError on bad magic, unsupported version, implausible size,

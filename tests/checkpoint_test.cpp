@@ -18,6 +18,10 @@
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/rng.hpp"
+#include "vbr/model/fgn_generator.hpp"
+#include "vbr/service/governor.hpp"
+#include "vbr/service/service_checkpoint.hpp"
+#include "vbr/service/traffic_service.hpp"
 #include "vbr/stream/acf.hpp"
 #include "vbr/stream/moments.hpp"
 #include "vbr/stream/quantiles.hpp"
@@ -388,6 +392,103 @@ TEST(CheckpointTest, PlanFingerprintSeparatesPlans) {
   changed.threads = 8;  // threads must NOT affect the fingerprint
   EXPECT_EQ(base, plan_fingerprint(changed, 1.0 / 24.0, "bytes/frame"));
   EXPECT_NE(base, plan_fingerprint(plan, 1.0, "bytes/frame"));
+}
+
+// ---------------------------------------------------------------------------
+// VBRSRVC1 byte pins: the service checkpoint's bytes are a format, not just a
+// round trip. Resume compatibility and the fuzz corpus depend on every byte,
+// so the saved file of a fixed fleet is pinned by its FNV-1a digest.
+
+std::uint64_t file_digest(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::string s = bytes.str();
+  Fnv1a h;
+  h.update(s.data(), s.size());
+  return h.digest();
+}
+
+service::ServiceConfig pinned_service_config(model::ModelVariant variant,
+                                             model::GeneratorBackend backend) {
+  service::ServiceConfig config;
+  config.num_streams = 24;
+  config.seed = 1994;
+  config.params.hurst = 0.8;
+  config.params.marginal.mu_gamma = 27791.0;
+  config.params.marginal.sigma_gamma = 6254.0;
+  config.params.marginal.tail_slope = 12.0;
+  config.variant = variant;
+  config.backend = backend;
+  config.tuning.hosking_horizon = 8;
+  config.tuning.paxson_window = 64;
+  config.tuning.paxson_overlap = 16;
+  config.tuning.onoff_mean_active_sessions = 16.0;
+  config.threads = 2;
+  config.queue_capacity_bytes_per_sec = 24 * 27791.0 * 24.0 / 0.9;
+  config.queue_buffer_bytes = 2.0e5;
+  return config;
+}
+
+TEST(ServiceCheckpointBytesTest, HoskingFleetAcrossTheHorizonIsPinned) {
+  // Horizon 8. Streams 1 and 2 pause below it (position 3), stream 3 pauses
+  // at it (8), stream 4 retires, stream 5 is quarantined past it (fault at
+  // sample 10), the rest run on to 13 and stream 2 catches up to 4.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "vbr_checkpoint_pin.ckpt";
+  service::TrafficService svc(
+      pinned_service_config(model::ModelVariant::kFull, model::GeneratorBackend::kHosking));
+  service::GovernorConfig gov_config;
+  gov_config.stream_faults = {{5, 10, FaultKind::kPermanent, 1}};
+  service::OverloadGovernor governor(svc, gov_config);
+  governor.advance_round(3);
+  svc.pause(1);
+  svc.pause(2);
+  governor.advance_round(5);
+  svc.pause(3);
+  svc.retire(4);
+  governor.advance_round(4);
+  svc.resume(2);
+  governor.advance_round(1);
+  ASSERT_EQ(svc.status(5), service::StreamStatus::kQuarantined);
+  EXPECT_EQ(svc.stream_position(1), 3u);
+  EXPECT_EQ(svc.stream_position(2), 4u);
+  EXPECT_EQ(svc.stream_position(3), 8u);
+  EXPECT_EQ(svc.stream_position(0), 13u);
+
+  service::save_service_checkpoint(path.string(), svc);
+  EXPECT_EQ(file_digest(path), 0x23944b74fcb7720aULL) << std::hex << file_digest(path);
+  service::save_service_checkpoint(path.string(), svc, &governor);
+  EXPECT_EQ(file_digest(path), 0x1716430fa580ee03ULL) << std::hex << file_digest(path);
+  fs::remove(path);
+}
+
+TEST(ServiceCheckpointBytesTest, EveryBackendAndVariantIsPinned) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "vbr_checkpoint_pin_backends.ckpt";
+  struct Case {
+    model::ModelVariant variant;
+    model::GeneratorBackend backend;
+    std::uint64_t pin;
+  };
+  const Case cases[] = {
+      {model::ModelVariant::kIidGammaPareto, model::GeneratorBackend::kHosking, 0x192e6a354d25910cULL},
+      {model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kHosking, 0x573fbfe2dea174edULL},
+      {model::ModelVariant::kFull, model::GeneratorBackend::kPaxson, 0xd91c04e9b55b0893ULL},
+      {model::ModelVariant::kFull, model::GeneratorBackend::kAggregatedOnOff, 0xce49ad6e4f14fd6cULL},
+  };
+  for (const Case& c : cases) {
+    service::TrafficService svc(pinned_service_config(c.variant, c.backend));
+    svc.advance_round(5);
+    svc.pause(7);
+    svc.retire(11);
+    svc.advance_round(6);
+    service::save_service_checkpoint(path.string(), svc);
+    EXPECT_EQ(file_digest(path), c.pin)
+        << model::generator_backend_name(c.backend) << " variant "
+        << static_cast<int>(c.variant) << ": " << std::hex << file_digest(path);
+  }
+  fs::remove(path);
 }
 
 }  // namespace
