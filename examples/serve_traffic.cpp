@@ -50,10 +50,11 @@
 //                               checkpoint-then-exit-4 path; test hook)
 //
 // Exit codes: 0 success, 1 runtime error (clean vbr::Error — hostile inputs
-// never abort), 2 usage error, 3 RSS ceiling exceeded (state checkpointed
-// first when --checkpoint is set, so --resume always works), 4 mid-run
-// failure with state checkpointed (resume with --resume), 5 admission
-// rejected (structured decision printed, nothing built).
+// never abort; a round that throws part-way writes no checkpoint), 2 usage
+// error, 3 RSS ceiling exceeded (state checkpointed first when --checkpoint
+// is set, so --resume always works), 4 mid-run failure between rounds with
+// state checkpointed (resume with --resume), 5 admission rejected
+// (structured decision printed, nothing built).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -411,9 +412,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Serve. Any failure past this point leaves a consistent round boundary
+  // Serve. A failure between rounds leaves a consistent round boundary
   // behind, so the rescue path checkpoints before exiting — a breached RSS
-  // ceiling or a mid-run I/O fault is always resumable, never a dead run.
+  // ceiling or a mid-run I/O fault is always resumable, never a dead run. A
+  // round that throws leaves its streams partly advanced, so the rescue
+  // path writes nothing then and the last periodic checkpoint stays the
+  // resume point.
+  bool in_round = false;
   try {
     if (governor != nullptr) {
       // Governed runs count progress in governed epochs (the checkpoint
@@ -421,7 +426,9 @@ int main(int argc, char** argv) {
       std::uint64_t iteration = 0;
       while (governor->epoch() < samples) {
         const std::uint64_t step = std::min<std::uint64_t>(block, samples - governor->epoch());
+        in_round = true;
         governor->advance_round(static_cast<std::size_t>(step));
+        in_round = false;
         ++iteration;
         if (inject_io_fault_round != 0 && iteration == inject_io_fault_round) {
           throw vbr::IoError("injected sink I/O fault after round " + std::to_string(iteration));
@@ -440,7 +447,9 @@ int main(int argc, char** argv) {
       // Ungoverned: samples-per-stream is rounds * block, exactly as before.
       const auto target_rounds = static_cast<std::uint64_t>((samples + block - 1) / block);
       while (service->rounds() < target_rounds) {
+        in_round = true;
         service->advance_round(static_cast<std::size_t>(block));
+        in_round = false;
         if (inject_io_fault_round != 0 && service->rounds() == inject_io_fault_round) {
           throw vbr::IoError("injected sink I/O fault after round " +
                              std::to_string(service->rounds()));
@@ -465,7 +474,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "serve_traffic: %s\n", e.what());
     }
     if (governor != nullptr) report_failures(*governor);
-    if (!checkpoint_path.empty()) {
+    if (in_round) {
+      std::fprintf(stderr, "serve_traffic: the round failed part-way; no checkpoint written\n");
+    } else if (!checkpoint_path.empty()) {
       try {
         vbr::service::save_service_checkpoint(checkpoint_path, *service, governor.get());
         std::fprintf(stderr, "serve_traffic: state checkpointed to %s; rerun with --resume\n",
