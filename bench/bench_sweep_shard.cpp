@@ -2,12 +2,10 @@
 // sweep machinery (src/vbr/sweep), emitted as JSON for dashboards/CI.
 //
 // Three questions, one driver:
-//   1. Checkpoint I/O per settled cell — the PR 5 manifest rewrote every
-//      settled record after every settle (O(cells) bytes per cell, O(n^2)
-//      per sweep); the VBRSWPL1 log appends one frame (O(1) amortized).
-//      Both paths run against real files over a ladder of cell counts and
-//      report measured bytes and seconds per cell; the log's bytes/cell
-//      must stay flat while the rewrite's grows linearly.
+//   1. Checkpoint I/O per settled cell — the VBRSWPL1 log appends one
+//      frame per settled cell (O(1) amortized). It runs against real files
+//      over a ladder of cell counts and reports measured bytes and seconds
+//      per cell; the log's bytes/cell must stay flat.
 //   2. Steal latency — how long a survivor takes to claim a dead pool's
 //      stale lease and salvage its log prefix (claim_lease steal path +
 //      recover_result_log), measured over many iterations.
@@ -33,7 +31,6 @@
 
 #include "bench_support.hpp"
 #include "vbr/sweep/dispatch.hpp"
-#include "vbr/sweep/manifest.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
 #include "vbr/sweep/supervisor.hpp"
@@ -105,26 +102,7 @@ struct CheckpointCost {
   double seconds = 0.0;
 };
 
-/// The old discipline: re-encode and atomically rewrite the whole manifest
-/// after every settled cell.
-CheckpointCost manifest_rewrite_cost(const std::filesystem::path& path,
-                                     std::size_t cells) {
-  vbr::sweep::SweepManifest manifest;
-  manifest.fingerprint = 0xbe9c4a11;
-  manifest.total_cells = cells;
-  CheckpointCost cost;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < cells; ++i) {
-    manifest.records.push_back(synthetic_record(i));
-    vbr::sweep::save_manifest(path, manifest, false);
-    cost.bytes += vbr::sweep::encode_manifest(manifest).size();
-  }
-  cost.seconds = seconds_since(start);
-  std::filesystem::remove(path);
-  return cost;
-}
-
-/// The new discipline: append one framed record per settled cell.
+/// Append one framed record per settled cell.
 CheckpointCost log_append_cost(const std::filesystem::path& path, std::size_t cells) {
   vbr::sweep::ResultLogHeader header;
   header.sweep_fingerprint = 0xbe9c4a11;
@@ -165,30 +143,23 @@ int main(int argc, char** argv) {
   appendf(json, "  \"benchmark\": \"sweep_shard\",\n");
   appendf(json, "  \"contracts\": \"%s\",\n", vbrbench::contracts_state());
 
-  // --- 1. checkpoint I/O per settled cell, old rewrite vs append-only ---
+  // --- 1. checkpoint I/O per settled cell, append-only ---
   appendf(json, "  \"checkpoint_io\": [\n");
   double first_log_bpc = 0.0;
   double last_log_bpc = 0.0;
   for (std::size_t i = 0; i < cells_list.size(); ++i) {
     const std::size_t cells = cells_list[i];
-    const CheckpointCost rewrite =
-        manifest_rewrite_cost(scratch / "manifest.bin", cells);
     const CheckpointCost append = log_append_cost(scratch / "shard.log", cells);
-    const double rewrite_bpc =
-        static_cast<double>(rewrite.bytes) / static_cast<double>(cells);
     const double append_bpc =
         static_cast<double>(append.bytes) / static_cast<double>(cells);
     if (i == 0) first_log_bpc = append_bpc;
     last_log_bpc = append_bpc;
     appendf(json,
-            "    {\"cells\": %zu, \"manifest_rewrite_bytes\": %llu, "
-            "\"manifest_rewrite_bytes_per_cell\": %.1f, "
-            "\"manifest_rewrite_seconds\": %.6f, "
+            "    {\"cells\": %zu, "
             "\"log_append_bytes\": %llu, \"log_append_bytes_per_cell\": %.1f, "
             "\"log_append_seconds\": %.6f}%s\n",
-            cells, static_cast<unsigned long long>(rewrite.bytes), rewrite_bpc,
-            rewrite.seconds, static_cast<unsigned long long>(append.bytes),
-            append_bpc, append.seconds,
+            cells, static_cast<unsigned long long>(append.bytes), append_bpc,
+            append.seconds,
             i + 1 < cells_list.size() ? "," : "");
   }
   appendf(json, "  ],\n");

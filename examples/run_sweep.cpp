@@ -23,7 +23,7 @@
 //
 // Usage:
 //   ./run_sweep --log FILE | --shard-dir DIR [options]
-//       --log FILE           single-pool result log (--manifest is an alias)
+//       --log FILE           single-pool result log
 //       --queues LIST        comma list of fluid,cell,fbm   (default fluid)
 //       --hursts LIST        comma list of H values         (default 0.8)
 //       --utilizations LIST  comma list in (0,1]            (default 0.9)
@@ -41,7 +41,6 @@
 //       --resume             continue from the log if present
 //       --durable            fsync log appends
 //       --hash-out FILE      write the results hash (hex) atomically
-//       --export-manifest F  also write merged records as a VBRSWEP1 manifest
 //       --quiet              suppress per-cell progress lines
 //   Sharded dispatch:
 //       --shard-dir DIR      shared sweep directory (enables sharded mode)
@@ -150,7 +149,7 @@ int usage() {
                "                 [--seed S] [--deadline-sec X] [--mem-mib N]\n"
                "                 [--cpu-sec N] [--attempts N] [--backoff-ms N]\n"
                "                 [--no-isolate] [--resume] [--durable]\n"
-               "                 [--hash-out FILE] [--export-manifest FILE] [--quiet]\n"
+               "                 [--hash-out FILE] [--quiet]\n"
                "                 [--shards N] [--pools N] [--lease-ttl X]\n"
                "                 [--heartbeat X] [--merge-only]\n"
                "                 [--fault-rate P] [--fault-seed S]\n"
@@ -165,16 +164,6 @@ void write_hash_out(const std::string& hash_out, std::uint64_t hash) {
   char line[32];
   std::snprintf(line, sizeof line, "%016" PRIx64 "\n", hash);
   vbr::write_file_atomic(hash_out, line);
-}
-
-void export_manifest(const std::string& path, const vbr::sweep::SweepGrid& grid,
-                     const vbr::sweep::SweepReport& report) {
-  if (path.empty()) return;
-  vbr::sweep::SweepManifest manifest;
-  manifest.fingerprint = vbr::sweep::sweep_fingerprint(grid);
-  manifest.total_cells = report.total_cells;
-  manifest.records = report.records;
-  vbr::sweep::save_manifest(path, manifest);
 }
 
 void print_report(const vbr::sweep::SweepReport& report) {
@@ -201,7 +190,6 @@ int main(int argc, char** argv) {
   vbr::sweep::SweepOptions options;
   options.faults.seed = 7;
   std::string hash_out;
-  std::string manifest_out;
   bool quiet = false;
 
   std::string shard_dir;
@@ -222,7 +210,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--log" || arg == "--manifest") {
+    if (arg == "--log") {
       options.log_path = next();
     } else if (arg == "--queues") {
       options.grid.queues.clear();
@@ -270,8 +258,6 @@ int main(int argc, char** argv) {
       options.durable = true;
     } else if (arg == "--hash-out") {
       hash_out = next();
-    } else if (arg == "--export-manifest") {
-      manifest_out = next();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--shard-dir") {
@@ -338,7 +324,6 @@ int main(int argc, char** argv) {
       const vbr::sweep::SweepReport report = vbr::sweep::run_sweep(options);
       print_report(report);
       write_hash_out(hash_out, report.results_hash);
-      export_manifest(manifest_out, options.grid, report);
       return 0;
     }
 
@@ -382,7 +367,6 @@ int main(int argc, char** argv) {
                                   /*require_complete=*/true);
     print_report(report);
     write_hash_out(hash_out, report.results_hash);
-    export_manifest(manifest_out, options.grid, report);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run_sweep: %s\n", e.what());
     return 1;

@@ -1,7 +1,6 @@
 // Fuzz harness: the VBRSWPL1 result-log scanner.
 //
-// Three paths per input, extending the fuzz_sweep_manifest dual-path trick
-// to an append-only format. First the raw bytes go straight into
+// Three paths per input. First the raw bytes go straight into
 // scan_result_log(), exercising the sealed-header envelope (magic, version,
 // size, CRC) and the header field validation. Because a random mutation
 // almost never survives the header CRC, the input is then replayed as the
@@ -69,15 +68,6 @@ void try_scan(const std::string& bytes, const vbr::sweep::ResultLogHeader* expec
   }
 }
 
-std::string sealed_fuzz_header() {
-  const vbr::run::EnvelopeSpec spec{vbr::sweep::kResultLogMagic,
-                                    vbr::sweep::kResultLogVersion,
-                                    vbr::sweep::kLogHeaderPayloadBytes,
-                                    "sweep result log"};
-  return vbr::run::seal_envelope(spec,
-                                 vbr::sweep::encode_log_header(fuzz_header()));
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -88,7 +78,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   try_scan(raw, nullptr);
 
   // Path 2: the input is the record stream behind a valid sealed header.
-  const std::string sealed = sealed_fuzz_header();
+  const std::string sealed = vbr::sweep::encode_log_header(header);
   try_scan(sealed + raw, &header);
 
   // Path 3: the input is the payload of one correctly framed record.

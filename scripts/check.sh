@@ -8,7 +8,7 @@
 #                                 # scheduler/governor cases under TSan
 #   ./scripts/check.sh --analyze  # vbr_analyze over the full tree (build the
 #                                 # analyzer, zero findings required)
-#   ./scripts/check.sh --lint     # domain lint + clang-tidy (if installed)
+#   ./scripts/check.sh --lint     # vbr_analyze + clang-tidy (if installed)
 #   ./scripts/check.sh --fuzz     # fuzz harness smoke (~12k execs each)
 #   ./scripts/check.sh --stream   # stream_analyze on a 2^24-sample trace,
 #                                 # peak RSS checked against the 64 MiB bound
@@ -89,10 +89,10 @@ if [[ $run_analyze -eq 1 ]]; then
 fi
 
 if [[ $run_lint -eq 1 ]]; then
-  echo "=== lint: domain rules (via vbr_analyze) + clang-tidy ==="
+  echo "=== lint: domain rules (vbr_analyze) + clang-tidy ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j --target vbr_analyze >/dev/null
-  python3 scripts/lint_domain.py
+  ./build/tools/vbr_analyze/vbr_analyze --root .
   ./scripts/tidy.sh
 fi
 
@@ -104,7 +104,7 @@ if [[ $run_fuzz -eq 1 ]]; then
   # accepts the same flags, so this line works with either toolchain.
   for pair in huffman_decode:huffman rle_decode:rle trace_io:trace_io \
               stream_reader:stream_reader checkpoint:checkpoint \
-              sweep_manifest:sweep_manifest sweep_result_log:sweep_result_log \
+              sweep_result_log:sweep_result_log \
               generation_plan:generation_plan \
               service_checkpoint:service_checkpoint; do
     harness="${pair%%:*}" corpus="${pair##*:}"

@@ -222,9 +222,6 @@ def check_sweep_shard(doc):
         cells = check_number(row, "cells", lo=1, ctx=ctx)
         require(cells > prev_cells, f"'cells' must be strictly increasing {ctx}")
         prev_cells = cells
-        check_number(row, "manifest_rewrite_bytes", lo=1, ctx=ctx)
-        check_number(row, "manifest_rewrite_bytes_per_cell", lo=1.0, ctx=ctx)
-        check_number(row, "manifest_rewrite_seconds", lo=0.0, ctx=ctx)
         check_number(row, "log_append_bytes", lo=1, ctx=ctx)
         check_number(row, "log_append_bytes_per_cell", lo=1.0, ctx=ctx)
         check_number(row, "log_append_seconds", lo=0.0, ctx=ctx)

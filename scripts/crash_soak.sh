@@ -37,7 +37,7 @@
 # heal it, (4) SIGKILLs the *supervisor* mid-sweep `supervisor_kills` times
 # and requires every --resume to reproduce the reference hash, and (5) runs
 # poison cells that fail deterministically and requires them quarantined in
-# the manifest without crashing the supervisor or blocking healthy cells.
+# the result log without crashing the supervisor or blocking healthy cells.
 set -u
 
 if [[ "${1:-}" == "--sweep" ]]; then
@@ -50,7 +50,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
   trap 'rm -rf "$WORK"' EXIT
 
   # 18 cells: 3 queues x 3 Hurst x 2 utilizations. The grid (and so the
-  # manifest fingerprint and results hash) is identical in every phase;
+  # sweep fingerprint and results hash) is identical in every phase;
   # only fault/limit flags differ, and those must not change one bit.
   GRID=(--queues fluid,cell,fbm --hursts 0.7,0.8,0.9 --utilizations 0.8,0.95
         --buffers-ms 10 --sources 2 --frames 2048 --seed 1994)
@@ -62,7 +62,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
 
   # Phase 1: fault-free reference.
   t0=$(date +%s%N)
-  "$BIN" --manifest "$WORK/ref.manifest" "${GRID[@]}" --deadline-sec 30 \
+  "$BIN" --log "$WORK/ref.log" "${GRID[@]}" --deadline-sec 30 \
     --hash-out "$WORK/ref.hash" --quiet >/dev/null || {
     note "reference sweep failed" >&2
     exit 1
@@ -74,7 +74,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
 
   # Phase 2: every cell's first attempt faults (crash/hang/OOM mix); the
   # retried sweep must be bit-identical and absorb >= CELLS worker faults.
-  out=$("$BIN" --manifest "$WORK/faulted.manifest" "${GRID[@]}" "${FAULTS[@]}" \
+  out=$("$BIN" --log "$WORK/faulted.log" "${GRID[@]}" "${FAULTS[@]}" \
     --hash-out "$WORK/faulted.hash" --quiet) || { note "fault run FAILED"; fail=1; }
   retries=$(awk '/^retries/{print $2}' <<<"$out")
   if ((retries < 10)); then
@@ -91,7 +91,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
   # Phase 3: hang a worker from the outside. SIGSTOP the first live worker
   # we can catch; the supervisor's watchdog must SIGKILL it and the retry
   # must heal the cell.
-  "$BIN" --manifest "$WORK/stopped.manifest" "${GRID[@]}" --deadline-sec 2 \
+  "$BIN" --log "$WORK/stopped.log" "${GRID[@]}" --deadline-sec 2 \
     --hash-out "$WORK/stopped.hash" --quiet >/dev/null 2>&1 &
   sup=$!
   stopped=""
@@ -121,14 +121,14 @@ if [[ "${1:-}" == "--sweep" ]]; then
   for i in $(seq 1 "$KILLS"); do
     rm -f "$WORK"/run.*
     delay_ms=$((RANDOM % window_ms))
-    "$BIN" --manifest "$WORK/run.manifest" "${GRID[@]}" "${FAULTS[@]}" \
+    "$BIN" --log "$WORK/run.log" "${GRID[@]}" "${FAULTS[@]}" \
       --fault-kinds crash,oom --hash-out "$WORK/run.hash" --quiet >/dev/null 2>&1 &
     pid=$!
     sleep "$(awk "BEGIN{printf \"%.3f\", $delay_ms / 1000}")"
     if kill -9 "$pid" 2>/dev/null; then outcome=killed; else outcome=completed; fi
     wait "$pid" 2>/dev/null
 
-    if ! "$BIN" --manifest "$WORK/run.manifest" "${GRID[@]}" "${FAULTS[@]}" \
+    if ! "$BIN" --log "$WORK/run.log" "${GRID[@]}" "${FAULTS[@]}" \
       --fault-kinds crash,oom --resume --hash-out "$WORK/run.hash" \
       --quiet >/dev/null; then
       note "iter $i (delay ${delay_ms}ms, $outcome): resume FAILED"
@@ -144,9 +144,9 @@ if [[ "${1:-}" == "--sweep" ]]; then
   done
 
   # Phase 5: poison cells fail deterministically every attempt; they must be
-  # quarantined in the manifest while every healthy cell completes, and a
+  # quarantined in the log while every healthy cell completes, and a
   # resume must salvage the whole record set without re-running anything.
-  out=$("$BIN" --manifest "$WORK/poison.manifest" "${GRID[@]}" --deadline-sec 30 \
+  out=$("$BIN" --log "$WORK/poison.log" "${GRID[@]}" --deadline-sec 30 \
     --poison 2,7 --quiet) || { note "poison sweep FAILED (rc=$?)"; fail=1; }
   quarantined=$(awk '/^quarantined/{print $2}' <<<"$out")
   completed=$(awk '/^completed/{print $2}' <<<"$out")
@@ -156,7 +156,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
     note "poison: expected 2 quarantined / $((CELLS - 2)) done, got ${quarantined:-?} / ${completed:-?}"
     fail=1
   fi
-  out=$("$BIN" --manifest "$WORK/poison.manifest" "${GRID[@]}" --deadline-sec 30 \
+  out=$("$BIN" --log "$WORK/poison.log" "${GRID[@]}" --deadline-sec 30 \
     --poison 2,7 --resume --quiet) || { note "poison resume FAILED"; fail=1; }
   resumed=$(awk '/^resumed/{print $2}' <<<"$out")
   if [[ "$resumed" == "$CELLS" ]]; then

@@ -16,6 +16,10 @@ import zlib
 
 MAGIC = b"VBRSWPL1"
 VERSION = 1
+# kCellResultBytes / sizeof(double) in src/vbr/sweep/cell_eval.hpp: a done
+# record's result is this many raw f64 fields.
+RESULT_FIELDS = 8
+DONE_RECORD = f"<QB{RESULT_FIELDS}d"
 
 # fuzz_header() in fuzz_sweep_result_log.cpp — paths 2/3 prepend this exact
 # header, so corpus records target its shard range [16, 32).
@@ -36,20 +40,24 @@ def sealed_header(fields=HEADER_FIELDS, magic=MAGIC, version=VERSION):
                                 zlib.crc32(payload)) + payload)
 
 
+def string_field(data: bytes) -> bytes:
+    """io::write_string: u32 length + raw bytes."""
+    return struct.pack("<I", len(data)) + data
+
+
 def frame(payload: bytes) -> bytes:
     return struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload
 
 
-def done_record(index: int) -> bytes:
-    results = (5.3e6, 6.6e6, 8192.0, 1.25e-3, 900.0, 8192.0)
-    return struct.pack("<QB6d", index, 1, *results)
+def done_record(index: int, results=(5.3e6, 6.6e6, 8192.0, 1.25e-3, 900.0, 8192.0,
+                                     0.0, 0.0)) -> bytes:
+    return struct.pack(DONE_RECORD, index, 1, *results)
 
 
 def quarantined_record(index: int, message=b"watchdog deadline exceeded",
                        kind=2) -> bytes:
     head = struct.pack("<QB3I2Qd", index, 2, kind, 0, 9, 3, 5120, 1.5)
-    strings = struct.pack("<Q", len(message)) + message + struct.pack("<Q", 5) + b"noise"
-    return head + strings
+    return head + string_field(message) + string_field(b"noise")
 
 
 def main():
@@ -65,7 +73,7 @@ def main():
         "header_only": sealed_header(),
         "torn_frame_header": healthy + b"\x40\x00\x00\x00\x00\x00\x00",
         "torn_payload": healthy + frame(done_record(25))[:-10],
-        "bad_magic": b"VBRSWEP1" + healthy[8:],
+        "bad_magic": b"VBRSWPL0" + healthy[8:],
         "version_skew": sealed_header(version=VERSION + 1),
         "header_truncated": healthy[:40],
         "header_crc_flip": healthy[:30] + bytes([healthy[30] ^ 0x10]) + healthy[31:],
@@ -75,14 +83,14 @@ def main():
         "record_crc_flip": (healthy[:-3] + bytes([healthy[-3] ^ 0x10]) + healthy[-2:]),
         "record_out_of_range": sealed_header() + frame(done_record(40)),
         "record_bad_status": sealed_header()
-        + frame(struct.pack("<QB6d", 17, 7, *(0.0,) * 6)),
+        + frame(struct.pack(DONE_RECORD, 17, 7, *(0.0,) * RESULT_FIELDS)),
         "record_bad_kind": sealed_header() + frame(quarantined_record(18, kind=9)),
         "record_trailing": sealed_header() + frame(done_record(16) + b"\x00"),
         "record_size_lies": sealed_header() + struct.pack("<QI", 1 << 40, 0),
         "duplicate": sealed_header() + frame(done_record(16)) * 2,
         "conflicting_duplicate": sealed_header()
         + frame(done_record(16))
-        + frame(struct.pack("<QB6d", 16, 1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        + frame(done_record(16, results=tuple(float(i) for i in range(1, RESULT_FIELDS + 1)))),
         "oversized_message": sealed_header()
         + frame(quarantined_record(19, message=b"x" * 5000)),
     }

@@ -1,7 +1,8 @@
-// The CRC-guarded artifact envelope shared by every resumable on-disk format.
+// The CRC-guarded artifact envelope shared by every resumable on-disk format
+// and by the sweep's worker-to-supervisor pipe frame.
 //
-// The campaign checkpoint (VBRCKPT1) and the sweep manifest (VBRSWEP1) wrap
-// their payloads identically:
+// The campaign checkpoint (VBRCKPT1), the service checkpoint (VBRSRVC1)
+// and the sweep worker frame (VBRWRKR1) wrap their payloads identically:
 //
 //   8 bytes  magic
 //   u32      version
@@ -35,7 +36,7 @@ namespace vbr::run {
 /// Identity of one envelope-framed format: its magic, the version the
 /// current code writes, a hard payload-size bound (so a forged size field
 /// can never drive a pathological allocation), and a human label for errors
-/// ("checkpoint", "sweep manifest").
+/// ("checkpoint", "worker frame").
 struct EnvelopeSpec {
   std::array<char, 8> magic{};
   std::uint32_t version = 1;

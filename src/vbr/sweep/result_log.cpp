@@ -212,6 +212,16 @@ void write_frame(int fd, std::string_view frame, const char* what) {
   }
 }
 
+/// A durable log promises its bytes reached the disk, so a failed fsync is
+/// an error, never a warning: the kernel may already have dropped the dirty
+/// pages, and a later fsync can succeed without ever writing them.
+void sync_or_throw(int fd, const char* what) {
+  if (::fsync(fd) != 0) {
+    throw IoError(std::string(what) + ": result log fsync failed: " +
+                  std::strerror(errno));
+  }
+}
+
 }  // namespace
 
 ResultLogWriter ResultLogWriter::create(const std::filesystem::path& path,
@@ -227,7 +237,7 @@ ResultLogWriter ResultLogWriter::create(const std::filesystem::path& path,
   const std::string sealed = encode_log_header(header);
   write_frame(fd, sealed, path.c_str());
   writer.bytes_written_ = sealed.size();
-  if (durable) (void)::fsync(fd);
+  if (durable) sync_or_throw(fd, path.c_str());
   return writer;
 }
 
@@ -267,12 +277,14 @@ void ResultLogWriter::append(const CellRecord& record) {
   const std::string frame = run::seal_record(payload.str());
   write_frame(fd_, frame, "sweep result log");
   bytes_written_ += frame.size();
-  if (durable_) (void)::fsync(fd_);
+  if (durable_) sync_or_throw(fd_, "sweep result log");
 }
 
 void ResultLogWriter::close() {
   if (fd_ < 0) return;
-  if (durable_) (void)::fsync(fd_);
+  // Best effort: close() also runs from the destructor, which must not
+  // throw. It needs no fsync of its own: create() and every durable append()
+  // already synced their bytes, or threw.
   (void)::close(fd_);
   fd_ = -1;
 }

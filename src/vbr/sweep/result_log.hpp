@@ -1,10 +1,9 @@
 // The VBRSWPL1 append-only result log: O(1) checkpoint cost per settled
 // cell, at million-cell scale.
 //
-// The PR 5 manifest rewrote every settled record after every settle — an
-// O(cells) write per cell that caps a sweep at thousands of cells. The log
-// replaces it with one sealed header followed by one CRC-framed record per
-// settled cell:
+// Rewriting a whole-sweep file after every settle would cost O(cells) per
+// cell and cap a sweep at thousands of cells, so the log is one sealed
+// header followed by one CRC-framed record per settled cell:
 //
 //   sealed header (run/envelope, magic "VBRSWPL1"):
 //     u64 sweep_fingerprint     the grid identity (sweep_plan fingerprint)
@@ -24,7 +23,7 @@
 // both fingerprints (never silently re-seeded); a CRC-valid record with an
 // out-of-range index or a conflicting duplicate is corruption, not a crash
 // artifact, and rejects the log too. scan_result_log is the pure surface
-// fuzz_result_log drives.
+// fuzz_sweep_result_log drives.
 #pragma once
 
 #include <array>
@@ -35,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "vbr/sweep/manifest.hpp"
+#include "vbr/sweep/cell_eval.hpp"
 
 namespace vbr::sweep {
 
@@ -57,7 +56,8 @@ struct ResultLogHeader {
   bool operator==(const ResultLogHeader& other) const = default;
 };
 
-/// The serialized header payload (7 u64 fields) and its sealed size.
+/// The sealed header: the envelope around 7 u64 fields, which is how every
+/// log begins.
 std::string encode_log_header(const ResultLogHeader& header);
 inline constexpr std::uint64_t kLogHeaderPayloadBytes = 7 * sizeof(std::uint64_t);
 inline constexpr std::uint64_t kLogHeaderSealedBytes =
@@ -84,7 +84,7 @@ struct ResultLogScan {
 /// then read framed records until the stream ends or a torn frame stops the
 /// scan. Torn tails are *returned*, not thrown; corruption inside the
 /// CRC-valid prefix (bad index/status/kind, conflicting duplicates) throws
-/// vbr::IoError. This is the pure core fuzz_result_log drives.
+/// vbr::IoError. This is the pure core fuzz_sweep_result_log drives.
 ResultLogScan scan_result_log(std::istream& in, const std::string& name,
                               const ResultLogHeader* expected);
 
@@ -99,8 +99,9 @@ std::optional<ResultLogScan> recover_result_log(const std::filesystem::path& pat
 
 /// Appends settled-cell records to a log file. Each append is one write(2)
 /// of one whole frame — O(record) per settled cell, never O(cells) — so an
-/// interrupted append tears only the tail. With `durable`, every append is
-/// fsync'd (power-loss safety; SIGKILL safety needs none).
+/// interrupted append tears only the tail. With `durable`, the header and
+/// every append are fsync'd (power-loss safety; SIGKILL safety needs none),
+/// and a failed fsync throws vbr::IoError.
 class ResultLogWriter {
  public:
   /// Start a fresh log: truncate and write the sealed header.

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "vbr/sweep/manifest.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
 

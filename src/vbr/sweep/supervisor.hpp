@@ -38,7 +38,7 @@
 #include <span>
 #include <vector>
 
-#include "vbr/sweep/manifest.hpp"
+#include "vbr/sweep/cell_eval.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
 #include "vbr/sweep/worker.hpp"
 

@@ -4,15 +4,14 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <exception>
 #include <new>
 #include <sstream>
 #include <vector>
 
-#include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/serialize.hpp"
+#include "vbr/run/envelope.hpp"
 
 // ASan reserves terabytes of shadow address space, so an honest RLIMIT_AS
 // ceiling would kill every attempt — clean retries included. Sanitizer
@@ -35,14 +34,8 @@ namespace {
 
 constexpr std::uint64_t kMaxFailureMessage = 4096;
 
-/// Frame = magic + u64 size + u32 crc + payload.
-std::string frame_payload(std::string_view payload) {
-  std::ostringstream out(std::ios::binary);
-  io::write_bytes(out, kWorkerMagic.data(), kWorkerMagic.size());
-  io::write_u64(out, payload.size());
-  io::write_u32(out, crc32(payload.data(), payload.size()));
-  if (!payload.empty()) io::write_bytes(out, payload.data(), payload.size());
-  return out.str();
+run::EnvelopeSpec worker_envelope() {
+  return {kWorkerMagic, 1, kMaxWorkerFrame, "worker frame"};
 }
 
 /// write(2) the whole buffer; on an unrecoverable pipe error the child has
@@ -99,7 +92,7 @@ std::string encode_worker_result(const CellResult& result) {
   std::ostringstream payload(std::ios::binary);
   io::write_u8(payload, 0);
   write_cell_result(payload, result);
-  return frame_payload(payload.str());
+  return run::seal_envelope(worker_envelope(), payload.str());
 }
 
 std::string encode_worker_failure(FailureKind kind, std::string_view message) {
@@ -108,31 +101,13 @@ std::string encode_worker_failure(FailureKind kind, std::string_view message) {
   io::write_u32(payload, static_cast<std::uint32_t>(kind));
   std::string bounded(message.substr(0, kMaxFailureMessage));
   io::write_string(payload, bounded);
-  return frame_payload(payload.str());
+  return run::seal_envelope(worker_envelope(), payload.str());
 }
 
 WorkerMessage parse_worker_message(std::string_view bytes) {
   const char* what = "worker frame";
   std::istringstream in(std::string(bytes), std::ios::binary);
-
-  std::array<char, 8> magic{};
-  io::read_bytes(in, magic.data(), magic.size(), what);
-  if (std::memcmp(magic.data(), kWorkerMagic.data(), magic.size()) != 0) {
-    throw IoError("worker frame: bad magic");
-  }
-  const std::uint64_t size = io::read_u64(in, what);
-  if (size > kMaxWorkerFrame) {
-    throw IoError("worker frame: implausible payload size " + std::to_string(size));
-  }
-  const std::uint32_t expected_crc = io::read_u32(in, what);
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  if (!payload.empty()) io::read_bytes(in, payload.data(), payload.size(), what);
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw IoError("worker frame: trailing bytes");
-  }
-  if (crc32(payload.data(), payload.size()) != expected_crc) {
-    throw IoError("worker frame: CRC mismatch");
-  }
+  const std::string payload = run::open_envelope(in, worker_envelope(), what);
 
   std::istringstream body(payload, std::ios::binary);
   WorkerMessage message;

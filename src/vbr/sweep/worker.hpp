@@ -8,14 +8,18 @@
 // past the watchdog deadline — is classified as crash/hang/OOM from the
 // exit status and rusage.
 //
-// Frame format (child -> parent):
+// Frame format (child -> parent), the run/envelope seal:
 //
 //   8 bytes  magic "VBRWRKR1"
+//   u32      version (1)
 //   u64      payload size
 //   u32      CRC-32 of the payload
 //   payload  u8 tag (0 = result, 1 = failure)
 //            result:  CellResult (8 raw f64 bit patterns)
 //            failure: u32 FailureKind + length-prefixed message
+//
+// The frame only crosses the pipe between a parent and its forked child of
+// the same binary; it is never persisted.
 //
 // A failure frame is the *structured* error path: the worker computed to a
 // deterministic vbr::Error (poison cell) or caught bad_alloc under its
@@ -34,7 +38,6 @@
 #include <string_view>
 
 #include "vbr/sweep/cell_eval.hpp"
-#include "vbr/sweep/manifest.hpp"
 
 namespace vbr::sweep {
 
@@ -81,8 +84,8 @@ struct WorkerMessage {
   std::string message;             ///< valid when !is_result
 };
 
-/// Parse one complete frame. Throws vbr::IoError on bad magic, size/CRC
-/// mismatch, truncation, unknown tag, or trailing bytes.
+/// Parse one complete frame. Throws vbr::IoError on bad magic, version
+/// skew, size/CRC mismatch, truncation, unknown tag, or trailing bytes.
 WorkerMessage parse_worker_message(std::string_view bytes);
 
 }  // namespace vbr::sweep

@@ -54,6 +54,8 @@ CellRecord done_record(std::uint64_t index) {
   record.result.loss_rate = 1.25e-3;
   record.result.mean_queue_bytes = 900.0;
   record.result.max_queue_bytes = 8192.0;
+  record.result.overflow_probability = 0.1;
+  record.result.required_capacity_bps = 2.0 / 3.0 * 1e7;
   return record;
 }
 
@@ -62,10 +64,32 @@ CellRecord quarantined_record(std::uint64_t index) {
   record.cell_index = index;
   record.status = CellStatus::kQuarantined;
   record.failure.kind = FailureKind::kHang;
+  record.failure.exit_code = -3;
+  record.failure.term_signal = 9;
   record.failure.attempts = 3;
+  record.failure.max_rss_kib = 5120;
+  record.failure.wall_seconds = 1.0 / 3.0;
   record.failure.message = "watchdog deadline exceeded";
   record.failure.stderr_tail = "noise";
   return record;
+}
+
+/// Every field, compared exactly: the log must round-trip at 0 ulp.
+void expect_same_record(const CellRecord& got, const CellRecord& want) {
+  EXPECT_EQ(got.cell_index, want.cell_index);
+  EXPECT_EQ(got.status, want.status);
+  if (want.status == CellStatus::kDone) {
+    EXPECT_EQ(got.result, want.result);
+    return;
+  }
+  EXPECT_EQ(got.failure.kind, want.failure.kind);
+  EXPECT_EQ(got.failure.exit_code, want.failure.exit_code);
+  EXPECT_EQ(got.failure.term_signal, want.failure.term_signal);
+  EXPECT_EQ(got.failure.attempts, want.failure.attempts);
+  EXPECT_EQ(got.failure.max_rss_kib, want.failure.max_rss_kib);
+  EXPECT_EQ(got.failure.wall_seconds, want.failure.wall_seconds);
+  EXPECT_EQ(got.failure.message, want.failure.message);
+  EXPECT_EQ(got.failure.stderr_tail, want.failure.stderr_tail);
 }
 
 std::string read_file(const std::filesystem::path& path) {
@@ -140,10 +164,8 @@ TEST(ResultLogScan, RoundTripsRecordsAndHeader) {
 
   EXPECT_EQ(scan.header, header);
   ASSERT_EQ(scan.records.size(), 2u);
-  EXPECT_EQ(scan.records[0].cell_index, 4u);
-  EXPECT_EQ(scan.records[0].result, done_record(4).result);
-  EXPECT_EQ(scan.records[1].cell_index, 6u);
-  EXPECT_EQ(scan.records[1].failure.message, "watchdog deadline exceeded");
+  expect_same_record(scan.records[0], done_record(4));
+  expect_same_record(scan.records[1], quarantined_record(6));
   EXPECT_EQ(scan.valid_bytes, bytes.size());
   EXPECT_EQ(scan.torn_bytes, 0u);
   EXPECT_EQ(scan.duplicate_records, 0u);
@@ -203,23 +225,20 @@ TEST(ResultLogScan, HeaderBitFlipsAreRejected) {
 TEST(ResultLogScan, NonsenseHeaderFieldsAreRejected) {
   // CRC-valid headers whose fields are internally inconsistent are forged
   // or foreign, never crash artifacts: reject before reading any record.
-  const vbr::run::EnvelopeSpec spec{kResultLogMagic, kResultLogVersion,
-                                    kLogHeaderPayloadBytes, "sweep result log"};
+  // encode_log_header seals the header, so each of these passes the
+  // envelope checks and fails on its fields alone.
   ResultLogHeader header = sample_header();
   header.end_cell = header.total_cells + 1;  // range escapes the grid
-  EXPECT_THROW((void)scan_bytes(vbr::run::seal_envelope(spec, encode_log_header(header)),
-                                nullptr),
-               IoError);
+  EXPECT_THROW((void)scan_bytes(encode_log_header(header), nullptr), IoError);
   header = sample_header();
   header.shard_index = header.shard_count;  // slot outside the shard count
-  EXPECT_THROW((void)scan_bytes(vbr::run::seal_envelope(spec, encode_log_header(header)),
-                                nullptr),
-               IoError);
+  EXPECT_THROW((void)scan_bytes(encode_log_header(header), nullptr), IoError);
   header = sample_header();
   header.total_cells = 0;  // an empty sweep has no log
-  EXPECT_THROW((void)scan_bytes(vbr::run::seal_envelope(spec, encode_log_header(header)),
-                                nullptr),
-               IoError);
+  EXPECT_THROW((void)scan_bytes(encode_log_header(header), nullptr), IoError);
+  // The untouched header scans clean.
+  EXPECT_EQ(scan_bytes(encode_log_header(sample_header()), nullptr).header,
+            sample_header());
 }
 
 // ---------------------------------------------------------------------------
@@ -261,10 +280,25 @@ TEST(ResultLogScan, CrcValidOutOfRangeRecordIsCorruptionNotATear) {
   writer.append(done_record(4));
   writer.close();
   std::string bytes = read_file(log.path());
-  std::ostringstream rogue(std::ios::binary);
-  write_cell_record(rogue, done_record(12));  // outside [4, 8)
-  bytes += vbr::run::seal_record(rogue.str());
-  EXPECT_THROW((void)scan_bytes(bytes, &header), IoError);
+  // Outside the shard's [4, 8), outside the grid's 16 cells, and far out.
+  for (const std::uint64_t index : {12u, 16u, 0xffffffffu}) {
+    std::ostringstream rogue(std::ios::binary);
+    write_cell_record(rogue, done_record(index));
+    EXPECT_THROW((void)scan_bytes(bytes + vbr::run::seal_record(rogue.str()), &header),
+                 IoError)
+        << "cell " << index;
+  }
+}
+
+TEST(ResultLogScan, CrcValidRecordWithTrailingBytesIsCorruption) {
+  const ResultLogHeader header = sample_header();
+  for (const CellRecord& record : {done_record(4), quarantined_record(5)}) {
+    std::ostringstream payload(std::ios::binary);
+    write_cell_record(payload, record);
+    const std::string bytes = encode_log_header(header) +
+                              vbr::run::seal_record(payload.str() + '\0');
+    EXPECT_THROW((void)scan_bytes(bytes, &header), IoError);
+  }
 }
 
 TEST(ResultLogScan, DuplicatesCollapseConflictsReject) {
@@ -286,6 +320,27 @@ TEST(ResultLogScan, DuplicatesCollapseConflictsReject) {
   write_cell_record(payload, conflicting);
   const std::string poisoned = bytes + vbr::run::seal_record(payload.str());
   EXPECT_THROW((void)scan_bytes(poisoned, &header), IoError);
+}
+
+TEST(ResultLogScan, CommittedFuzzSeedsReachTheirRecords) {
+  // The fuzzer mutates from these seeds, so a seed that dies in the codec
+  // before its named case would leave that case unfuzzed.
+  const std::filesystem::path corpus =
+      std::filesystem::path(VBR_FUZZ_CORPUS_DIR) / "sweep_result_log";
+  const ResultLogScan valid = scan_bytes(read_file(corpus / "valid"), nullptr);
+  ASSERT_EQ(valid.records.size(), 2u);
+  EXPECT_EQ(valid.records[0].cell_index, 16u);
+  EXPECT_EQ(valid.records[0].status, CellStatus::kDone);
+  EXPECT_EQ(valid.records[0].result.loss_rate, 1.25e-3);
+  EXPECT_EQ(valid.records[1].cell_index, 20u);
+  EXPECT_EQ(valid.records[1].failure.message, "watchdog deadline exceeded");
+  EXPECT_EQ(valid.torn_bytes, 0u);
+
+  const ResultLogScan duplicate = scan_bytes(read_file(corpus / "duplicate"), nullptr);
+  ASSERT_EQ(duplicate.records.size(), 1u);
+  EXPECT_EQ(duplicate.records[0].cell_index, 16u);
+  EXPECT_EQ(duplicate.duplicate_records, 1u);
+  EXPECT_EQ(duplicate.torn_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,6 +396,21 @@ TEST(ResultLogRecover, AppendToContinuesAHealedLog) {
   EXPECT_EQ(final_scan->records[0].cell_index, 4u);
   EXPECT_EQ(final_scan->records[1].cell_index, 5u);
   EXPECT_EQ(final_scan->torn_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Durability: a failed fsync is an error
+
+// Linux fsync(2) on /dev/null fails with EINVAL, which stands in for a disk
+// that refuses a flush.
+TEST(ResultLogWriter, DurableCreateThrowsWhenTheHeaderSyncFails) {
+  EXPECT_THROW((void)ResultLogWriter::create("/dev/null", sample_header(), true),
+               IoError);
+}
+
+TEST(ResultLogWriter, DurableAppendThrowsWhenTheSyncFails) {
+  ResultLogWriter writer = ResultLogWriter::append_to("/dev/null", ResultLogScan{}, true);
+  EXPECT_THROW(writer.append(done_record(4)), IoError);
 }
 
 }  // namespace

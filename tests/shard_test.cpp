@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,13 +53,11 @@ std::vector<CellRecord> full_records(std::uint64_t total) {
   return records;
 }
 
-std::string manifest_bytes(const std::vector<CellRecord>& records,
-                           std::uint64_t total) {
-  SweepManifest manifest;
-  manifest.fingerprint = 0xabadcafe12345678ULL;
-  manifest.total_cells = total;
-  manifest.records = records;
-  return encode_manifest(manifest);
+/// The records' serialized bytes, in order: what a result log would hold.
+std::string record_bytes(const std::vector<CellRecord>& records) {
+  std::ostringstream out(std::ios::binary);
+  for (const CellRecord& record : records) write_cell_record(out, record);
+  return out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ TEST(ShardHeaders, CarryGridIdentityAndShardRange) {
 TEST(ShardMergeProperty, AnyPartitionOrderAndInterleavingMergesByteIdentically) {
   const std::uint64_t total = 30;
   const std::vector<CellRecord> reference = full_records(total);
-  const std::string reference_bytes = manifest_bytes(reference, total);
+  const std::string reference_bytes = record_bytes(reference);
   const std::uint64_t reference_hash = results_hash(reference);
 
   std::mt19937 rng(1994);
@@ -156,7 +155,7 @@ TEST(ShardMergeProperty, AnyPartitionOrderAndInterleavingMergesByteIdentically) 
       }
 
       const ShardMerge merge = merge_shard_records(shards, total, true);
-      EXPECT_EQ(manifest_bytes(merge.records, total), reference_bytes)
+      EXPECT_EQ(record_bytes(merge.records), reference_bytes)
           << "k=" << k << " trial=" << trial;
       EXPECT_EQ(merge.results_hash, reference_hash);
       EXPECT_EQ(merge.completed + merge.quarantined, total);

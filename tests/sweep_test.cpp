@@ -1,10 +1,9 @@
 // Tests for the process-isolated sweep supervisor and its parts: grid
 // enumeration and split-seed derivation, pure-function cell evaluation,
-// manifest round-trip and corruption rejection, worker frame protocol,
-// deterministic fault injection, crash/hang/OOM retry, poison quarantine,
-// scheduling-independence of the results hash, and kill/resume determinism
-// against the VBRSWPL1 log (a resumed sweep's results hash must equal an
-// uninterrupted one's, bit for bit).
+// the worker frame protocol, deterministic fault injection, crash/hang/OOM
+// retry, poison quarantine, scheduling-independence of the results hash,
+// and kill/resume determinism against the VBRSWPL1 log (a resumed sweep's
+// results hash must equal an uninterrupted one's, bit for bit).
 #include "vbr/sweep/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 
 #include "vbr/common/error.hpp"
 #include "vbr/sweep/cell_eval.hpp"
-#include "vbr/sweep/manifest.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
@@ -30,14 +28,14 @@
 namespace vbr::sweep {
 namespace {
 
-/// A manifest path under the test temp dir, removed on destruction.
-class TempManifest {
+/// A result log path under the test temp dir, removed on destruction.
+class TempLog {
  public:
-  explicit TempManifest(const std::string& tag)
+  explicit TempLog(const std::string& tag)
       : path_(std::filesystem::temp_directory_path() / ("vbr_sweep_" + tag + ".bin")) {
     std::filesystem::remove(path_);
   }
-  ~TempManifest() { std::filesystem::remove(path_); }
+  ~TempLog() { std::filesystem::remove(path_); }
   const std::filesystem::path& path() const { return path_; }
 
  private:
@@ -88,16 +86,6 @@ CellRecord quarantined_record(std::uint64_t index) {
   record.failure.message = "watchdog deadline exceeded";
   record.failure.stderr_tail = "some stderr noise";
   return record;
-}
-
-SweepManifest sample_manifest() {
-  SweepManifest manifest;
-  manifest.fingerprint = 0xfeedfacecafebeefULL;
-  manifest.total_cells = 6;
-  manifest.records.push_back(done_record(0));
-  manifest.records.push_back(quarantined_record(2));
-  manifest.records.push_back(done_record(5));
-  return manifest;
 }
 
 // ---------------------------------------------------------------------------
@@ -215,69 +203,6 @@ TEST(CellEval, ResultSerializationRoundTripsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest round-trip and hostile inputs
-
-TEST(SweepManifestIo, RoundTripsRecordsExactly) {
-  const SweepManifest manifest = sample_manifest();
-  const std::string bytes = encode_manifest(manifest);
-  std::istringstream in(bytes, std::ios::binary);
-  const SweepManifest parsed = parse_manifest(in, "roundtrip");
-
-  EXPECT_EQ(parsed.fingerprint, manifest.fingerprint);
-  EXPECT_EQ(parsed.total_cells, manifest.total_cells);
-  ASSERT_EQ(parsed.records.size(), manifest.records.size());
-  EXPECT_EQ(parsed.records[0].status, CellStatus::kDone);
-  EXPECT_EQ(parsed.records[0].result, manifest.records[0].result);
-  EXPECT_EQ(parsed.records[1].status, CellStatus::kQuarantined);
-  EXPECT_EQ(parsed.records[1].failure.kind, FailureKind::kHang);
-  EXPECT_EQ(parsed.records[1].failure.term_signal, SIGKILL);
-  EXPECT_EQ(parsed.records[1].failure.message, "watchdog deadline exceeded");
-  EXPECT_EQ(parsed.records[1].failure.stderr_tail, "some stderr noise");
-  EXPECT_EQ(parsed.records[2].cell_index, 5u);
-}
-
-TEST(SweepManifestIo, RejectsEveryTruncationPoint) {
-  const std::string bytes = encode_manifest(sample_manifest());
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::istringstream in(bytes.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(parse_manifest(in, "truncated"), IoError) << "cut at " << cut;
-  }
-}
-
-TEST(SweepManifestIo, RejectsEveryByteFlip) {
-  const std::string bytes = encode_manifest(sample_manifest());
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::string corrupt = bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x20);
-    std::istringstream in(corrupt, std::ios::binary);
-    EXPECT_THROW(parse_manifest(in, "flipped"), IoError) << "flip at " << i;
-  }
-}
-
-TEST(SweepManifestIo, RejectsNonIncreasingCellIndexes) {
-  SweepManifest manifest = sample_manifest();
-  manifest.records[1].cell_index = 0;  // duplicates record 0
-  const std::string bytes = encode_manifest(manifest);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(parse_manifest(in, "dup"), IoError);
-}
-
-TEST(SweepManifestIo, RejectsOutOfRangeCellIndex) {
-  SweepManifest manifest = sample_manifest();
-  manifest.records[2].cell_index = manifest.total_cells;
-  const std::string bytes = encode_manifest(manifest);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(parse_manifest(in, "range"), IoError);
-}
-
-TEST(SweepManifestIo, RejectsTrailingBytes) {
-  std::string bytes = encode_manifest(sample_manifest());
-  bytes.push_back('\0');
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(parse_manifest(in, "trailing"), IoError);
-}
-
-// ---------------------------------------------------------------------------
 // Worker frame protocol
 
 TEST(WorkerFrames, ResultFrameRoundTrips) {
@@ -306,6 +231,10 @@ TEST(WorkerFrames, RejectsTornAndForgedFrames) {
   std::string trailing = frame;
   trailing.push_back('x');
   EXPECT_THROW(parse_worker_message(trailing), IoError);
+  // The u32 version sits right after the 8-byte magic.
+  std::string skewed = frame;
+  skewed[8] = static_cast<char>(skewed[8] + 1);
+  EXPECT_THROW(parse_worker_message(skewed), IoError);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +284,7 @@ TEST(FaultPlan, DecisionIsDeterministicAndSeedSensitive) {
 // ---------------------------------------------------------------------------
 // Supervisor end-to-end (forks real workers)
 
-SweepOptions base_options(const TempManifest& log) {
+SweepOptions base_options(const TempLog& log) {
   SweepOptions options;
   options.grid = small_grid();
   options.log_path = log.path();
@@ -365,8 +294,8 @@ SweepOptions base_options(const TempManifest& log) {
 }
 
 TEST(Supervisor, CleanSweepCompletesEveryCell) {
-  TempManifest manifest("clean");
-  SweepOptions options = base_options(manifest);
+  TempLog log("clean");
+  SweepOptions options = base_options(log);
   std::size_t callbacks = 0;
   options.on_cell_settled = [&](const CellRecord&) { callbacks += 1; };
 
@@ -376,7 +305,7 @@ TEST(Supervisor, CleanSweepCompletesEveryCell) {
   EXPECT_EQ(report.quarantined, 0u);
   EXPECT_EQ(report.retried_attempts, 0u);
   EXPECT_EQ(callbacks, 4u);
-  EXPECT_TRUE(std::filesystem::exists(manifest.path()));
+  EXPECT_TRUE(std::filesystem::exists(log.path()));
 
   // Every record's result matches an in-process evaluation of the same spec:
   // process isolation must not change a single bit.
@@ -389,12 +318,12 @@ TEST(Supervisor, CleanSweepCompletesEveryCell) {
 }
 
 TEST(Supervisor, InjectedFaultsAreHealedByRetryBitIdentically) {
-  TempManifest clean_manifest("ref");
-  SweepOptions clean = base_options(clean_manifest);
+  TempLog clean_log("ref");
+  SweepOptions clean = base_options(clean_log);
   const SweepReport reference = run_sweep(clean);
 
-  TempManifest faulted_manifest("faulted");
-  SweepOptions faulted = base_options(faulted_manifest);
+  TempLog faulted_log("faulted");
+  SweepOptions faulted = base_options(faulted_log);
   faulted.limits.worker.deadline_seconds = 3.0;
   faulted.limits.worker.memory_bytes = std::uint64_t{512} << 20;
   faulted.faults.rate = 1.0;  // every cell's first attempt faults
@@ -407,8 +336,8 @@ TEST(Supervisor, InjectedFaultsAreHealedByRetryBitIdentically) {
 }
 
 TEST(Supervisor, PoisonCellIsQuarantinedWithoutBlockingOthers) {
-  TempManifest manifest("poison");
-  SweepOptions options = base_options(manifest);
+  TempLog log("poison");
+  SweepOptions options = base_options(log);
   options.faults.poison = {1};
 
   const SweepReport report = run_sweep(options);
@@ -424,8 +353,8 @@ TEST(Supervisor, PoisonCellIsQuarantinedWithoutBlockingOthers) {
 }
 
 TEST(Supervisor, CrashOnFirstAttemptIsRetriedAndHealed) {
-  TempManifest manifest("crashy");
-  SweepOptions options = base_options(manifest);
+  TempLog log("crashy");
+  SweepOptions options = base_options(log);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.max_attempts = 2;
@@ -440,8 +369,8 @@ TEST(Supervisor, CrashOnFirstAttemptIsRetriedAndHealed) {
 }
 
 TEST(Supervisor, HangIsKilledByWatchdogAndRetried) {
-  TempManifest manifest("hang");
-  SweepOptions options = base_options(manifest);
+  TempLog log("hang");
+  SweepOptions options = base_options(log);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.worker.deadline_seconds = 1.0;
@@ -455,8 +384,8 @@ TEST(Supervisor, HangIsKilledByWatchdogAndRetried) {
 }
 
 TEST(Supervisor, OomUnderMemoryCeilingIsRetried) {
-  TempManifest manifest("oom");
-  SweepOptions options = base_options(manifest);
+  TempLog log("oom");
+  SweepOptions options = base_options(log);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.worker.memory_bytes = std::uint64_t{512} << 20;
@@ -470,13 +399,13 @@ TEST(Supervisor, OomUnderMemoryCeilingIsRetried) {
 }
 
 TEST(Supervisor, ResumeSalvagesSettledCellsBitIdentically) {
-  TempManifest reference_log("resume_ref");
+  TempLog reference_log("resume_ref");
   SweepOptions reference_options = base_options(reference_log);
   const SweepReport reference = run_sweep(reference_options);
 
   // Simulate a supervisor killed mid-sweep: a log holding only the first
   // two settled records.
-  TempManifest partial("resume_partial");
+  TempLog partial("resume_partial");
   {
     ResultLogWriter writer = ResultLogWriter::create(
         partial.path(), shard_log_header(reference_options.grid, 1, 0), false);
@@ -502,12 +431,12 @@ TEST(Supervisor, ResumeSalvagesSettledCellsBitIdentically) {
 }
 
 TEST(Supervisor, ResumeSalvagesThroughATornTail) {
-  TempManifest reference_log("torn_ref");
+  TempLog reference_log("torn_ref");
   SweepOptions reference_options = base_options(reference_log);
   const SweepReport reference = run_sweep(reference_options);
 
   // A log killed mid-append: two whole records, then half a frame header.
-  TempManifest torn("torn_partial");
+  TempLog torn("torn_partial");
   {
     ResultLogWriter writer = ResultLogWriter::create(
         torn.path(), shard_log_header(reference_options.grid, 1, 0), false);
@@ -526,7 +455,7 @@ TEST(Supervisor, ResumeSalvagesThroughATornTail) {
 }
 
 TEST(Supervisor, ResumeRejectsLogFromDifferentGridNamingBothFingerprints) {
-  TempManifest log("fingerprint");
+  TempLog log("fingerprint");
   SweepOptions options = base_options(log);
   (void)run_sweep(options);
 
@@ -552,8 +481,8 @@ TEST(Supervisor, ResumeRejectsLogFromDifferentGridNamingBothFingerprints) {
 }
 
 TEST(Supervisor, UnsafeFaultPlansAreRejected) {
-  TempManifest manifest("unsafe");
-  SweepOptions options = base_options(manifest);
+  TempLog log("unsafe");
+  SweepOptions options = base_options(log);
   options.faults.rate = 0.5;
   options.faults.crash = false;
   options.faults.hang = false;

@@ -26,7 +26,7 @@ bool is_header(const std::string& path) {
 
 /// src/, bench/, examples/, fuzz/, tools/ — everywhere "library-grade" code
 /// lives. tests/ is exempt from most token rules (fixtures may use local
-/// statics etc.), matching the old lint_domain scoping.
+/// statics etc.), matching the scoping of the original regex lint.
 bool in_code_dirs(const std::string& p) {
   return under(p, "src") || under(p, "bench") || under(p, "examples") ||
          under(p, "fuzz") || under(p, "tools");

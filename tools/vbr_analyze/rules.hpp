@@ -19,7 +19,7 @@ struct Finding {
 
 struct RuleInfo {
   std::string_view id;      ///< e.g. "vbr-fork-safety"
-  std::string_view legacy;  ///< lint_domain heritage ("A1", "R3", ...)
+  std::string_view legacy;  ///< short legacy id ("A1", "R3", ...)
   std::string_view summary;
 };
 
