@@ -9,6 +9,9 @@
 //      determinism witness (all thread counts must agree bit-for-bit).
 //   3. Footprint — peak RSS, normalized to MiB per 10^6 streams so runs at
 //      different scales land on one comparable number.
+// A kernel-only row times the Hosking core alone (no marginal, fold or
+// hash) at block 128 on one thread: one lockstep group of lockstep_lanes()
+// streams against the same streams one at a time through next_block.
 // A final save/load round-trip times the VBRSRVC1 checkpoint path and
 // verifies the restored service reproduces the same results hash, and an
 // overload phase prices the governor: fault-isolation overhead, the
@@ -27,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -35,6 +39,7 @@
 #include "bench_support.hpp"
 #include "vbr/service/governor.hpp"
 #include "vbr/service/service_checkpoint.hpp"
+#include "vbr/service/streaming_hosking.hpp"
 #include "vbr/service/traffic_service.hpp"
 
 namespace {
@@ -88,6 +93,53 @@ std::vector<std::size_t> parse_thread_list(const char* arg) {
   return threads;
 }
 
+struct KernelRow {
+  double lockstep_ns_per_sample = 0.0;
+  double single_lane_ns_per_sample = 0.0;
+};
+
+/// Median ns/sample of the Hosking core at block 128 on this thread, past
+/// the horizon: one lockstep group, then the same streams at width 1.
+KernelRow time_kernel(std::size_t horizon) {
+  constexpr std::size_t kBlock = 128;
+  constexpr std::size_t kRounds = 64;
+  constexpr int kRepeats = 5;
+  const std::size_t lanes = vbr::service::lockstep_lanes();
+  vbr::Rng parent(1994);
+  std::vector<std::unique_ptr<vbr::service::StreamingHosking>> streams;
+  std::vector<vbr::service::StreamingHosking*> group;
+  std::vector<std::vector<double>> outs(lanes);
+  std::vector<std::vector<double>*> dst;
+  for (std::size_t g = 0; g < lanes; ++g) {
+    streams.push_back(std::make_unique<vbr::service::StreamingHosking>(
+        vbr::model::HoskingOptions{.hurst = 0.8, .variance = 1.0}, horizon, parent));
+    group.push_back(streams.back().get());
+    dst.push_back(&outs[g]);
+    streams.back()->next_block(horizon, outs[g]);
+  }
+  std::vector<double> window;
+  const double samples = static_cast<double>(kRounds * lanes * kBlock);
+  std::vector<double> lockstep_ns;
+  std::vector<double> single_ns;
+  for (int r = 0; r < kRepeats; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (auto& out : outs) out.clear();
+      vbr::service::StreamingHosking::next_block_lanes(group, kBlock, dst, window);
+    }
+    lockstep_ns.push_back(seconds_since(start) * 1e9 / samples);
+    start = std::chrono::steady_clock::now();
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (std::size_t g = 0; g < lanes; ++g) {
+        outs[g].clear();
+        streams[g]->next_block(kBlock, outs[g]);
+      }
+    }
+    single_ns.push_back(seconds_since(start) * 1e9 / samples);
+  }
+  return {median(lockstep_ns), median(single_ns)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,6 +168,14 @@ int main(int argc, char** argv) {
   appendf(json, "  \"backend\": \"hosking\",\n");
   appendf(json, "  \"hosking_horizon\": %zu,\n", config.tuning.hosking_horizon);
   appendf(json, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
+  appendf(json, "  \"kernel_isa\": \"%s\",\n",
+          vbr::service::kernel_isa_name(vbr::service::active_kernel_isa()));
+  appendf(json, "  \"lockstep_lanes\": %zu,\n", vbr::service::lockstep_lanes());
+  const KernelRow kernel = time_kernel(config.tuning.hosking_horizon);
+  appendf(json,
+          "  \"kernel\": {\"block\": 128, \"threads\": 1, \"lockstep_ns_per_sample\": %.2f, "
+          "\"single_lane_ns_per_sample\": %.2f},\n",
+          kernel.lockstep_ns_per_sample, kernel.single_lane_ns_per_sample);
   appendf(json, "  \"contracts\": \"%s\",\n", vbrbench::contracts_state());
   appendf(json, "  \"results\": [\n");
 

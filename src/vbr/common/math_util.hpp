@@ -9,37 +9,44 @@
 
 namespace vbr {
 
-/// Kahan-compensated running sum. add() is inline so hot loops that keep
-/// several independent sums (the lockstep Hosking kernel) hold them in
-/// registers; its four operations and their order are the contract.
-class KahanSum {
+/// Kahan-compensated running sum of T: a double, or a GCC/Clang vector of
+/// doubles whose every element is an independent sum (the lanes of the
+/// lockstep Hosking kernel). add() is inline so hot loops that keep several
+/// independent sums hold them in registers; its four operations and their
+/// order are the contract, and vector arithmetic performs them element by
+/// element with the same IEEE rounding, so each vector element carries
+/// exactly the bits of a scalar sum fed the same values.
+template <typename T>
+class BasicKahanSum {
  public:
-  void add(double value) {
-    const double y = value - compensation_;
-    const double t = sum_ + y;
+  void add(const T& value) {
+    const T y = value - compensation_;
+    const T t = sum_ + y;
     compensation_ = (t - sum_) - y;
     sum_ = t;
   }
-  double value() const { return sum_; }
+  const T& value() const { return sum_; }
 
   /// The compensation term, exposed (with from_parts) so a checkpoint can
   /// persist a running sum mid-stream and resume it bit-for-bit; rounding
   /// of later add()s depends on both words, not just value().
-  double compensation() const { return compensation_; }
+  const T& compensation() const { return compensation_; }
 
   /// Reconstruct the exact accumulator state captured by (value(),
   /// compensation()).
-  static KahanSum from_parts(double sum, double compensation) {
-    KahanSum k;
+  static BasicKahanSum from_parts(T sum, T compensation) {
+    BasicKahanSum k;
     k.sum_ = sum;
     k.compensation_ = compensation;
     return k;
   }
 
  private:
-  double sum_ = 0.0;
-  double compensation_ = 0.0;
+  T sum_{};
+  T compensation_{};
 };
+
+using KahanSum = BasicKahanSum<double>;
 
 /// Sum of a range with compensated summation.
 double kahan_total(std::span<const double> values);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "vbr/common/atomic_file.hpp"
 #include "vbr/common/serialize.hpp"
@@ -49,8 +50,9 @@ void load_service_checkpoint(const std::string& path, TrafficService& service,
                              OverloadGovernor* governor) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open service checkpoint: " + path);
-  const std::string body = run::open_envelope(in, service_checkpoint_envelope(), path);
-  std::istringstream payload(body, std::ios::binary);
+  // The stream takes the payload over (C++20), so it is not copied twice.
+  std::string body = run::open_envelope(in, service_checkpoint_envelope(), path);
+  std::istringstream payload(std::move(body), std::ios::binary);
   service.restore_state(payload);
   const std::uint8_t has_governor = io::read_u8(payload, "load_service_checkpoint");
   if (has_governor > 1) throw IoError("service checkpoint: corrupt governor flag");

@@ -121,6 +121,35 @@ void rule_token_scans(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// R7 isa-dispatch
+// ---------------------------------------------------------------------------
+
+/// Run-time ISA dispatch has one home: the lockstep Hosking kernel picks
+/// its instruction set once per process, and every per-ISA instance keeps
+/// the width-1 bits by construction. A second `__builtin_cpu_supports` or
+/// `target(...)` attribute elsewhere would be a second, unpinned dispatch.
+void rule_isa_dispatch(const SourceFile& f, std::vector<Finding>& out) {
+  if (f.rel_path() == "src/vbr/service/streaming_hosking.cpp") return;
+  const Toks& t = f.tokens();
+  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+    const std::string_view s = t[i].text;
+    if (t[i].kind != TokKind::kIdent) continue;
+    const bool cpu_query = s == "__builtin_cpu_supports" || s == "__builtin_cpu_is";
+    // An attribute argument is a string literal: target("avx2"),
+    // target_clones("default", "avx2").
+    const bool target_attr =
+        (s == "target" || s == "__target__" || s == "target_clones" ||
+         s == "__target_clones__") &&
+        is_punct(t[i + 1], "(") && t[i + 2].kind == TokKind::kString;
+    if (cpu_query || target_attr) {
+      report(out, f, t[i].line, "vbr-isa-dispatch",
+             "ISA dispatch outside src/vbr/service/streaming_hosking.cpp; run-time "
+             "instruction-set selection has one pinned home");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // R3 no-mutable-static
 // ---------------------------------------------------------------------------
 
@@ -1021,6 +1050,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"vbr-pragma-once", "R5", "every header opens with #pragma once"},
       {"vbr-atomic-artifacts", "R6",
        "artifact writes go through vbr::write_file_atomic"},
+      {"vbr-isa-dispatch", "R7",
+       "__builtin_cpu_supports and target()/target_clones attributes appear "
+       "only in src/vbr/service/streaming_hosking.cpp"},
       {"vbr-suppression", "meta",
        "NOLINT(vbr-*) markers must name known rules and carry a "
        "justification"},
@@ -1056,6 +1088,7 @@ void run_rules(const std::vector<SourceFile>& files,
     rule_mutable_static(f, findings);
     rule_pragma_once(f, findings);
     rule_atomic_artifacts(f, findings);
+    rule_isa_dispatch(f, findings);
     rule_fork_safety_blocks(f, fork_scan, findings);
     rule_rng_discipline(f, findings);
     rule_thread_boundary(f, findings);
