@@ -1,6 +1,7 @@
 #include "vbr/service/governor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "vbr/common/error.hpp"
 #include "vbr/common/serialize.hpp"
 #include "vbr/net/admission.hpp"
+#include "vbr/service/streaming_hosking.hpp"
 #include "vbr/stats/gamma_pareto.hpp"
 
 namespace vbr::service {
@@ -302,6 +304,47 @@ bool OverloadGovernor::generate(std::size_t stream, StreamingSource& source, std
     }
   }
   return generate_guarded(stream, source, block, out, state);
+}
+
+void OverloadGovernor::generate_lanes(std::span<const std::size_t> streams,
+                                      std::span<StreamingVbrSource* const> lanes,
+                                      std::size_t block,
+                                      std::span<std::vector<double>* const> outs,
+                                      std::vector<double>& window,
+                                      std::span<bool> quarantine) {
+  std::array<StreamingVbrSource*, kLockstepLanes> group{};
+  std::array<std::vector<double>*, kLockstepLanes> group_outs{};
+  std::array<std::size_t, kLockstepLanes> lane_of{};  // group member -> lane
+  std::size_t size = 0;
+  for (std::size_t g = 0; g < lanes.size(); ++g) {
+    if (faults_pending(fault_state(streams[g]), lanes[g]->position(), block)) {
+      quarantine[g] = !generate(streams[g], *lanes[g], block, *outs[g]);
+    } else {
+      quarantine[g] = false;
+      group[size] = lanes[g];
+      group_outs[size] = outs[g];
+      lane_of[size++] = g;
+    }
+  }
+  if (size == 0) return;
+  if (size == 1) {
+    // A lone lane, perhaps a backend with no lockstep form: on its own.
+    const std::size_t g = lane_of[0];
+    quarantine[g] = !generate(streams[g], *lanes[g], block, *outs[g]);
+    return;
+  }
+  try {
+    StreamingVbrSource::next_block_lanes(std::span(group.data(), size), block,
+                                         std::span(group_outs.data(), size), window);
+  } catch (const std::exception&) {
+    // The group advanced no lane, and which lane failed is unknown: each
+    // reruns from the round's start on its own.
+    for (std::size_t k = 0; k < size; ++k) {
+      const std::size_t g = lane_of[k];
+      outs[g]->clear();
+      quarantine[g] = !generate(streams[g], *lanes[g], block, *outs[g]);
+    }
+  }
 }
 
 bool OverloadGovernor::generate_guarded(std::size_t stream, StreamingSource& source,

@@ -61,6 +61,7 @@
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -179,10 +180,13 @@ struct GovernorConfig {
   double shed_fraction = 0.25;
   /// Block cap at level 2; 0 means half the requested block (at least 1).
   std::size_t degraded_block = 0;
-  /// Snapshot every stream before every generation so even *unscheduled*
-  /// TransientErrors get full retry semantics. Costs one state serialization
-  /// per stream per round (the "quarantine overhead" bench_service
-  /// measures); off by default so the healthy fleet pays one branch.
+  /// Snapshot every stream generated on its own before its generation, so
+  /// even *unscheduled* TransientErrors get full retry semantics. Lanes of a
+  /// lockstep group need none: a group that throws has advanced no lane and
+  /// reruns each one on its own, snapshotted. Costs one state serialization
+  /// per stream generated on its own per round (bench_service measures the
+  /// whole guard as its "quarantine overhead"); off by default so the
+  /// healthy fleet pays one branch.
   bool snapshot_every_round = false;
   /// Live pressure probe returning a desired ladder level (e.g. an RSS
   /// reading mapped to thresholds). Consulted once per advance_round, and
@@ -233,10 +237,19 @@ class OverloadGovernor final : public StreamGovernor {
   void save_state(std::ostream& out) const;
   void restore_state(std::istream& in);
 
-  /// StreamGovernor hook (called by TrafficService workers, concurrently
-  /// for distinct streams). Not for direct use.
+  /// StreamGovernor hooks (called by TrafficService workers, concurrently
+  /// for distinct streams). Not for direct use. generate_lanes advances
+  /// two or more lanes with no scheduled fault in this block as one
+  /// lockstep group and every other lane through generate(). A group that
+  /// throws has advanced no lane (StreamingHosking::next_block_lanes), so
+  /// each of its lanes reruns from the round's start through generate(),
+  /// which snapshots, retries or quarantines it as a stream of its own.
   bool generate(std::size_t stream, StreamingSource& source, std::size_t block,
                 std::vector<double>& out) override;
+  void generate_lanes(std::span<const std::size_t> streams,
+                      std::span<StreamingVbrSource* const> lanes, std::size_t block,
+                      std::span<std::vector<double>* const> outs, std::vector<double>& window,
+                      std::span<bool> quarantine) override;
 
  private:
   struct FaultEntry {
