@@ -4,8 +4,10 @@
 // Pushes a generated model trace through each streaming sink alone and then
 // through the full five-sink chain, in engine-sized blocks, and reports
 // samples/second. The chain number is the per-sample cost a caller pays for
-// tapping the generation engine; StreamingAcf dominates (O(max_lag) per
-// sample), which is why its lag window is a parameter here.
+// tapping the generation engine. StreamingAcf is the one sink whose cost
+// grows with a parameter (O(max_lag) per sample, register-blocked over
+// eight samples), so its lag window is a parameter here; block 1 is the
+// worst case for it (one window set-up per sample).
 //
 // Usage:
 //   ./bench_stream [samples] [block] [acf_max_lag]
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -72,6 +75,7 @@ int main(int argc, char** argv) {
   appendf(json, "  \"samples\": %zu,\n", samples);
   appendf(json, "  \"block\": %zu,\n", block);
   appendf(json, "  \"acf_max_lag\": %zu,\n", max_lag);
+  appendf(json, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
   appendf(json, "  \"contracts\": \"%s\",\n", vbrbench::contracts_state());
   appendf(json, "  \"results\": [\n");
 
@@ -101,6 +105,6 @@ int main(int argc, char** argv) {
   appendf(json, "  ]\n");
   appendf(json, "}\n");
   std::fputs(json.c_str(), stdout);
-  vbrbench::emit_bench_json("stream_throughput", json);
+  vbrbench::emit_bench_json("stream", json);
   return 0;
 }

@@ -11,6 +11,7 @@ document's own name field, so one entry point covers every bench:
     python3 scripts/check_bench_schema.py path/to/BENCH_engine_scaling.json
     python3 scripts/check_bench_schema.py path/to/BENCH_service.json
     python3 scripts/check_bench_schema.py path/to/BENCH_sweep_shard.json
+    python3 scripts/check_bench_schema.py path/to/BENCH_stream.json
 """
 import json
 import sys
@@ -273,6 +274,26 @@ def check_sweep_shard(doc):
           f"{len(pools)} pool counts)")
 
 
+def check_stream(doc):
+    """BENCH_stream.json: one-pass estimator throughput, sink by sink."""
+    require(doc.get("contracts") in ("on", "off"), "contracts must be on/off")
+    check_number(doc, "samples", lo=1)
+    check_number(doc, "block", lo=1)
+    check_number(doc, "acf_max_lag", lo=1)
+    check_number(doc, "hardware_concurrency", lo=1)
+    results = doc.get("results")
+    require(isinstance(results, list) and results,
+            "'results' must be a non-empty list")
+    sinks = [row.get("sink") for row in results]
+    expected = ["moments", "quantiles", "acf", "variance_time", "welch", "chain_all"]
+    require(sinks == expected, f"sinks {sinks} are not {expected}")
+    for row in results:
+        ctx = f"(sink {row.get('sink')})"
+        check_number(row, "wall_seconds", lo=0.0, ctx=ctx)
+        check_number(row, "samples_per_second", lo=1.0, ctx=ctx)
+    print(f"schema check OK: {sys.argv[1]} ({len(results)} sinks)")
+
+
 def main():
     if len(sys.argv) != 2:
         fail("expected exactly one argument: path to a BENCH_*.json artifact")
@@ -286,6 +307,7 @@ def main():
         "engine_scaling": check_engine_scaling,
         "service": check_service,
         "sweep_shard": check_sweep_shard,
+        "stream_throughput": check_stream,
     }
     if doc.get("bench") == "generator_pareto":
         check_generator_pareto(doc)

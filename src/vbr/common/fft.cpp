@@ -1,6 +1,8 @@
 #include "vbr/common/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "vbr/common/error.hpp"
@@ -10,29 +12,81 @@ namespace {
 
 using Complex = std::complex<double>;
 
+// Two doubles in one register: a complex value (re, im) or a pair of
+// lanes. The baseline ISA has such vectors everywhere (SSE2, NEON).
+typedef double V2 __attribute__((vector_size(2 * sizeof(double))));
+
+inline V2 load(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+// Butterfly on lo = a[j], hi = a[j + len/2] with twiddle w, given as
+// w_real = (w.re, w.re) and w_imag = (-w.im, w.im):
+// (lo, hi) <- (lo + hi * w, lo - hi * w). The product is the std::complex
+// one for finite operands, (ac - bd, ad + bc), rounded the same way:
+// re = h.re * w.re + h.im * (-w.im) is h.re * w.re - h.im * w.im exactly,
+// and im = h.im * w.re + h.re * w.im only swaps the addends.
+inline void butterfly(double* lo, double* hi, V2 w_real, V2 w_imag) {
+  const V2 h = load(hi);
+  const V2 h_swapped = {h[1], h[0]};
+  const V2 v = h * w_real + h_swapped * w_imag;
+  const V2 u = load(lo);
+  store(lo, u + v);
+  store(hi, u - v);
+}
+
+// w <- w * wlen, the std::complex product for finite operands.
+inline void advance(double& w_re, double& w_im, double wlen_re, double wlen_im) {
+  const double re = w_re * wlen_re - w_im * wlen_im;
+  w_im = w_re * wlen_im + w_im * wlen_re;
+  w_re = re;
+}
+
+// Twiddles tabulated per pass over a stage's blocks: 8 KiB on the stack.
+constexpr std::size_t kTwiddleSlice = 256;
+
 // Iterative radix-2 Cooley-Tukey, n must be a power of two.
 // `sign` is -1 for the forward transform, +1 for the (unnormalized) inverse.
-void fft_radix2(std::vector<Complex>& a, int sign) {
-  const std::size_t n = a.size();
+//
+// Stage `len` uses the twiddles w_0 = 1, w_j = w_{j-1} * wlen: a serial
+// product chain whose exact rounding the pinned Davies-Harte traces depend
+// on. The chain runs once per stage, a slice of kTwiddleSlice values at a
+// time, and every block of the stage reads each slice from the table.
+void fft_radix2(std::vector<Complex>& data, int sign) {
+  const std::size_t n = data.size();
   // Bit-reversal permutation.
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) std::swap(data[i], data[j]);
   }
+  // std::complex<double> is layout-compatible with double[2].
+  double* const a = reinterpret_cast<double*>(data.data());
+  V2 table[2 * kTwiddleSlice];
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = static_cast<double>(sign) * 2.0 * std::numbers::pi /
                          static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const Complex u = a[i + j];
-        const Complex v = a[i + j + len / 2] * w;
-        a[i + j] = u + v;
-        a[i + j + len / 2] = u - v;
-        w *= wlen;
+    const double wlen_re = std::cos(angle);
+    const double wlen_im = std::sin(angle);
+    const std::size_t half = len / 2;
+    double w_re = 1.0;
+    double w_im = 0.0;
+    for (std::size_t j0 = 0; j0 < half; j0 += kTwiddleSlice) {
+      const std::size_t count = std::min(kTwiddleSlice, half - j0);
+      for (std::size_t j = 0; j < count; ++j) {
+        table[2 * j] = V2{w_re, w_re};
+        table[2 * j + 1] = V2{-w_im, w_im};
+        advance(w_re, w_im, wlen_re, wlen_im);
+      }
+      for (std::size_t i = j0; i < n; i += len) {
+        for (std::size_t j = 0; j < count; ++j) {
+          butterfly(a + 2 * (i + j), a + 2 * (i + j + half), table[2 * j], table[2 * j + 1]);
+        }
       }
     }
   }

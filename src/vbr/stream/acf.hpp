@@ -14,6 +14,13 @@
 // buffer) and the right stream's first max_lag samples (kept for exactly
 // this purpose), both of which are part of the sketch state. Memory is
 // O(max_lag); per-sample cost is O(max_lag).
+//
+// push() reads lags from a contiguous window rather than the ring: the
+// ring's last max_lag samples are copied in front of the block's first
+// max_lag samples, and later samples find their partners in the block
+// itself. The lag loop runs over eight samples at a time. Every cross
+// product is still added in stream order, so the state (and save()) is
+// bit-identical for any split of the stream into pushes.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +52,8 @@ class StreamingAcf final : public Sink {
   std::vector<double> acf() const;
 
  private:
-  void push_value(double x);
-  double sample_back(std::size_t k) const;  ///< k-th most recent sample, k >= 1
+  /// Writes the last k <= min(n, max_lag) samples, oldest first, to out.
+  void copy_last(std::size_t k, double* out) const;
   std::vector<double> last(std::size_t k) const;  ///< last k samples, oldest first
 
   std::size_t max_lag_ = 0;
@@ -56,6 +63,7 @@ class StreamingAcf final : public Sink {
   std::vector<double> cross_;          ///< cross_[k] = sum_{i >= k} x_i * x_{i-k}
   std::vector<double> head_;           ///< first min(n, max_lag) samples
   std::vector<double> ring_;           ///< circular buffer of last max_lag samples
+  std::vector<double> scratch_;        ///< push() work space, <= 3 * max_lag + 1; not state
 };
 
 }  // namespace vbr::stream

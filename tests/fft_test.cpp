@@ -1,12 +1,15 @@
 // Unit tests for the FFT: agreement with a naive DFT, round trips,
 // linearity, Parseval, and known transforms — over power-of-two and
-// Bluestein (arbitrary-length) paths.
+// Bluestein (arbitrary-length) paths — plus bit-for-bit agreement with the
+// std::complex serial-twiddle kernels the pinned traces were recorded with.
 #include "vbr/common/fft.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -215,6 +218,180 @@ TEST_P(RfftGolden, IrfftMatchesFullComplexInverse) {
 INSTANTIATE_TEST_SUITE_P(Lengths, RfftGolden,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 30, 31, 64, 100,
                                            127, 128, 171, 255, 256, 1000, 1024));
+
+// The std::complex kernels the golden, service and sweep pins were recorded
+// with: each radix-2 block regenerates its twiddles by `w *= wlen`, and every
+// product is a std::complex product. Kept verbatim as the bit-level oracle.
+namespace oracle {
+
+void fft_radix2(std::vector<Complex>& a, int sign) {
+  const std::size_t n = a.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = static_cast<double>(sign) * 2.0 * std::numbers::pi /
+                         static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const Complex u = a[i + j];
+        const Complex v = a[i + j + len / 2] * w;
+        a[i + j] = u + v;
+        a[i + j + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+}
+
+void fft_bluestein(std::vector<Complex>& a, int sign) {
+  const std::size_t n = a.size();
+  const std::size_t m = next_power_of_two(2 * n + 1);
+  std::vector<Complex> chirp(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t j2 = (static_cast<std::uint64_t>(j) * j) %
+                             (2 * static_cast<std::uint64_t>(n));
+    const double angle = static_cast<double>(sign) * std::numbers::pi *
+                         static_cast<double>(j2) / static_cast<double>(n);
+    chirp[j] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::vector<Complex> x(m, Complex(0.0, 0.0));
+  std::vector<Complex> y(m, Complex(0.0, 0.0));
+  for (std::size_t j = 0; j < n; ++j) x[j] = a[j] * chirp[j];
+  y[0] = std::conj(chirp[0]);
+  for (std::size_t j = 1; j < n; ++j) {
+    y[j] = std::conj(chirp[j]);
+    y[m - j] = std::conj(chirp[j]);
+  }
+  fft_radix2(x, -1);
+  fft_radix2(y, -1);
+  for (std::size_t j = 0; j < m; ++j) x[j] *= y[j];
+  fft_radix2(x, +1);
+  const double scale = 1.0 / static_cast<double>(m);
+  for (std::size_t j = 0; j < n; ++j) a[j] = x[j] * scale * chirp[j];
+}
+
+void transform(std::vector<Complex>& a, int sign) {
+  if (a.size() == 1) return;
+  if (is_power_of_two(a.size())) {
+    fft_radix2(a, sign);
+  } else {
+    fft_bluestein(a, sign);
+  }
+}
+
+void fft(std::vector<Complex>& data) { transform(data, -1); }
+
+void ifft(std::vector<Complex>& data) {
+  transform(data, +1);
+  const double scale = 1.0 / static_cast<double>(data.size());
+  for (auto& v : data) v *= scale;
+}
+
+std::vector<Complex> rfft(const std::vector<double>& data) {
+  const std::size_t n = data.size();
+  if (n == 1) return {Complex(data[0], 0.0)};
+  const std::size_t half = n / 2 + 1;
+  if (n % 2 != 0) {
+    std::vector<Complex> full(data.begin(), data.end());
+    fft(full);
+    full.resize(half);
+    return full;
+  }
+  const std::size_t L = n / 2;
+  std::vector<Complex> z(L);
+  for (std::size_t j = 0; j < L; ++j) z[j] = Complex(data[2 * j], data[2 * j + 1]);
+  fft(z);
+  std::vector<Complex> out(half);
+  for (std::size_t k = 0; k <= L; ++k) {
+    const Complex zk = z[k % L];
+    const Complex zc = std::conj(z[(L - k) % L]);
+    const Complex even = 0.5 * (zk + zc);
+    const Complex odd = Complex(0.0, -0.5) * (zk - zc);
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    out[k] = even + Complex(std::cos(angle), std::sin(angle)) * odd;
+  }
+  return out;
+}
+
+std::vector<double> irfft(const std::vector<Complex>& spectrum, std::size_t n) {
+  if (n == 1) return {spectrum[0].real()};
+  if (n % 2 != 0) {
+    std::vector<Complex> full(n);
+    for (std::size_t k = 0; k < spectrum.size(); ++k) full[k] = spectrum[k];
+    for (std::size_t k = 1; k < spectrum.size(); ++k) full[n - k] = std::conj(spectrum[k]);
+    ifft(full);
+    std::vector<double> out(n);
+    for (std::size_t j = 0; j < n; ++j) out[j] = full[j].real();
+    return out;
+  }
+  const std::size_t L = n / 2;
+  std::vector<Complex> z(L);
+  for (std::size_t k = 0; k < L; ++k) {
+    const Complex xk = spectrum[k];
+    const Complex xc = std::conj(spectrum[L - k]);
+    const Complex even = 0.5 * (xk + xc);
+    const Complex odd_twiddled = 0.5 * (xk - xc);
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    const Complex odd = Complex(std::cos(angle), std::sin(angle)) * odd_twiddled;
+    z[k] = even + Complex(0.0, 1.0) * odd;
+  }
+  ifft(z);
+  std::vector<double> out(n);
+  for (std::size_t j = 0; j < L; ++j) {
+    out[2 * j] = z[j].real();
+    out[2 * j + 1] = z[j].imag();
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// fft, ifft, rfft and irfft against the oracle on seeded random finite
+// input: every power of two 2..2^19 and the Bluestein lengths the repo uses
+// (171000 is the paper trace's length).
+class FftBitIdentity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftBitIdentity, MatchesSerialTwiddleKernelBitForBit) {
+  const std::size_t n = GetParam();
+  const auto x = random_signal(n, 4200 + n);
+  auto forward = x;
+  auto forward_oracle = x;
+  fft(forward);
+  oracle::fft(forward_oracle);
+  EXPECT_TRUE(same_bits(forward, forward_oracle)) << "fft n=" << n;
+  auto inverse = x;
+  auto inverse_oracle = x;
+  ifft(inverse);
+  oracle::ifft(inverse_oracle);
+  EXPECT_TRUE(same_bits(inverse, inverse_oracle)) << "ifft n=" << n;
+
+  const auto real = random_real_signal(n, 4300 + n);
+  EXPECT_TRUE(same_bits(rfft(real), oracle::rfft(real))) << "rfft n=" << n;
+  std::vector<Complex> half(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n / 2 + 1));
+  EXPECT_TRUE(same_bits(irfft(half, n), oracle::irfft(half, n))) << "irfft n=" << n;
+}
+
+std::vector<std::size_t> bit_identity_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 2; n <= (std::size_t{1} << 19); n <<= 1) lengths.push_back(n);
+  lengths.insert(lengths.end(), {3, 5, 1000, 171000});
+  return lengths;
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, FftBitIdentity, ::testing::ValuesIn(bit_identity_lengths()));
 
 TEST(RfftTest, SingleElementIsIdentity) {
   const std::vector<double> x{4.25};

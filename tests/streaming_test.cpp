@@ -17,10 +17,13 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "vbr/common/error.hpp"
 #include "vbr/common/rng.hpp"
+#include "vbr/common/serialize.hpp"
 #include "vbr/engine/engine.hpp"
 #include "vbr/model/vbr_source.hpp"
 #include "vbr/stats/autocorrelation.hpp"
@@ -367,6 +370,163 @@ TEST(SinkTest, MergeRejectsMismatchedTypesAndConfigs) {
   coarse.relative_error = 0.05;
   StreamingQuantiles q2(coarse);
   EXPECT_THROW(q1.merge(q2), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// StreamingAcf window kernel vs the per-sample update
+// ---------------------------------------------------------------------------
+
+// The per-sample StreamingAcf update and merge that defined the serialized
+// state: every lag k reads the ring at (n - k) % max_lag. Kept as the
+// bit-level oracle for the window kernel; save() writes the sink's layout.
+class OracleAcf {
+ public:
+  explicit OracleAcf(std::size_t max_lag)
+      : max_lag_(max_lag), cross_(max_lag + 1, 0.0), ring_(max_lag, 0.0) {}
+
+  void push(std::span<const double> samples) {
+    for (const double x : samples) push_value(x);
+  }
+
+  void merge(const OracleAcf& peer) {
+    if (peer.n_ == 0) return;
+    if (n_ == 0) {
+      *this = peer;
+      return;
+    }
+    for (std::size_t k = 1; k <= max_lag_; ++k) {
+      const std::size_t j_end = std::min<std::size_t>(k, peer.head_.size());
+      for (std::size_t j = (k > n_) ? k - n_ : 0; j < j_end; ++j) {
+        cross_[k] += peer.head_[j] * sample_back(k - j);
+      }
+    }
+    for (std::size_t k = 0; k <= max_lag_; ++k) cross_[k] += peer.cross_[k];
+    const std::size_t from_peer = std::min(peer.n_, max_lag_);
+    const std::size_t from_this = std::min(n_, max_lag_ - from_peer);
+    std::vector<double> tail = last(from_this);
+    const std::vector<double> peer_tail = peer.last(from_peer);
+    tail.insert(tail.end(), peer_tail.begin(), peer_tail.end());
+    if (head_.size() < max_lag_) {
+      const std::size_t take = std::min(peer.head_.size(), max_lag_ - head_.size());
+      head_.insert(head_.end(), peer.head_.begin(), peer.head_.begin() + static_cast<std::ptrdiff_t>(take));
+    }
+    sum_ += peer.sum_;
+    compensation_ = 0.0;
+    const std::size_t new_n = n_ + peer.n_;
+    for (std::size_t idx = 0; idx < tail.size(); ++idx) {
+      ring_[(new_n - tail.size() + idx) % max_lag_] = tail[idx];
+    }
+    n_ = new_n;
+  }
+
+  std::string save() const {
+    std::ostringstream out;
+    io::write_string(out, "acf");
+    io::write_u64(out, max_lag_);
+    io::write_u64(out, n_);
+    io::write_f64(out, sum_);
+    io::write_f64(out, compensation_);
+    io::write_f64_vector(out, cross_);
+    io::write_f64_vector(out, head_);
+    io::write_f64_vector(out, ring_);
+    return out.str();
+  }
+
+ private:
+  double sample_back(std::size_t k) const { return ring_[(n_ - k) % max_lag_]; }
+
+  std::vector<double> last(std::size_t k) const {
+    std::vector<double> out;
+    for (std::size_t j = k; j >= 1; --j) out.push_back(sample_back(j));
+    return out;
+  }
+
+  void push_value(double x) {
+    const std::size_t lags = std::min(max_lag_, n_);
+    for (std::size_t k = 1; k <= lags; ++k) cross_[k] += x * sample_back(k);
+    cross_[0] += x * x;
+    const double y = x - compensation_;
+    const double t = sum_ + y;
+    compensation_ = (t - sum_) - y;
+    sum_ = t;
+    ring_[n_ % max_lag_] = x;
+    if (n_ < max_lag_) head_.push_back(x);
+    ++n_;
+  }
+
+  std::size_t max_lag_;
+  std::size_t n_ = 0;
+  double sum_ = 0.0;
+  double compensation_ = 0.0;
+  std::vector<double> cross_;
+  std::vector<double> head_;
+  std::vector<double> ring_;
+};
+
+std::string saved(const Sink& sink) {
+  std::ostringstream out;
+  sink.save(out);
+  return out.str();
+}
+
+// A prime-length prefix of the trace, so no block size divides it evenly.
+std::span<const double> acf_split_data() { return trace_span().subspan(0, 20011); }
+
+// Push `data` as one push of `first` samples (skipped when 0) followed by
+// pushes of `block` samples, the last one short.
+template <typename SinkT>
+void push_split(SinkT& sink, std::span<const double> data, std::size_t first,
+                std::size_t block) {
+  if (first > 0) sink.push(data.subspan(0, first));
+  for (std::size_t i = first; i < data.size(); i += block) {
+    sink.push(data.subspan(i, std::min(block, data.size() - i)));
+  }
+}
+
+TEST(StreamingAcfTest, WindowKernelSavesTheBytesOfThePerSampleUpdate) {
+  const auto data = acf_split_data();
+  for (const std::size_t lag : {1u, 2u, 16u, 128u}) {
+    OracleAcf oracle(lag);
+    oracle.push(data);
+    const std::string expect = oracle.save();
+    const std::size_t blocks[] = {1, 2, 3, lag - 1, lag, lag + 1, 4096, data.size()};
+    for (const std::size_t block : blocks) {
+      if (block == 0) continue;
+      // From the first sample, and after a first push shorter than max_lag.
+      for (const std::size_t first : {std::size_t{0}, lag / 2, lag - 1}) {
+        StreamingAcf acf(lag);
+        push_split(acf, data, first, block);
+        EXPECT_EQ(saved(acf), expect)
+            << "max_lag " << lag << " block " << block << " first push " << first;
+      }
+    }
+  }
+}
+
+TEST(StreamingAcfTest, MergedWindowPushedHalvesMatchTheOracleMerge) {
+  const auto data = acf_split_data();
+  for (const std::size_t lag : {1u, 2u, 16u, 128u}) {
+    // Cuts inside the first window, at its edge, and mid-trace.
+    for (const std::size_t cut : {lag / 2, lag, lag + 1, data.size() / 2}) {
+      for (const std::size_t block : {std::size_t{3}, lag + 1, std::size_t{4096}}) {
+        const auto left_data = data.subspan(0, cut);
+        const auto right_data = data.subspan(cut);
+        OracleAcf oracle_left(lag);
+        OracleAcf oracle_right(lag);
+        oracle_left.push(left_data);
+        oracle_right.push(right_data);
+        oracle_left.merge(oracle_right);
+
+        StreamingAcf left(lag);
+        StreamingAcf right(lag);
+        push_split(left, left_data, 0, block);
+        push_split(right, right_data, 0, block);
+        left.merge(right);
+        EXPECT_EQ(saved(left), oracle_left.save())
+            << "max_lag " << lag << " cut " << cut << " block " << block;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
