@@ -73,7 +73,7 @@ if [[ $run_tsan -eq 1 ]]; then
   ./build-tsan/tests/engine_test
   ./build-tsan/tests/fft_test
   ./build-tsan/tests/generators_test
-  # The round scheduler's turn handoff and the governed rounds: the
+  # The round scheduler's chunk claims and merge, and the governed rounds: the
   # multi-threaded service cases, not the single-stream statistics.
   ./build-tsan/tests/service_test --gtest_filter='TrafficServiceTest.*:TrafficSchedulerTest.*'
   ./build-tsan/tests/governor_test \

@@ -1,5 +1,7 @@
 #include "vbr/common/atomic_file.hpp"
 
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <system_error>
@@ -43,7 +45,7 @@ void write_file_atomic(const std::filesystem::path& path, std::string_view data,
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("cannot open for writing: " + tmp.string());
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
+    out.close();  // a failed close can lose buffered bytes, so it fails too
     if (!out) {
       remove_quietly(tmp);
       throw IoError("write failed: " + tmp.string());
@@ -60,6 +62,27 @@ void write_file_atomic(const std::filesystem::path& path, std::string_view data,
     throw IoError("rename failed: " + tmp.string() + " -> " + path.string() + ": " +
                   ec.message());
   }
+  if (durable) fsync_parent_directory(path);
+}
+
+void fsync_parent_directory(const std::filesystem::path& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  std::filesystem::path dir = path.parent_path();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) throw IoError("cannot open directory to fsync: " + dir.string());
+  const int rc = ::fsync(fd);
+  const int fsync_errno = errno;
+  ::close(fd);
+  // EINVAL: this file system cannot sync a directory, so there is nothing to
+  // wait for; any other failure may have lost the entry.
+  if (rc != 0 && fsync_errno != EINVAL) {
+    throw IoError("directory fsync failed: " + dir.string() + ": " +
+                  std::strerror(fsync_errno));
+  }
+#else
+  (void)path;  // no portable directory fsync
+#endif
 }
 
 }  // namespace vbr

@@ -18,8 +18,7 @@ std::size_t resolve_thread_count(std::size_t requested);
 
 /// Run fn(i) for every i in [0, count) across `threads` OS threads (the
 /// calling thread counts as one of them, so `threads == 1` never spawns).
-/// fn must only write to state owned by index i, unless it orders the
-/// shared writes itself (TrafficService folds through an atomic turn).
+/// fn must only write to state that no other invocation writes.
 /// Index claims are relaxed: they order nothing. If any invocation throws,
 /// every remaining index still runs (so the set of observed failures does
 /// not depend on scheduling), all workers are joined, and the exception from

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <exception>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,11 +18,24 @@
 namespace vbr::service {
 namespace {
 
-/// Streams per round task: large enough to amortize the turn handoff and
-/// the task's kernel window ((m + block) x G doubles, allocated once per
-/// task), small enough that the scratch pool (threads * kChunkStreams *
+/// Streams per chunk, the unit of a round's dispatch and of its merge. Fixed,
+/// so the merge order depends on the fleet size alone, never on the thread
+/// count or the lockstep width (every width divides it); a fleet under
+/// 2 * kChunkStreams streams is one chunk and runs on one thread. Large
+/// enough to amortize a chunk's partials and kernel window ((m + block) x G
+/// doubles), small enough that the scratch pool (threads * kChunkStreams *
 /// block doubles) stays a rounding error next to a million stream states.
 constexpr std::size_t kChunkStreams = 1024;
+
+/// One chunk's share of a round, folded in stream order within the chunk:
+/// everything order-sensitive the round merges after the dispatch.
+struct ChunkFold {
+  std::vector<KahanSum> frames;  ///< per-frame-offset sums of the chunk's samples
+  stream::StreamingMoments moments;
+  KahanSum bytes;
+  std::array<bool, kChunkStreams> quarantine{};
+  std::exception_ptr error;  ///< what generating the chunk threw, if it did
+};
 
 }  // namespace
 
@@ -67,94 +81,62 @@ std::uint64_t TrafficService::stream_digest(std::size_t stream) const {
 void TrafficService::advance_round(std::size_t block, StreamGovernor* governor) {
   VBR_ENSURE(block >= 1, "round block must be at least 1");
   const std::size_t n = streams_.size();
-  const std::size_t threads = engine::resolve_thread_count(config_.threads);
-  // A chunk is a multiple of the lockstep group width, so a fleet without
-  // holes splits into full groups, and small fleets shrink it so every
-  // thread still gets one. Chunking never changes the bits: groups never
-  // do, and the ordered fold below runs in stream order whatever the chunk
-  // size.
-  const std::size_t lanes = lockstep_lanes();
-  const std::size_t per_thread = (n + threads - 1) / threads;
-  const std::size_t chunk = std::min(kChunkStreams, (per_thread + lanes - 1) / lanes * lanes);
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  const std::size_t slots = std::min(threads, chunks);
+  const std::size_t chunks = (n + kChunkStreams - 1) / kChunkStreams;
+  const std::size_t workers = std::min(engine::resolve_thread_count(config_.threads), chunks);
+  scratch_.resize(workers * kChunkStreams);
+  std::vector<ChunkFold> folds(chunks);
 
-  aggregate_.assign(block, KahanSum{});
-  scratch_.resize(slots * chunk);
-
-  // The chunk whose turn it is to fold, and the lowest chunk that threw
-  // (`chunks` while none has).
-  std::atomic<std::size_t> turn{0};
-  std::atomic<std::size_t> first_failed{chunks};
-  // Returns once every chunk before c has passed its turn.
-  const auto await_turn = [&](std::size_t c) {
-    for (std::size_t t = turn.load(std::memory_order_acquire); t < c;
-         t = turn.load(std::memory_order_acquire)) {
-      turn.wait(t, std::memory_order_acquire);
-    }
-  };
-  const auto pass_turn = [&](std::size_t c) {
-    turn.store(c + 1, std::memory_order_release);
-    turn.notify_all();
-  };
-
-  // One task per chunk, on at most `slots` threads; chunk c uses scratch slot
-  // c % slots.
-  engine::parallel_for_index(chunks, slots, [&](std::size_t c) {
-    try {
-      const std::size_t base = c * chunk;
-      const std::size_t count = std::min(chunk, n - base);
-      std::vector<double>* const out = &scratch_[(c % slots) * chunk];
-      std::array<bool, kChunkStreams> quarantine{};
-      // The slot's previous chunk has passed its turn by now: a worker claims
-      // its next chunk only after passing this one's (DESIGN.md section 12).
-      // This acquire orders that chunk's use of the slot before ours.
-      if (c >= slots) await_turn(c - slots + 1);
-
-      generate_groups(base, count, out, block, governor, quarantine.data());
-      // Each digest belongs to its own stream, so it folds in parallel.
-      for (std::size_t i = 0; i < count; ++i) {
-        Fnv1a h(stream_hash_[base + i]);
-        h.update(std::span<const double>(out[i]));
-        stream_hash_[base + i] = h.digest();
-      }
-
-      // Ordered fold: quarantine marks, sink, totals and aggregate see the
-      // streams in stream order for any thread count. Every chunk before c
-      // has passed its turn, so it has either folded or recorded its failure:
-      // chunks after the lowest failed one skip the fold, whatever the timing.
-      await_turn(c);
-      if (c < first_failed.load(std::memory_order_relaxed)) {
+  // Worker w claims chunks from one counter and generates each into scratch
+  // slot w; a chunk folds only into its own partial, so no write is shared.
+  std::atomic<std::size_t> next{0};
+  engine::parallel_for_index(workers, workers, [&](std::size_t w) {
+    std::vector<double>* const out = &scratch_[w * kChunkStreams];
+    for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
+         c = next.fetch_add(1, std::memory_order_relaxed)) {
+      ChunkFold& fold = folds[c];
+      const std::size_t base = c * kChunkStreams;
+      const std::size_t count = std::min(kChunkStreams, n - base);
+      try {
+        fold.frames.assign(block, KahanSum{});
+        generate_groups(base, count, out, block, governor, fold.quarantine.data());
         for (std::size_t i = 0; i < count; ++i) {
-          if (quarantine[i]) status_[base + i] = StreamStatus::kQuarantined;
           const std::span<const double> samples(out[i]);
-          if (samples.empty()) continue;
-          moments_.push(samples);
+          Fnv1a h(stream_hash_[base + i]);
+          h.update(samples);
+          stream_hash_[base + i] = h.digest();
+          fold.moments.push(samples);
           for (std::size_t j = 0; j < samples.size(); ++j) {
-            total_bytes_.add(samples[j]);
-            aggregate_[j].add(samples[j]);
+            fold.bytes.add(samples[j]);
+            fold.frames[j].add(samples[j]);
           }
-          total_samples_ += samples.size();
         }
+        // NOLINTNEXTLINE(vbr-silent-catch): kept, not swallowed: the merge below rethrows it.
+      } catch (...) {
+        fold.error = std::current_exception();
       }
-      pass_turn(c);
-    } catch (...) {
-      // Fail the round but keep the turn moving, so no later chunk waits
-      // forever; parallel_for_index rethrows the lowest-index failure once
-      // every task has returned. The record is made before the turn passes,
-      // so every later chunk sees it when its own turn comes.
-      std::size_t seen = first_failed.load(std::memory_order_relaxed);
-      while (c < seen && !first_failed.compare_exchange_weak(seen, c, std::memory_order_relaxed)) {
-      }
-      await_turn(c);
-      pass_turn(c);
-      throw;
     }
   });
 
+  // Merge in chunk order, so the result depends on the fleet alone. A failed
+  // round merges the chunks before the lowest failing one and rethrows that
+  // chunk's exception; the rest stay generated and digested but unmerged.
+  std::vector<KahanSum> aggregate(block);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const ChunkFold& fold = folds[c];
+    if (fold.error) std::rethrow_exception(fold.error);
+    const std::size_t base = c * kChunkStreams;
+    for (std::size_t i = 0; i < std::min(kChunkStreams, n - base); ++i) {
+      if (fold.quarantine[i]) status_[base + i] = StreamStatus::kQuarantined;
+    }
+    moments_.merge(fold.moments);
+    total_bytes_.add(fold.bytes.value());
+    total_samples_ += fold.moments.count();
+    for (std::size_t j = 0; j < block; ++j) aggregate[j].add(fold.frames[j].value());
+  }
+
   if (queue_) {
     for (std::size_t j = 0; j < block; ++j) {
-      queue_->offer(aggregate_[j].value(), config_.frame_seconds);
+      queue_->offer(aggregate[j].value(), config_.frame_seconds);
     }
   }
   ++rounds_;

@@ -5,23 +5,25 @@
 //
 // The service owns N StreamingSource states and advances them round-robin:
 // advance_round(block) gives every active stream `block` more samples.
-// Memory is O(threads * chunk * block + sum of per-stream states), chunk
-// <= 1024 streams — blocks are generated into one chunk-sized scratch slot
-// per worker thread, recycled every chunk, never materialized for the whole
+// Memory is O(threads * chunk * block + sum of per-stream states), chunk =
+// 1024 streams — blocks are generated into one chunk-sized scratch slot per
+// worker thread, recycled every chunk, never materialized for the whole
 // fleet at once.
 //
-// Scheduling: a round is one engine::parallel_for_index dispatch whose
-// tasks are chunks of consecutive streams. The worker that takes a chunk
-// generates it, folds each stream's own FNV digest (in parallel: the digest
-// belongs to that stream alone), then waits for the chunk's turn and folds
-// the order-sensitive state — quarantine marks, the sink, the Kahan totals
-// and the per-frame aggregate — in stream order, passing the turn on.
+// Scheduling: a round is one engine::parallel_for_index dispatch with one
+// task per worker; each worker claims chunks of 1024 consecutive streams
+// from a shared counter. For each chunk it generates the streams, folds
+// each stream's own FNV digest (the digest belongs to that stream alone),
+// and folds the order-sensitive rest — quarantine marks, moments, the byte
+// total and the per-frame aggregate — into a partial owned by that chunk.
+// After the dispatch the caller merges the partials in chunk order.
 //
 // Determinism: per-stream Rngs are derived from the seed by split() in
-// stream order before any work is dispatched (the engine's guarantee), and
-// the turn makes every order-sensitive fold run in stream order —
-// generation is parallel, reduction order is not — so the results hash, the
-// sink state, and the queue state are bit-identical for any thread count.
+// stream order before any work is dispatched (the engine's guarantee);
+// each partial folds its streams in stream order and the merge runs in
+// chunk order over a chunking fixed by the fleet size — generation is
+// parallel, reduction order is not — so the results hash, the sink state,
+// and the queue state are bit-identical for any thread count.
 //
 // Feeds: each stream's block is pushed zero-copy (a span over the scratch
 // buffer) into the service's streaming sink, and the per-frame aggregate
@@ -125,13 +127,11 @@ class TrafficService {
   /// With a governor, each lockstep group's blocks are produced through the
   /// governor's generate_lanes() hook and a quarantine verdict takes effect
   /// at the end of the round (the partial block, if any, is folded
-  /// normally). If a
-  /// generation call throws, the round fails: every other chunk still
-  /// generates its streams and digests, the chunks before the lowest
-  /// throwing one fold and the rest do not, and once every task has
-  /// returned that chunk's exception is rethrown. The service then holds a
-  /// partly advanced round (the same one on every run) — discard it
-  /// or restore a checkpoint.
+  /// normally). If a generation call throws, the round fails: every other
+  /// chunk still generates its streams and digests, the chunks before the
+  /// lowest throwing one are merged and the rest are not, and that chunk's
+  /// exception is rethrown. The service then holds a partly advanced round
+  /// (the same one on every run) — discard it or restore a checkpoint.
   void advance_round(std::size_t block, StreamGovernor* governor = nullptr);
 
   /// Freeze a stream; its state is retained and resume() continues the
@@ -190,8 +190,6 @@ class TrafficService {
   /// Generation buffers: one chunk-sized slot per worker thread, recycled
   /// every round (bounded scratch pool).
   std::vector<std::vector<double>> scratch_;
-  /// Per-frame-offset aggregate accumulators, reset every round.
-  std::vector<KahanSum> aggregate_;
 
   /// Fill out[0, count) with the blocks of streams [first, first + count)
   /// in lockstep groups of up to lockstep_lanes() consecutive active,

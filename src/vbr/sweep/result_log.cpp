@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "vbr/common/atomic_file.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/serialize.hpp"
 #include "vbr/run/envelope.hpp"
@@ -237,7 +238,10 @@ ResultLogWriter ResultLogWriter::create(const std::filesystem::path& path,
   const std::string sealed = encode_log_header(header);
   write_frame(fd, sealed, path.c_str());
   writer.bytes_written_ = sealed.size();
-  if (durable) sync_or_throw(fd, path.c_str());
+  if (durable) {
+    sync_or_throw(fd, path.c_str());
+    fsync_parent_directory(path);  // the new file's entry, not only its bytes
+  }
   return writer;
 }
 
@@ -256,6 +260,7 @@ ResultLogWriter ResultLogWriter::append_to(const std::filesystem::path& path,
 ResultLogWriter::ResultLogWriter(ResultLogWriter&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       durable_(other.durable_),
+      poisoned_(other.poisoned_),
       bytes_written_(other.bytes_written_) {}
 
 ResultLogWriter& ResultLogWriter::operator=(ResultLogWriter&& other) noexcept {
@@ -263,6 +268,7 @@ ResultLogWriter& ResultLogWriter::operator=(ResultLogWriter&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     durable_ = other.durable_;
+    poisoned_ = other.poisoned_;
     bytes_written_ = other.bytes_written_;
   }
   return *this;
@@ -272,12 +278,19 @@ ResultLogWriter::~ResultLogWriter() { close(); }
 
 void ResultLogWriter::append(const CellRecord& record) {
   VBR_ENSURE(fd_ >= 0, "append to a closed sweep result log");
+  if (poisoned_) {
+    throw IoError("sweep result log: an earlier append failed; the log may be torn");
+  }
   std::ostringstream payload(std::ios::binary);
   write_cell_record(payload, record);
   const std::string frame = run::seal_record(payload.str());
+  // Set until the frame is written (and synced, when durable): after a
+  // failed write or fsync the file's tail is unknown, so nothing may follow.
+  poisoned_ = true;
   write_frame(fd_, frame, "sweep result log");
   bytes_written_ += frame.size();
   if (durable_) sync_or_throw(fd_, "sweep result log");
+  poisoned_ = false;
 }
 
 void ResultLogWriter::close() {

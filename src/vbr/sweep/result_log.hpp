@@ -100,8 +100,10 @@ std::optional<ResultLogScan> recover_result_log(const std::filesystem::path& pat
 /// Appends settled-cell records to a log file. Each append is one write(2)
 /// of one whole frame — O(record) per settled cell, never O(cells) — so an
 /// interrupted append tears only the tail. With `durable`, the header and
-/// every append are fsync'd (power-loss safety; SIGKILL safety needs none),
-/// and a failed fsync throws vbr::IoError.
+/// every append are fsync'd and create() fsyncs the log's directory
+/// (power-loss safety; SIGKILL safety needs none). A failed write or fsync
+/// throws vbr::IoError and poisons the writer: every later append throws
+/// without writing.
 class ResultLogWriter {
  public:
   /// Start a fresh log: truncate and write the sealed header.
@@ -129,6 +131,8 @@ class ResultLogWriter {
 
   int fd_ = -1;
   bool durable_ = false;
+  /// An append failed to write or sync; every later append throws.
+  bool poisoned_ = false;
   std::uint64_t bytes_written_ = 0;
 };
 

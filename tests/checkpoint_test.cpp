@@ -130,6 +130,20 @@ TEST(AtomicFileTest, FailureThrowsIoErrorAndLeavesNoTemp) {
   EXPECT_THROW(write_file_atomic(missing_dir, "x"), vbr::IoError);
 }
 
+TEST(AtomicFileTest, DurableWriteSyncsTheDirectory) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto path = dir / "vbr_atomic_durable_test.txt";
+  write_file_atomic(path, "durable", /*durable=*/true);
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "durable");
+  std::filesystem::remove(path);
+  // A bare file name lives in the working directory.
+  EXPECT_NO_THROW(fsync_parent_directory("bare_name.txt"));
+  EXPECT_THROW(fsync_parent_directory(dir / "vbr_no_such_dir" / "file.txt"), vbr::IoError);
+}
+
 // ---------------------------------------------------------------------------
 // Sink save/restore: the 0-ulp contract. For every estimator, for several
 // random split points: push a prefix, save, restore into a fresh sink, push
@@ -457,9 +471,9 @@ TEST(ServiceCheckpointBytesTest, HoskingFleetAcrossTheHorizonIsPinned) {
   EXPECT_EQ(svc.stream_position(0), 13u);
 
   service::save_service_checkpoint(path.string(), svc);
-  EXPECT_EQ(file_digest(path), 0x23944b74fcb7720aULL) << std::hex << file_digest(path);
+  EXPECT_EQ(file_digest(path), 0xd5c554099fe4e5feULL) << std::hex << file_digest(path);
   service::save_service_checkpoint(path.string(), svc, &governor);
-  EXPECT_EQ(file_digest(path), 0x1716430fa580ee03ULL) << std::hex << file_digest(path);
+  EXPECT_EQ(file_digest(path), 0x480bf7994bf55d7aULL) << std::hex << file_digest(path);
   fs::remove(path);
 }
 
@@ -472,10 +486,10 @@ TEST(ServiceCheckpointBytesTest, EveryBackendAndVariantIsPinned) {
     std::uint64_t pin;
   };
   const Case cases[] = {
-      {model::ModelVariant::kIidGammaPareto, model::GeneratorBackend::kHosking, 0x192e6a354d25910cULL},
-      {model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kHosking, 0x573fbfe2dea174edULL},
-      {model::ModelVariant::kFull, model::GeneratorBackend::kPaxson, 0xd91c04e9b55b0893ULL},
-      {model::ModelVariant::kFull, model::GeneratorBackend::kAggregatedOnOff, 0xce49ad6e4f14fd6cULL},
+      {model::ModelVariant::kIidGammaPareto, model::GeneratorBackend::kHosking, 0xa4997ba746adec90ULL},
+      {model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kHosking, 0x25a298bd3ee84904ULL},
+      {model::ModelVariant::kFull, model::GeneratorBackend::kPaxson, 0xe2743ae31804976bULL},
+      {model::ModelVariant::kFull, model::GeneratorBackend::kAggregatedOnOff, 0x1a1407277b3d8291ULL},
   };
   for (const Case& c : cases) {
     service::TrafficService svc(pinned_service_config(c.variant, c.backend));

@@ -413,5 +413,15 @@ TEST(ResultLogWriter, DurableAppendThrowsWhenTheSyncFails) {
   EXPECT_THROW(writer.append(done_record(4)), IoError);
 }
 
+TEST(ResultLogWriter, AFailedSyncPoisonsEveryLaterAppend) {
+  // After a failed fsync the log's tail is unknown, so a later append must
+  // throw without writing behind it.
+  ResultLogWriter writer = ResultLogWriter::append_to("/dev/null", ResultLogScan{}, true);
+  EXPECT_THROW(writer.append(done_record(4)), IoError);
+  const std::uint64_t written = writer.bytes_written();
+  EXPECT_THROW(writer.append(done_record(5)), IoError);
+  EXPECT_EQ(writer.bytes_written(), written);
+}
+
 }  // namespace
 }  // namespace vbr::sweep

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +29,7 @@
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
+#include "vbr/common/math_util.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/model/fgn_acf.hpp"
 #include "vbr/model/hosking.hpp"
@@ -38,6 +40,7 @@
 #include "vbr/service/streaming_source.hpp"
 #include "vbr/service/streaming_vbr.hpp"
 #include "vbr/stats/lrd_fidelity.hpp"
+#include "vbr/stream/moments.hpp"
 
 namespace vbr::service {
 namespace {
@@ -850,8 +853,8 @@ TEST(TrafficServiceTest, LockstepRoundsBitEqualSingleStreamGeneration) {
 }
 
 // ---------------------------------------------------------------------------
-// The round scheduler: one dispatch per round, chunks folded in stream order
-// through a turn handoff.
+// The round scheduler: one dispatch per round, each chunk folded into its own
+// partial, the partials merged in chunk order.
 
 /// Quarantines the `doomed` streams when they reach sample `at` (emitting
 /// the partial block up to it), so every block size quarantines them at the
@@ -875,12 +878,15 @@ class QuarantineAtSample final : public StreamGovernor {
   std::uint64_t at_;
 };
 
-/// Throws from generate() for the streams in `throwing`, naming the stream.
-/// Stream 0 is slow, so with several threads a later chunk throws before
-/// chunk 0 reaches its fold.
+/// Throws from generate() for the streams in `throwing`, naming the stream,
+/// and quarantines the streams in `quarantined` after a full block. Stream 0
+/// is slow, so with several threads a later chunk throws before chunk 0 is
+/// done.
 class ThrowingGovernor final : public StreamGovernor {
  public:
-  explicit ThrowingGovernor(std::vector<std::size_t> throwing) : throwing_(std::move(throwing)) {}
+  explicit ThrowingGovernor(std::vector<std::size_t> throwing,
+                            std::vector<std::size_t> quarantined = {})
+      : throwing_(std::move(throwing)), quarantined_(std::move(quarantined)) {}
   bool generate(std::size_t stream, StreamingSource& source, std::size_t block,
                 std::vector<double>& out) override {
     if (stream == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -888,11 +894,31 @@ class ThrowingGovernor final : public StreamGovernor {
       throw std::runtime_error("stream " + std::to_string(stream));
     }
     source.next_block(block, out);
-    return true;
+    return std::find(quarantined_.begin(), quarantined_.end(), stream) == quarantined_.end();
   }
 
  private:
   std::vector<std::size_t> throwing_;
+  std::vector<std::size_t> quarantined_;
+};
+
+/// Generates every stream normally and keeps each block it emits, by stream
+/// and round, so a test can fold them again in stream order.
+class RecordingGovernor final : public StreamGovernor {
+ public:
+  explicit RecordingGovernor(std::size_t streams) : blocks_(streams) {}
+  bool generate(std::size_t stream, StreamingSource& source, std::size_t block,
+                std::vector<double>& out) override {
+    source.next_block(block, out);
+    blocks_[stream].push_back(out);  // only this stream's call writes here
+    return true;
+  }
+  const std::vector<double>& block(std::size_t stream, std::size_t round) const {
+    return blocks_[stream][round];
+  }
+
+ private:
+  std::vector<std::vector<std::vector<double>>> blocks_;  ///< [stream][round]
 };
 
 struct ScheduledRun {
@@ -901,21 +927,13 @@ struct ScheduledRun {
   std::string queue_state;  ///< the fluid queue alone
 };
 
-/// Streams on both sides of every chunk boundary any thread count in
-/// {1, 2, 3, 4, 8} can cut this fleet at: 1024-stream chunks, and the
-/// shrunk chunks (ceil(n / threads) rounded up to whole lockstep groups)
-/// small fleets use so every thread gets one.
+/// The fleet's first and last streams and the streams on both sides of
+/// every chunk boundary: chunks are 1024 streams at every thread count.
 std::vector<std::size_t> chunk_boundary_streams(std::size_t n) {
   std::vector<std::size_t> edges = {0, n - 1};
-  const std::size_t lanes = lockstep_lanes();
-  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
-    const std::size_t per_thread = (n + threads - 1) / threads;
-    const std::size_t chunk =
-        std::min<std::size_t>(1024, (per_thread + lanes - 1) / lanes * lanes);
-    for (std::size_t b = chunk; b < n; b += chunk) {
-      edges.push_back(b - 1);
-      edges.push_back(b);
-    }
+  for (std::size_t b = 1024; b < n; b += 1024) {
+    edges.push_back(b - 1);
+    edges.push_back(b);
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
@@ -1006,32 +1024,103 @@ TEST(TrafficSchedulerTest, RoundsAreBitIdenticalForEveryFleetThreadAndBlock) {
   }
 }
 
+TEST(TrafficSchedulerTest, MergedPartialsMatchAStreamOrderFold) {
+  // The round folds each chunk on its own and merges the partials in chunk
+  // order, so the totals are not the stream-order fold's bits; they must
+  // stay within 1e-12 of it, for one chunk, a full chunk plus one stream and
+  // a partial last chunk.
+  constexpr std::size_t kRounds = 3;
+  constexpr std::size_t kBlock = 6;
+  const auto expect_close = [](double actual, double reference, const char* what) {
+    EXPECT_NEAR(actual, reference, 1e-12 * std::abs(reference)) << what;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{1023}, std::size_t{1025},
+                              std::size_t{3 * 1024 + 5}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " threads " + std::to_string(threads));
+      ServiceConfig config;
+      config.num_streams = n;
+      config.seed = 1994;
+      config.params = paper_params();
+      config.threads = threads;
+      config.queue_capacity_bytes_per_sec = static_cast<double>(n) * 27791.0 * 24.0 / 0.9;
+      config.queue_buffer_bytes = static_cast<double>(n) * 5000.0;
+      TrafficService service(config);
+      RecordingGovernor governor(n);
+      for (std::size_t r = 0; r < kRounds; ++r) service.advance_round(kBlock, &governor);
+
+      // The reference: samples, byte total and per-frame aggregates folded
+      // in stream order.
+      stream::StreamingMoments moments;
+      KahanSum bytes;
+      double arrived = 0.0;
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        std::vector<KahanSum> aggregate(kBlock);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::vector<double>& samples = governor.block(i, r);
+          moments.push(samples);
+          for (std::size_t j = 0; j < samples.size(); ++j) {
+            bytes.add(samples[j]);
+            aggregate[j].add(samples[j]);
+          }
+        }
+        for (const KahanSum& frame : aggregate) arrived += frame.value();
+      }
+      EXPECT_EQ(service.moments().count(), moments.count());
+      EXPECT_EQ(service.total_samples(), moments.count());
+      expect_close(service.moments().mean(), moments.mean(), "mean");
+      expect_close(service.moments().variance(), moments.variance(), "variance");
+      EXPECT_EQ(service.moments().min(), moments.min());
+      EXPECT_EQ(service.moments().max(), moments.max());
+      expect_close(service.total_bytes(), bytes.value(), "total bytes");
+      expect_close(service.queue()->arrived_bytes(), arrived, "arrived bytes");
+    }
+  }
+}
+
 TEST(TrafficSchedulerTest, AThrowingStreamFailsTheRoundWithoutHanging) {
-  // 4100 streams are five 1024-stream chunks at every thread count below. A
-  // stream throwing in a later chunk must surface from advance_round (no
-  // waiter may block on a turn that never comes), and with two throwers the
-  // lower stream's exception wins whatever the thread count. The failed
+  // 4100 streams are four full 1024-stream chunks and a partial one of 4. A
+  // throwing stream must surface from advance_round, and with two throwers
+  // the lower stream's exception wins whatever the thread count. The failed
   // round leaves one state: exactly the chunks before the lowest failing one
-  // folded, even when a higher chunk threw first.
+  // merged, even when a higher chunk threw first, so a quarantine verdict in
+  // an unmerged chunk never lands.
+  struct FailingRound {
+    std::vector<std::size_t> throwing;
+    std::vector<std::size_t> quarantined;
+    const char* expected;
+    std::size_t merged_chunks;
+  };
+  const FailingRound cases[] = {
+      {{3000}, {}, "stream 3000", 2},
+      {{4099, 1500}, {}, "stream 1500", 1},
+      {{5}, {}, "stream 5", 0},        // chunk 0
+      {{4099}, {}, "stream 4099", 4},  // the last, partial chunk
+      {{1500}, {200, 3500}, "stream 1500", 1},
+  };
   ServiceConfig config = small_service_config();
   config.num_streams = 4100;
-  for (const auto& [throwing, expected, folded_chunks] :
-       {std::tuple{std::vector<std::size_t>{3000}, "stream 3000", std::size_t{2}},
-        std::tuple{std::vector<std::size_t>{4099, 1500}, "stream 1500", std::size_t{1}}}) {
+  for (const FailingRound& round : cases) {
     std::optional<std::string> reference;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      SCOPED_TRACE(std::string(expected) + " threads " + std::to_string(threads));
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+      SCOPED_TRACE(std::string(round.expected) + " threads " + std::to_string(threads));
       config.threads = threads;
       TrafficService service(config);
       service.advance_round(4);
-      ThrowingGovernor governor(throwing);
+      ThrowingGovernor governor(round.throwing, round.quarantined);
       try {
         service.advance_round(4, &governor);
         ADD_FAILURE() << "advance_round did not rethrow";
       } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), expected);
+        EXPECT_STREQ(e.what(), round.expected);
       }
-      EXPECT_EQ(service.total_samples(), (4100 + folded_chunks * 1024) * 4);
+      EXPECT_EQ(service.total_samples(), (4100 + round.merged_chunks * 1024) * 4);
+      for (const std::size_t s : round.quarantined) {
+        EXPECT_EQ(service.status(s), s < round.merged_chunks * 1024 ? StreamStatus::kQuarantined
+                                                                    : StreamStatus::kActive)
+            << "stream " << s;
+      }
       std::ostringstream state(std::ios::binary);
       service.save_state(state);
       if (!reference) reference = state.str();
