@@ -2,7 +2,9 @@
 //
 // Three paths per input, mirroring fuzz_checkpoint's dual-path pattern plus
 // a splice stage. First the raw bytes go straight through the envelope
-// check (magic, version, size bound, CRC). Because a random mutation almost
+// check (magic, version, size bound, CRC), both whole (open_envelope) and
+// through the streamed load (verify_envelope, then restore_state from the
+// same stream), which must agree on every input. Because a random mutation almost
 // never survives the CRC, the input is then re-sealed as the *payload* of a
 // valid envelope so TrafficService::restore_state's field validation — the
 // config fingerprint, stream statuses, per-stream state tags, heap
@@ -16,6 +18,7 @@
 // report, an abort from a VBR_ENSURE — is a bug (hostile checkpoints must
 // be a clean rejection path, never a contract violation).
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -70,6 +73,36 @@ void try_restore(const std::string& bytes) {
   }
 }
 
+/// The streamed load: verify_envelope over the raw bytes, then restore_state
+/// from the same stream. It must accept exactly the files open_envelope
+/// accepts, and a restore it admits must again serve or throw vbr::IoError.
+void try_verified_restore(const std::string& bytes) {
+  const vbr::run::EnvelopeSpec spec = vbr::service::service_checkpoint_envelope();
+  bool opened = true;
+  try {
+    std::istringstream in(bytes, std::ios::binary);
+    (void)vbr::run::open_envelope(in, spec, "fuzz");
+  } catch (const vbr::IoError&) {
+    opened = false;
+  }
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    (void)vbr::run::verify_envelope(in, spec, "fuzz");
+  } catch (const vbr::IoError&) {
+    if (opened) std::abort();  // verify_envelope rejected a valid envelope
+    return;
+  }
+  if (!opened) std::abort();  // verify_envelope admitted a defective envelope
+  try {
+    vbr::service::TrafficService service(harness_config());
+    service.restore_state(in);
+    service.advance_round(8);
+    (void)service.results_hash();
+  } catch (const vbr::IoError&) {
+    // Malformed payload behind a valid envelope: the documented rejection.
+  }
+}
+
 std::string sealed(const std::string& payload) {
   return vbr::run::seal_envelope(vbr::service::service_checkpoint_envelope(), payload);
 }
@@ -79,8 +112,10 @@ std::string sealed(const std::string& payload) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   const std::string raw(reinterpret_cast<const char*>(data), size);
 
-  // Path 1: the input is the whole file, envelope included.
+  // Path 1: the input is the whole file, envelope included, opened whole
+  // and through the streamed two-pass load.
   try_restore(raw);
+  try_verified_restore(raw);
 
   // Path 2: the input is the payload of a correctly sealed envelope.
   try_restore(sealed(raw));

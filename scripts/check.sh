@@ -21,7 +21,8 @@
 #                                 # runs the full >= 2^16-samples-per-stream
 #                                 # endurance form; RSS is per-stream-state
 #                                 # dominated, so the smoke depth tests the
-#                                 # same memory claim)
+#                                 # same memory claim), then a checkpoint save
+#                                 # and a --resume under the same ceiling
 #
 # Stages may be combined (e.g. --tier1 --lint). Tier-1 is the canonical
 # gate from ROADMAP.md. The sanitizer stages force hot-loop VBR_DCHECK
@@ -158,6 +159,16 @@ if [[ $run_service -eq 1 ]]; then
   ./build/examples/serve_traffic --streams 1000000 \
     --samples "${VBR_SERVICE_SOAK_SAMPLES:-64}" --block 32 \
     --max-rss-mib 1024 --json
+  # Checkpoints fit the same ceiling: a save streams one chunk of records
+  # per worker into the file and a load verifies, then parses, straight
+  # from it, so neither holds a second copy of the fleet. Save, then resume
+  # from the ~680 MB file and save again.
+  service_ckpt_dir="$(mktemp -d /tmp/vbr_service_check.XXXXXX)"
+  trap 'rm -rf "$service_ckpt_dir" "${stream_trace:-}"' EXIT
+  ./build/examples/serve_traffic --streams 1000000 --samples 64 --block 32 \
+    --checkpoint "$service_ckpt_dir/soak.ckpt" --max-rss-mib 1024 --json
+  ./build/examples/serve_traffic --streams 1000000 --samples 128 --block 32 \
+    --checkpoint "$service_ckpt_dir/soak.ckpt" --resume --max-rss-mib 1024 --json
 fi
 
 echo "=== all requested checks OK ==="

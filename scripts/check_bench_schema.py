@@ -157,6 +157,14 @@ def check_service(doc):
     if streams >= (1 << 18):
         require(per_million <= 1024.0,
                 f"rss_mib_per_million_streams = {per_million} above the 1 GiB ceiling")
+        # The checkpoint phase holds two fleets, the saved service and the
+        # restored one, and no payload-sized buffer: a save streams a chunk
+        # per worker and a load parses straight from the file. A buffered
+        # payload would add most of a third fleet.
+        serve = doc["serve_rss_mib"]
+        require(doc["peak_rss_mib"] <= 2.5 * serve,
+                f"peak_rss_mib = {doc['peak_rss_mib']} above 2.5x the serving fleet "
+                f"({serve} MiB): a checkpoint holds a payload-sized buffer")
     print(f"schema check OK: {sys.argv[1]} ({len(results)} thread counts, "
           f"{streams} streams)")
 

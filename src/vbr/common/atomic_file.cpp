@@ -39,12 +39,28 @@ bool fsync_path(const std::filesystem::path& path) {
 
 void write_file_atomic(const std::filesystem::path& path, std::string_view data,
                        bool durable) {
+  write_file_atomic(
+      path,
+      [data](std::ostream& out) {
+        out.write(data.data(), static_cast<std::streamsize>(data.size()));
+      },
+      durable);
+}
+
+void write_file_atomic(const std::filesystem::path& path,
+                       const std::function<void(std::ostream&)>& fill, bool durable) {
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("cannot open for writing: " + tmp.string());
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    try {
+      fill(out);
+    } catch (...) {
+      out.close();
+      remove_quietly(tmp);
+      throw;
+    }
     out.close();  // a failed close can lose buffered bytes, so it fails too
     if (!out) {
       remove_quietly(tmp);

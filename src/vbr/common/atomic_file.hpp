@@ -13,6 +13,8 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
+#include <iosfwd>
 #include <string_view>
 
 namespace vbr {
@@ -23,6 +25,13 @@ namespace vbr {
 /// failure (temp file cleaned up).
 void write_file_atomic(const std::filesystem::path& path, std::string_view data,
                        bool durable = false);
+
+/// Streaming form for artifacts too large to build in memory: `fill`
+/// writes the content into the temp file's stream (it may seek back to
+/// patch a header). A throw from `fill` removes the temp file and
+/// propagates; the destination is untouched.
+void write_file_atomic(const std::filesystem::path& path,
+                       const std::function<void(std::ostream&)>& fill, bool durable = false);
 
 /// fsync the directory holding `path`, so an entry just created or renamed
 /// there survives power loss. Throws vbr::IoError on failure.

@@ -29,6 +29,30 @@ constexpr Crc32Tables make_crc32_tables() {
 
 constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
 
+/// a(x) * b(x) mod P in the reflected representation (bit 31 is x^0).
+constexpr std::uint32_t multiply_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
+}
+
+/// x^(2^k) mod P for k in [0, 32); the powers cycle with period 32 far
+/// beyond any byte count that fits in a size_t.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& entry : table) {
+    entry = p;
+    p = multiply_mod_p(p, p);
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 32> kX2nTable = make_x2n_table();
+
 /// Little-endian load from any alignment (one mov on x86 and ARM).
 std::uint32_t load_le32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
@@ -51,6 +75,16 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   for (; size > 0; --size, ++bytes) c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t size_b) {
+  // Appending size_b bytes multiplies A's CRC polynomial by x^(8 size_b)
+  // (the init and xorout words cancel), so crc(A ++ B) = crc_a * x^(8n) ^ crc_b.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (std::size_t k = 3; size_b != 0; size_b >>= 1, ++k) {
+    if (size_b & 1) shift = multiply_mod_p(kX2nTable[k & 31], shift);
+  }
+  return multiply_mod_p(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace vbr

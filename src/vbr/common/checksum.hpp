@@ -19,6 +19,11 @@ namespace vbr {
 /// crc32(b, crc32(a)) == crc32(a ++ b).
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+/// CRC-32 of A ++ B from crc_a = crc32(A), crc_b = crc32(B) and B's size, in
+/// O(log size_b): pieces checksummed apart, even on different threads,
+/// combine into the CRC of the whole.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t size_b);
+
 /// Incremental 64-bit FNV-1a hasher. Feeding the same bytes in any chunking
 /// yields the same digest, so a streaming campaign and a batch run agree.
 class Fnv1a {

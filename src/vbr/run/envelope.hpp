@@ -14,7 +14,11 @@
 // the CRC before returning a single payload byte, so a torn or bit-rotted
 // artifact is rejected as a whole — a load never observes partial state.
 // Writers pair seal_envelope() with vbr::write_file_atomic so a crash during
-// a save leaves the previous complete artifact in place.
+// a save leaves the previous complete artifact in place. Artifacts too large
+// to hold twice (the service checkpoint) stream instead: the writer fills
+// the payload into the temp file and writes envelope_header() last, and the
+// reader runs verify_envelope() — the same checks over 1 MiB pieces — then
+// parses the payload from the same stream.
 //
 // Append-only formats (the sweep result log, VBRSWPL1) use the same sealed
 // envelope as a *header* via open_envelope_prefix(), then append CRC-framed
@@ -50,16 +54,24 @@ inline constexpr std::size_t kEnvelopeHeaderBytes = 8 + 4 + 8 + 4;
 /// Wrap `payload` in the full envelope (magic + version + size + CRC).
 std::string seal_envelope(const EnvelopeSpec& spec, std::string_view payload);
 
-/// One-buffer form for large artifacts: `buffer` holds kEnvelopeHeaderBytes
-/// of room followed by the payload, and the header is written into that
-/// room, so the payload is never copied.
-void seal_envelope_in_place(const EnvelopeSpec& spec, std::string& buffer);
+/// The kEnvelopeHeaderBytes header alone, for writers that stream the
+/// payload and fill the header in last.
+std::string envelope_header(const EnvelopeSpec& spec, std::uint64_t payload_size,
+                            std::uint32_t crc);
 
 /// Read and verify an envelope, returning the payload bytes. Throws
 /// vbr::IoError on bad magic, unsupported version, implausible size,
 /// truncation, or CRC mismatch; `name` labels errors (usually the path).
 std::string open_envelope(std::istream& in, const EnvelopeSpec& spec,
                           const std::string& name);
+
+/// The checks of open_envelope — magic, version, size bound, CRC, no
+/// trailing bytes — without holding the payload: the CRC is computed over
+/// 1 MiB pieces. On success the stream is rewound to the first
+/// payload byte and the payload size is returned, so the caller parses the
+/// verified bytes from the same stream. Throws vbr::IoError as open_envelope.
+std::uint64_t verify_envelope(std::istream& in, const EnvelopeSpec& spec,
+                              const std::string& name);
 
 /// Like open_envelope, but for formats that append framed records *after*
 /// the sealed header (the VBRSWPL1 result log): verifies magic, version,

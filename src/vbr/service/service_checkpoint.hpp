@@ -16,13 +16,19 @@
 // Version 2 added the governor flag; version-1 files are rejected at the
 // envelope (no deployed checkpoints outlive a run, so no migration path).
 //
-// Writes go through write_file_atomic, so a SIGKILL mid-save leaves the
-// previous complete checkpoint in place; loads verify magic, version, size
-// bound, and CRC before a single payload byte is parsed, and the payload
-// parse itself validates the config fingerprint and every count against
-// the live service. scripts/crash_soak.sh --service kills serve_traffic at
-// random instants and asserts the resumed results_hash is bit-identical to
-// an uninterrupted run.
+// Saves stream into write_file_atomic's temp file: 24 bytes of header room,
+// the service state a chunk of streams per worker (TrafficService::
+// save_state returns its CRC), the governor tail, then the header written
+// last. A SIGKILL mid-save leaves the previous complete checkpoint in
+// place. Loads run two passes over one open file: run::verify_envelope
+// checks magic, version, size bound, CRC (read in 1 MiB pieces) and that
+// nothing trails the payload before a single payload byte is parsed, then
+// the payload is parsed from the same stream; the parse validates the
+// config fingerprint and every count against the live service. Neither
+// direction holds a payload-sized buffer, so a checkpoint costs the fleet's
+// memory once, not twice. scripts/crash_soak.sh --service kills
+// serve_traffic at random instants and asserts the resumed results_hash is
+// bit-identical to an uninterrupted run.
 #pragma once
 
 #include <array>
@@ -51,9 +57,11 @@ void save_service_checkpoint(const std::string& path, const TrafficService& serv
 /// Load a checkpoint into a service built from the same config (and a
 /// governor built from the same GovernorConfig, when the run is governed).
 /// Throws vbr::IoError on any envelope or payload defect — including a
-/// governed checkpoint loaded without a governor or vice versa; on a
-/// payload defect the service may hold partial state and must be discarded
-/// (the CLI rebuilds).
+/// governed checkpoint loaded without a governor or vice versa. An envelope
+/// defect or a config mismatch leaves the service unchanged; a payload that
+/// passes the CRC but fails the parse (say a forged count at stream k) may
+/// leave partial state, and the service must be discarded (the CLI
+/// rebuilds).
 void load_service_checkpoint(const std::string& path, TrafficService& service,
                              OverloadGovernor* governor = nullptr);
 

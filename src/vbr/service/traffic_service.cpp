@@ -276,22 +276,36 @@ void TrafficService::append_stream(std::size_t stream, std::string& out) const {
   if (status_[stream] != StreamStatus::kRetired) streams_[stream]->append_state(out);
 }
 
-void TrafficService::append_state(std::string& out) const {
-  append_header(out);
-  for (std::size_t i = 0; i < streams_.size(); ++i) append_stream(i, out);
-}
-
-void TrafficService::save_state(std::ostream& out) const {
-  // One write per stream through one reused record buffer: no fleet-sized
-  // copy beside whatever buffers `out` keeps.
-  std::string record;
-  append_header(record);
-  io::write_bytes(out, record.data(), record.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    record.clear();
-    append_stream(i, record);
-    io::write_bytes(out, record.data(), record.size());
+std::uint32_t TrafficService::save_state(std::ostream& out) const {
+  std::string header;
+  append_header(header);
+  io::write_bytes(out, header.data(), header.size());
+  std::uint32_t crc = crc32(header.data(), header.size());
+  // The streams go out a batch of chunks at a time, one chunk per worker:
+  // each worker serializes its chunk into its own piece and checksums it,
+  // then the pieces are written in chunk order and their CRCs combined.
+  const std::size_t n = streams_.size();
+  const std::size_t chunks = (n + kChunkStreams - 1) / kChunkStreams;
+  const std::size_t workers = std::min(engine::resolve_thread_count(config_.threads), chunks);
+  std::vector<std::string> pieces(workers);  // reused by every batch
+  std::vector<std::uint32_t> piece_crcs(workers);
+  for (std::size_t first = 0; first < chunks; first += workers) {
+    const std::size_t batch = std::min(workers, chunks - first);
+    engine::parallel_for_index(batch, batch, [&](std::size_t w) {
+      std::string& piece = pieces[w];
+      piece.clear();
+      const std::size_t base = (first + w) * kChunkStreams;
+      for (std::size_t i = base; i < std::min(base + kChunkStreams, n); ++i) {
+        append_stream(i, piece);
+      }
+      piece_crcs[w] = crc32(piece.data(), piece.size());
+    });
+    for (std::size_t w = 0; w < batch; ++w) {
+      io::write_bytes(out, pieces[w].data(), pieces[w].size());
+      crc = crc32_combine(crc, piece_crcs[w], pieces[w].size());
+    }
   }
+  return crc;
 }
 
 void TrafficService::restore_state(std::istream& in) {

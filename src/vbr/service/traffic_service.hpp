@@ -8,7 +8,9 @@
 // Memory is O(threads * chunk * block + sum of per-stream states), chunk =
 // 1024 streams — blocks are generated into one chunk-sized scratch slot per
 // worker thread, recycled every chunk, never materialized for the whole
-// fleet at once.
+// fleet at once. A checkpoint adds O(threads * chunk) record bytes: the
+// save serializes one chunk per worker into a reused piece buffer, and the
+// load parses straight from the file.
 //
 // Scheduling: a round is one engine::parallel_for_index dispatch with one
 // task per worker; each worker claims chunks of 1024 consecutive streams
@@ -165,15 +167,16 @@ class TrafficService {
   /// Null unless the config enables the queue feed.
   const net::FluidQueue* queue() const { return queue_.get(); }
 
-  /// Append the complete service state (config fingerprint + counters +
-  /// queue + sink + every live stream's record) to `out`. restore_state()
-  /// on a service built from the same config reproduces the run
-  /// bit-for-bit. On restore failure (vbr::IoError) the service may hold
-  /// partial state — discard it, as the campaign runner discards a
+  /// Write the complete service state (config fingerprint + counters +
+  /// queue + sink + every live stream's record) to `out` and return the
+  /// CRC-32 of the bytes written. The stream records are serialized a chunk
+  /// per worker into reused piece buffers, so beyond the fleet a save holds
+  /// O(threads * chunk) bytes; the bytes do not depend on the thread count.
+  /// restore_state() on a service built from the same config reproduces the
+  /// run bit-for-bit. On restore failure (vbr::IoError) the service may
+  /// hold partial state — discard it, as the campaign runner discards a
   /// half-restored sink chain.
-  void append_state(std::string& out) const;
-  /// The same bytes as append_state(), one write per stream.
-  void save_state(std::ostream& out) const;
+  std::uint32_t save_state(std::ostream& out) const;
   void restore_state(std::istream& in);
 
  private:
@@ -197,7 +200,7 @@ class TrafficService {
   /// through its generate_lanes(), which marks quarantine[0, count).
   void generate_groups(std::size_t first, std::size_t count, std::vector<double>* out,
                        std::size_t block, StreamGovernor* governor, bool* quarantine);
-  /// Everything append_state() writes before the per-stream records.
+  /// Everything save_state() writes before the per-stream records.
   void append_header(std::string& out) const;
   /// One stream's status, digest and (unless retired) state record.
   void append_stream(std::size_t stream, std::string& out) const;

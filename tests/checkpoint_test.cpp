@@ -505,5 +505,75 @@ TEST(ServiceCheckpointBytesTest, EveryBackendAndVariantIsPinned) {
   fs::remove(path);
 }
 
+TEST(ServiceCheckpointBytesTest, StreamedLoadRejectsHostileFilesUnchanged) {
+  // The load verifies the whole envelope in 1 MiB pieces before it parses a
+  // field, so every envelope defect must throw IoError and leave the target
+  // service exactly as it was. The payload spans three CRC pieces.
+  namespace fs = std::filesystem;
+  const fs::path good = fs::temp_directory_path() / "vbr_streamed_load_good.ckpt";
+  const fs::path bad = fs::temp_directory_path() / "vbr_streamed_load_bad.ckpt";
+  service::ServiceConfig config =
+      pinned_service_config(model::ModelVariant::kFull, model::GeneratorBackend::kHosking);
+  config.num_streams = 3 * 1024 + 5;
+  config.tuning.hosking_horizon = 96;
+  service::TrafficService saved(config);
+  saved.advance_round(100);
+  service::save_service_checkpoint(good.string(), saved);
+  std::string bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    bytes = buf.str();
+  }
+  ASSERT_GT(bytes.size(), kEnvelopeHeaderBytes + (std::size_t{2} << 20));
+
+  service::TrafficService target(config);
+  target.advance_round(5);
+  const auto state_of = [](const service::TrafficService& s) {
+    std::ostringstream out(std::ios::binary);
+    s.save_state(out);
+    return out.str();
+  };
+  const std::uint64_t target_hash = target.results_hash();
+  const std::string target_state = state_of(target);
+
+  const auto with_size_field = [&](std::uint64_t size) {
+    std::string forged = bytes;
+    std::memcpy(forged.data() + 12, &size, sizeof size);
+    return forged;
+  };
+  const std::uint64_t payload_size = bytes.size() - kEnvelopeHeaderBytes;
+  std::string flipped = bytes;
+  flipped[kEnvelopeHeaderBytes + payload_size / 2] ^= 0x01;
+  const std::pair<const char*, std::string> cases[] = {
+      {"truncated inside the header", bytes.substr(0, 14)},
+      {"truncated mid-payload", bytes.substr(0, bytes.size() / 2)},
+      {"truncated at the last byte", bytes.substr(0, bytes.size() - 1)},
+      {"one flipped payload byte", flipped},
+      {"one trailing byte", bytes + '\0'},
+      {"size field over the bound",
+       with_size_field(service::service_checkpoint_envelope().max_payload + 1)},
+      {"size field past the end of the file", with_size_field(payload_size + 4096)},
+  };
+  for (const auto& [what, corrupt] : cases) {
+    SCOPED_TRACE(what);
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    EXPECT_THROW(service::load_service_checkpoint(bad.string(), target), IoError);
+    EXPECT_EQ(target.results_hash(), target_hash);
+    EXPECT_TRUE(state_of(target) == target_state);
+  }
+
+  // The intact file still loads into the same target.
+  service::load_service_checkpoint(good.string(), target);
+  EXPECT_EQ(target.results_hash(), saved.results_hash());
+  EXPECT_TRUE(state_of(target) == state_of(saved));
+  fs::remove(good);
+  fs::remove(bad);
+}
+
 }  // namespace
 }  // namespace vbr::run

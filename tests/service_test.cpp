@@ -1129,6 +1129,87 @@ TEST(TrafficSchedulerTest, AThrowingStreamFailsTheRoundWithoutHanging) {
   }
 }
 
+TEST(TrafficSchedulerTest, Crc32CombineMatchesTheCrcOfTheWhole) {
+  // A save checksums each chunk's piece on its own worker and combines the
+  // CRCs in chunk order; that must equal the CRC of the concatenation for
+  // any split, empty pieces included.
+  Rng rng(1994);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t size = rng.uniform_index(trial < 100 ? 64 : 5000);
+    std::string whole(size, '\0');
+    for (char& c : whole) c = static_cast<char>(rng.uniform_index(256));
+    std::vector<std::size_t> cuts = {0, size};
+    for (std::size_t k = rng.uniform_index(5); k > 0; --k) {
+      cuts.push_back(rng.uniform_index(size + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t combined = crc32(nullptr, 0);
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      const std::size_t piece = cuts[k + 1] - cuts[k];
+      combined = crc32_combine(combined, crc32(whole.data() + cuts[k], piece), piece);
+    }
+    EXPECT_EQ(combined, crc32(whole.data(), whole.size())) << "trial " << trial;
+  }
+  EXPECT_EQ(crc32_combine(0x12345678u, crc32(nullptr, 0), 0), 0x12345678u);
+}
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(TrafficSchedulerTest, MultiChunkCheckpointIsPinnedAtEveryThreadCount) {
+  // Three full 1024-stream chunks and a partial one of 5, with a paused, a
+  // retired and a governor-quarantined stream in different chunks: the
+  // checkpoint is saved a chunk per worker, so its bytes — and the CRC the
+  // save returns — must not depend on the thread count. The pin was
+  // recorded with the one-buffer save.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "vbr_service_multichunk_pin.ckpt";
+  constexpr std::size_t kStreams = 3 * 1024 + 5;
+  std::optional<std::string> reference;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ServiceConfig config;
+    config.num_streams = kStreams;
+    config.seed = 1994;
+    config.params = paper_params();
+    config.tuning.hosking_horizon = 16;
+    config.threads = threads;
+    config.queue_capacity_bytes_per_sec = kStreams * 27791.0 * 24.0 / 0.9;
+    config.queue_buffer_bytes = kStreams * 5000.0;
+    TrafficService service(config);
+    QuarantineAtSample governor({2050}, 20);
+    service.advance_round(9, &governor);
+    service.pause(1023);
+    service.retire(3076);
+    service.advance_round(9, &governor);
+    service.advance_round(9, &governor);
+    ASSERT_EQ(service.status(2050), StreamStatus::kQuarantined);
+
+    save_service_checkpoint(path.string(), service);
+    const std::string bytes = read_bytes(path);
+    Fnv1a h;
+    h.update(bytes.data(), bytes.size());
+    EXPECT_EQ(h.digest(), 0xe918708d4ba79222ULL) << std::hex << h.digest();
+    if (!reference) reference = bytes;
+    EXPECT_TRUE(bytes == *reference);
+
+    // save_state writes the payload up to the governor flag and returns the
+    // CRC-32 of exactly what it wrote.
+    std::ostringstream state(std::ios::binary);
+    const std::uint32_t crc = service.save_state(state);
+    const std::string written = state.str();
+    EXPECT_EQ(crc, crc32(written.data(), written.size()));
+    EXPECT_TRUE(written == bytes.substr(run::kEnvelopeHeaderBytes, written.size()));
+    EXPECT_EQ(bytes.size(), run::kEnvelopeHeaderBytes + written.size() + 1);  // + flag
+  }
+  fs::remove(path);
+}
+
 TEST(FluidQueueStateTest, SaveRestoreRoundTripsAtZeroUlp) {
   net::FluidQueue queue(8.0e6, 4.0e6);
   Rng rng(17);
