@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -223,6 +224,7 @@ int main(int argc, char** argv) {
   std::string json = "{\n";
   appendf(json, "  \"bench\": \"generator_pareto\",\n");
   appendf(json, "  \"contracts\": \"%s\",\n", vbrbench::contracts_state());
+  appendf(json, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
   appendf(json, "  \"frames\": %zu,\n  \"reps\": %zu,\n  \"fidelity_frames\": %zu,\n",
           frames, reps, fidelity_frames);
   appendf(json, "  \"timing_hurst\": %.2f,\n", timing_hurst);

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -142,6 +143,7 @@ int main(int argc, char** argv) {
   appendf(json, "{\n");
   appendf(json, "  \"benchmark\": \"sweep_shard\",\n");
   appendf(json, "  \"contracts\": \"%s\",\n", vbrbench::contracts_state());
+  appendf(json, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
 
   // --- 1. checkpoint I/O per settled cell, append-only ---
   appendf(json, "  \"checkpoint_io\": [\n");

@@ -172,6 +172,7 @@ def check_service(doc):
 def check_generator_pareto(doc):
     require(doc.get("bench") == "generator_pareto", "bench name mismatch")
     require(doc.get("contracts") in ("on", "off"), "contracts must be on/off")
+    check_number(doc, "hardware_concurrency", lo=1)
     check_number(doc, "frames", lo=1)
     check_number(doc, "reps", lo=1)
     check_number(doc, "fidelity_frames", lo=32)
@@ -233,6 +234,7 @@ def check_generator_pareto(doc):
 def check_sweep_shard(doc):
     """BENCH_sweep_shard.json: checkpoint I/O + steal latency + pool scaling."""
     require(doc.get("contracts") in ("on", "off"), "contracts must be on/off")
+    check_number(doc, "hardware_concurrency", lo=1)
 
     io = doc.get("checkpoint_io")
     require(isinstance(io, list) and io, "'checkpoint_io' must be a non-empty list")

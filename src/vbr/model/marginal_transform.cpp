@@ -1,7 +1,12 @@
 #include "vbr/model/marginal_transform.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "vbr/common/error.hpp"
 #include "vbr/common/special_functions.hpp"
@@ -14,6 +19,18 @@ double clamp_probability(double p) {
   constexpr double kEps = 1e-15;
   VBR_DCHECK(p >= 0.0 && p <= 1.0, "CDF value left [0, 1]");
   return std::clamp(p, kEps, 1.0 - kEps);
+}
+
+using MapKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+
+struct MapCache {
+  std::mutex mutex;
+  std::map<MapKey, std::shared_ptr<const SharedMarginalMap>> entries;
+};
+
+MapCache& map_cache() {
+  static MapCache cache;
+  return cache;
 }
 
 }  // namespace
@@ -72,6 +89,35 @@ std::vector<double> TabulatedMarginalMap::apply(std::span<const double> gaussian
   out.reserve(gaussian.size());
   for (double x : gaussian) out.push_back((*this)((x - mu) / sigma));
   return out;
+}
+
+std::shared_ptr<const SharedMarginalMap> shared_marginal_map(
+    const stats::GammaParetoParams& params) {
+  const MapKey key(std::bit_cast<std::uint64_t>(params.mu_gamma),
+                   std::bit_cast<std::uint64_t>(params.sigma_gamma),
+                   std::bit_cast<std::uint64_t>(params.tail_slope));
+  auto& cache = map_cache();
+  {
+    const std::scoped_lock lock(cache.mutex);
+    if (const auto it = cache.entries.find(key); it != cache.entries.end()) return it->second;
+  }
+  // Tabulate outside the lock; a racing duplicate is identical and the
+  // first insert wins.
+  auto entry = std::make_shared<const SharedMarginalMap>(params);
+  const std::scoped_lock lock(cache.mutex);
+  return cache.entries.emplace(key, std::move(entry)).first->second;
+}
+
+std::size_t marginal_map_cache_size() {
+  auto& cache = map_cache();
+  const std::scoped_lock lock(cache.mutex);
+  return cache.entries.size();
+}
+
+void marginal_map_cache_clear() {
+  auto& cache = map_cache();
+  const std::scoped_lock lock(cache.mutex);
+  cache.entries.clear();
 }
 
 }  // namespace vbr::model

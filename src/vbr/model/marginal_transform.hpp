@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,5 +45,29 @@ class TabulatedMarginalMap {
   std::vector<double> z_grid_;   ///< Gaussian abscissae
   std::vector<double> y_grid_;   ///< target quantiles at those abscissae
 };
+
+/// A Gamma/Pareto marginal and the 10,000-point map that references it,
+/// shared immutably by every generation and stream that uses the triple.
+struct SharedMarginalMap {
+  stats::GammaParetoDistribution dist;
+  TabulatedMarginalMap map;  ///< references `dist`, so the pair never moves
+
+  explicit SharedMarginalMap(const stats::GammaParetoParams& params)
+      : dist(params), map(dist) {}
+  SharedMarginalMap(const SharedMarginalMap&) = delete;
+  SharedMarginalMap& operator=(const SharedMarginalMap&) = delete;
+};
+
+/// The process-wide, thread-safe marginal-map cache, keyed by the three
+/// parameters' bit patterns. The first use of a triple tabulates it (a few
+/// ms); the table is a function of the key, so caching changes no bit.
+std::shared_ptr<const SharedMarginalMap> shared_marginal_map(
+    const stats::GammaParetoParams& params);
+
+/// Number of distinct parameter triples currently tabulated.
+std::size_t marginal_map_cache_size();
+
+/// Drop every cached map (holders keep theirs alive; next uses re-tabulate).
+void marginal_map_cache_clear();
 
 }  // namespace vbr::model

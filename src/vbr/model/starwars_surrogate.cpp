@@ -133,9 +133,7 @@ SurrogateTrace make_starwars_surrogate(const SurrogateOptions& options) {
   out.calibration.marginal.tail_slope = calibrate_tail_slope(
       options.mean_bytes, options.stddev_bytes, options.target_max_bytes, options.frames);
 
-  const stats::GammaParetoDistribution marginal(out.calibration.marginal);
-  const TabulatedMarginalMap map(marginal);
-  std::vector<double> bytes = map.apply(core);
+  std::vector<double> bytes = shared_marginal_map(out.calibration.marginal)->map.apply(core);
 
   // 4. Named events: lift the trace toward the target level with a smooth
   //    envelope. Touches a few hundred of 171,000 frames, so the calibrated

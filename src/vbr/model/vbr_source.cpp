@@ -76,9 +76,8 @@ std::vector<double> VbrVideoSourceModel::generate(std::size_t n, Rng& rng,
     return gaussian;
   }
 
-  // Full model: Eq. (13) through the tabulated Gaussian -> Gamma/Pareto map.
-  const TabulatedMarginalMap map(marginal_);
-  return map.apply(gaussian);
+  // Full model: Eq. (13) through the shared Gaussian -> Gamma/Pareto table.
+  return shared_marginal_map(params_.marginal)->map.apply(gaussian);
 }
 
 trace::TimeSeries VbrVideoSourceModel::generate_trace(std::size_t n, Rng& rng,

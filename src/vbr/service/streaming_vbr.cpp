@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <utility>
 
 #include "vbr/common/error.hpp"
@@ -17,55 +13,6 @@
 #include "vbr/service/streaming_paxson.hpp"
 
 namespace vbr::service {
-
-/// Owns the marginal distribution alongside the map that references it;
-/// heap-allocated once per distinct parameter triple and shared immutably.
-struct MarginalMapEntry {
-  stats::GammaParetoDistribution dist;
-  model::TabulatedMarginalMap map;
-
-  explicit MarginalMapEntry(const stats::GammaParetoParams& params)
-      : dist(params), map(dist) {}
-};
-
-namespace {
-
-std::uint64_t double_bits(double x) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof x);
-  std::memcpy(&bits, &x, sizeof bits);
-  return bits;
-}
-
-struct MarginalMapCache {
-  std::mutex mutex;
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-           std::shared_ptr<const MarginalMapEntry>>
-      entries;
-};
-
-MarginalMapCache& marginal_map_cache() {
-  static MarginalMapCache cache;
-  return cache;
-}
-
-std::shared_ptr<const MarginalMapEntry> cached_marginal_map(
-    const stats::GammaParetoParams& params) {
-  const auto key = std::make_tuple(double_bits(params.mu_gamma), double_bits(params.sigma_gamma),
-                                   double_bits(params.tail_slope));
-  auto& cache = marginal_map_cache();
-  {
-    const std::scoped_lock lock(cache.mutex);
-    if (const auto it = cache.entries.find(key); it != cache.entries.end()) return it->second;
-  }
-  // Tabulating 10k quantiles is slow; build outside the lock (a racing
-  // duplicate is identical and the first insert wins).
-  auto entry = std::make_shared<const MarginalMapEntry>(params);
-  const std::scoped_lock lock(cache.mutex);
-  return cache.entries.emplace(key, std::move(entry)).first->second;
-}
-
-}  // namespace
 
 StreamingVbrSource::StreamingVbrSource(const model::VbrModelParams& params,
                                        model::ModelVariant variant,
@@ -78,7 +25,7 @@ StreamingVbrSource::StreamingVbrSource(const model::VbrModelParams& params,
     return;
   }
   core_ = make_streaming_core(backend, params.hurst, 1.0, tuning, parent);
-  if (variant_ == model::ModelVariant::kFull) map_ = cached_marginal_map(params.marginal);
+  if (variant_ == model::ModelVariant::kFull) map_ = model::shared_marginal_map(params.marginal);
 }
 
 std::uint64_t StreamingVbrSource::position() const {
@@ -197,18 +144,6 @@ void StreamingVbrSource::restore(std::istream& in) {
     return;
   }
   core_->restore(in);
-}
-
-std::size_t StreamingVbrSource::marginal_map_cache_size() {
-  auto& cache = marginal_map_cache();
-  const std::scoped_lock lock(cache.mutex);
-  return cache.entries.size();
-}
-
-void StreamingVbrSource::marginal_map_cache_clear() {
-  auto& cache = marginal_map_cache();
-  const std::scoped_lock lock(cache.mutex);
-  cache.entries.clear();
 }
 
 std::unique_ptr<StreamingSource> make_streaming_core(model::GeneratorBackend backend,

@@ -5,9 +5,10 @@
 // The head is stateless per sample, so the stream inherits the core's
 // block-size invariance and checkpoint exactness unchanged. The tabulated
 // marginal map — the only heavy head object — depends solely on the
-// marginal parameters, so all streams of one service share a single
-// immutable table through a process-wide cache; per-stream head state is
-// nothing (kFull / kGaussianFarima) or one Rng (kIidGammaPareto).
+// marginal parameters, so every stream holds the one immutable table of
+// model::shared_marginal_map, the process-wide cache batch generation
+// also maps through; per-stream head state is nothing (kFull /
+// kGaussianFarima) or one Rng (kIidGammaPareto).
 //
 // Rng consumption mirrors VbrVideoSourceModel::generate exactly: the iid
 // variant draws straight from the handed per-stream Rng, the core variants
@@ -30,9 +31,6 @@
 
 namespace vbr::service {
 
-/// Opaque shared head state: the marginal distribution plus the tabulated
-/// map that references it (defined in streaming_vbr.cpp).
-struct MarginalMapEntry;
 class StreamingHosking;
 
 class StreamingVbrSource final : public StreamingSource {
@@ -73,10 +71,6 @@ class StreamingVbrSource final : public StreamingSource {
   void append_state(std::string& out) const override;
   void restore(std::istream& in) override;
 
-  /// Process-wide marginal-map cache introspection.
-  static std::size_t marginal_map_cache_size();
-  static void marginal_map_cache_clear();
-
  private:
   /// The Hosking core, or null for other backends and the i.i.d. variant.
   StreamingHosking* lockstep_core() const;
@@ -86,7 +80,7 @@ class StreamingVbrSource final : public StreamingSource {
   model::VbrModelParams params_;
   model::ModelVariant variant_;
   model::GeneratorBackend backend_;
-  std::shared_ptr<const MarginalMapEntry> map_;  ///< kFull only
+  std::shared_ptr<const model::SharedMarginalMap> map_;  ///< kFull only
   std::unique_ptr<StreamingSource> core_;        ///< null for kIidGammaPareto
   std::unique_ptr<stats::GammaParetoDistribution> marginal_;  ///< kIidGammaPareto only
   Rng rng_;                                      ///< kIidGammaPareto only

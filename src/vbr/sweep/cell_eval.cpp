@@ -27,18 +27,11 @@ constexpr double kFbmEpsilon = 1e-6;
 constexpr std::uint64_t kMaxMessage = 4096;
 constexpr std::uint64_t kMaxStderrTail = 8192;
 
-/// The paper's Table 2/3 operating point (Star Wars fit); every cell shares
-/// the marginal and differs only by the grid's Hurst parameter.
-model::VbrModelParams cell_model_params(double hurst) {
-  model::VbrModelParams params;
-  params.marginal.mu_gamma = 27791.0;
-  params.marginal.sigma_gamma = 6254.0;
-  params.marginal.tail_slope = 12.0;
-  params.hurst = hurst;
-  return params;
-}
-
 }  // namespace
+
+stats::GammaParetoParams cell_marginal() {
+  return {.mu_gamma = 27791.0, .sigma_gamma = 6254.0, .tail_slope = 12.0};
+}
 
 CellResult evaluate_cell(const CellSpec& spec) {
   VBR_ENSURE(spec.num_sources >= 1, "cell needs at least one source");
@@ -53,7 +46,7 @@ CellResult evaluate_cell(const CellSpec& spec) {
   plan.num_sources = spec.num_sources;
   plan.frames_per_source = spec.frames_per_source;
   plan.seed = spec.seed;
-  plan.params = cell_model_params(spec.hurst);
+  plan.params = {.marginal = cell_marginal(), .hurst = spec.hurst};
   plan.threads = 1;
   const engine::MultiSourceTrace trace = engine::generate_sources(plan);
   const std::vector<double> aggregate = trace.aggregate();

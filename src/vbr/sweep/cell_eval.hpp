@@ -20,6 +20,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "vbr/stats/gamma_pareto.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
 
 namespace vbr::sweep {
@@ -40,6 +41,10 @@ struct CellResult {
 
   bool operator==(const CellResult& other) const = default;
 };
+
+/// The Gamma/Pareto marginal every cell maps through: the paper's Star
+/// Wars fit (Tables 2/3). Cells differ only by the grid's Hurst parameter.
+stats::GammaParetoParams cell_marginal();
 
 /// Evaluate one cell. Throws vbr::NumericalError / vbr::InvalidArgument on a
 /// poisoned spec (the quarantine path); returns finite fields otherwise.

@@ -22,6 +22,7 @@
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
+#include "vbr/model/marginal_transform.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
 
@@ -376,6 +377,9 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
   VBR_ENSURE(static_cast<bool>(on_settled), "settle_cells needs a settle callback");
   const std::size_t total = cell_count(grid);
   const std::vector<std::uint64_t> seeds = derive_cell_seeds(grid);
+  // Tabulate the cells' marginal map before the first fork, so every worker
+  // inherits the table copy-on-write instead of rebuilding it per cell.
+  (void)model::shared_marginal_map(cell_marginal());
 
   using Clock = std::chrono::steady_clock;
   struct Pending {

@@ -2,10 +2,15 @@
 // recursion (Section 4.1) and Davies-Harte circulant embedding. The key
 // cross-check: both produce realizations whose sample ACF matches the
 // target fARIMA/fGn autocorrelation and whose estimated H matches the
-// input.
+// input. The process-wide caches behind generation (Davies-Harte
+// eigenvalues, the Gamma/Pareto marginal map) must never change a bit.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "vbr/common/error.hpp"
@@ -13,7 +18,10 @@
 #include "vbr/common/rng.hpp"
 #include "vbr/model/davies_harte.hpp"
 #include "vbr/model/fgn_acf.hpp"
+#include "vbr/model/fgn_generator.hpp"
 #include "vbr/model/hosking.hpp"
+#include "vbr/model/marginal_transform.hpp"
+#include "vbr/model/vbr_source.hpp"
 #include "vbr/stats/autocorrelation.hpp"
 #include "vbr/stats/whittle.hpp"
 
@@ -272,6 +280,94 @@ TEST(DaviesHarteTest, SingleAndSmallN) {
   EXPECT_EQ(davies_harte(1, opt, rng).size(), 1u);
   EXPECT_EQ(davies_harte(2, opt, rng).size(), 2u);
   EXPECT_EQ(davies_harte(3, opt, rng).size(), 3u);
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The paper's Star Wars fit, a steeper tail, and a heavier, wider one.
+std::vector<stats::GammaParetoParams> marginal_param_sets() {
+  return {{.mu_gamma = 27791.0, .sigma_gamma = 6254.0, .tail_slope = 12.0},
+          {.mu_gamma = 27791.0, .sigma_gamma = 6254.0, .tail_slope = 20.0},
+          {.mu_gamma = 1500.0, .sigma_gamma = 600.0, .tail_slope = 4.5}};
+}
+
+TEST(MarginalMapCacheTest, GenerateEqualsAFreshTableBitForBit) {
+  marginal_map_cache_clear();
+  for (const auto& marginal : marginal_param_sets()) {
+    const VbrVideoSourceModel model({.marginal = marginal, .hurst = 0.8});
+    Rng rng(2024);
+    const auto full = model.generate(4096, rng, ModelVariant::kFull);
+
+    // The same core, mapped by a table built from scratch.
+    Rng core_rng(2024);
+    const auto core =
+        make_fgn_generator(GeneratorBackend::kDaviesHarte, 0.8)->generate(4096, core_rng);
+    const stats::GammaParetoDistribution dist(marginal);
+    const TabulatedMarginalMap fresh(dist);
+    EXPECT_TRUE(same_bytes(full, fresh.apply(core))) << "tail slope " << marginal.tail_slope;
+
+    // Draws beyond the table's +-8 sigma take the exact-quantile fallback.
+    const std::vector<double> extremes = {-12.0, -9.0, -8.0, -7.999, 7.999, 8.0, 8.5, 12.0};
+    const auto cached = shared_marginal_map(marginal);
+    EXPECT_TRUE(same_bytes(cached->map.apply(extremes), fresh.apply(extremes)));
+  }
+  EXPECT_EQ(marginal_map_cache_size(), marginal_param_sets().size());
+  marginal_map_cache_clear();
+}
+
+TEST(MarginalMapCacheTest, SameTripleSharesOneEntryAndClearDropsIt) {
+  marginal_map_cache_clear();
+  const auto sets = marginal_param_sets();
+  const auto a = shared_marginal_map(sets[0]);
+  const auto b = shared_marginal_map(sets[0]);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(&a->map, &b->map);
+  EXPECT_EQ(marginal_map_cache_size(), 1u);
+  EXPECT_NE(shared_marginal_map(sets[1]).get(), a.get());
+  EXPECT_EQ(marginal_map_cache_size(), 2u);
+
+  // Only the full model maps through the table.
+  marginal_map_cache_clear();
+  EXPECT_EQ(marginal_map_cache_size(), 0u);
+  const VbrVideoSourceModel model({.marginal = sets[0], .hurst = 0.8});
+  Rng rng(7);
+  (void)model.generate(256, rng, ModelVariant::kGaussianFarima);
+  (void)model.generate(256, rng, ModelVariant::kIidGammaPareto);
+  EXPECT_EQ(marginal_map_cache_size(), 0u);
+  (void)model.generate(256, rng, ModelVariant::kFull);
+  EXPECT_EQ(marginal_map_cache_size(), 1u);
+
+  // A holder keeps its entry alive across a clear; the rebuilt entry is a
+  // new object with the same bits.
+  const auto rebuilt = shared_marginal_map(sets[0]);
+  EXPECT_NE(rebuilt.get(), a.get());
+  const std::vector<double> z = {-3.0, -0.5, 0.0, 1.25, 4.0};
+  EXPECT_TRUE(same_bytes(rebuilt->map.apply(z), a->map.apply(z)));
+  marginal_map_cache_clear();
+}
+
+TEST(MarginalMapCacheTest, ConcurrentFirstUseLeavesOneEntry) {
+  marginal_map_cache_clear();
+  const stats::GammaParetoParams marginal = marginal_param_sets()[0];
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> waiting{kThreads};
+  std::vector<std::shared_ptr<const SharedMarginalMap>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i]() noexcept {
+      // Release every thread at once so their first lookups race.
+      waiting.fetch_sub(1);
+      while (waiting.load() != 0) std::this_thread::yield();
+      got[i] = shared_marginal_map(marginal);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(marginal_map_cache_size(), 1u);
+  for (const auto& entry : got) EXPECT_EQ(entry.get(), got[0].get());
+  marginal_map_cache_clear();
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // the worker frame protocol, deterministic fault injection, crash/hang/OOM
 // retry, poison quarantine, scheduling-independence of the results hash,
 // and kill/resume determinism against the VBRSWPL1 log (a resumed sweep's
-// results hash must equal an uninterrupted one's, bit for bit).
+// results hash must equal an uninterrupted one's, bit for bit), and the
+// marginal-map fill that forked workers inherit.
 #include "vbr/sweep/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -13,12 +14,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "vbr/common/error.hpp"
+#include "vbr/model/marginal_transform.hpp"
 #include "vbr/sweep/cell_eval.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
@@ -550,6 +553,40 @@ TEST(Supervisor, RetryBackoffDoesNotBlockOtherCells) {
               return a.cell_index < b.cell_index;
             });
   EXPECT_EQ(results_hash(settled), results_hash(reference));
+}
+
+TEST(Supervisor, TabulatesTheMarginalBeforeForkingWorkers) {
+  const SweepGrid grid = small_grid();
+  std::vector<std::uint64_t> cells(cell_count(grid));
+  std::iota(cells.begin(), cells.end(), std::uint64_t{0});
+  const auto settle = [&](bool isolate) {
+    SweepLimits limits;
+    limits.isolate = isolate;
+    limits.worker.deadline_seconds = 30.0;
+    std::vector<std::string> bytes;
+    settle_cells(grid, cells, limits, SweepFaultPlan{}, [&](const CellRecord& record) {
+      std::ostringstream out(std::ios::binary);
+      write_cell_record(out, record);
+      bytes.push_back(out.str());
+      return true;
+    });
+    return bytes;
+  };
+
+  model::marginal_map_cache_clear();
+  const std::vector<std::string> isolated = settle(true);
+  // Forked workers cannot write to this process's cache, so an entry here
+  // was tabulated by the parent before its first fork; looking the grid's
+  // marginal up again adds nothing, so it is that entry.
+  EXPECT_EQ(model::marginal_map_cache_size(), 1u);
+  (void)model::shared_marginal_map(cell_marginal());
+  EXPECT_EQ(model::marginal_map_cache_size(), 1u);
+
+  model::marginal_map_cache_clear();
+  const std::vector<std::string> in_process = settle(false);
+  ASSERT_EQ(isolated.size(), cells.size());
+  EXPECT_EQ(isolated, in_process);
+  model::marginal_map_cache_clear();
 }
 
 TEST(Supervisor, ResultsHashIgnoresNondeterministicDiagnostics) {
