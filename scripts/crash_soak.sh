@@ -4,9 +4,11 @@
 # Runs one uninterrupted run_campaign as the reference, then repeatedly
 # launches an identical run, SIGKILLs it at a random point inside the run
 # window, resumes from the checkpoint, and requires the resumed run's trace
-# hash and serialized sink state to be byte-identical to the reference.
-# Kill points are drawn from bash's seeded RANDOM, so a failure replays with
-# CRASH_SOAK_SEED.
+# file, trace hash and serialized sink state to be byte-identical to the
+# reference. Every other kill iteration runs --durable against the plain
+# reference (here and in --shard mode), so the fsync paths face SIGKILL and
+# --resume too. Kill points are drawn from bash's seeded RANDOM, so a
+# failure replays with CRASH_SOAK_SEED.
 #
 #   crash_soak.sh <run_campaign-binary> [kills] [threads] [sources] [frames]
 #
@@ -204,11 +206,14 @@ if [[ "${1:-}" == "--shard" ]]; then
 
   # Rerun a sharded sweep until it completes: exit 3 means injected (or
   # real) pool deaths outran the survivors and a rerun resumes from the
-  # per-shard logs. Any other nonzero exit is a hard failure.
+  # per-shard logs. Any other nonzero exit is a hard failure. DURABLE holds
+  # --durable on the kill iterations that exercise the fsync paths.
+  DURABLE=()
   run_until_complete() {
     local tries=0 rc
     while :; do
-      "$BIN" "${SHARDED[@]}" "${GRID[@]}" "$@" --quiet >/dev/null 2>&1
+      "$BIN" "${SHARDED[@]}" "${GRID[@]}" ${DURABLE[@]+"${DURABLE[@]}"} "$@" \
+        --quiet >/dev/null 2>&1
       rc=$?
       ((rc == 0)) && return 0
       ((rc != 3)) && return "$rc"
@@ -244,26 +249,29 @@ if [[ "${1:-}" == "--shard" ]]; then
   # Phase 3: SIGKILL the whole dispatcher process group (dispatcher AND all
   # its pools — a machine death) at a random instant, then rerun the same
   # command: survivors-from-disk only. Every resume must reproduce the
-  # reference hash.
+  # reference hash. Every other iteration runs --durable (killed run and
+  # resume alike), so the fsynced logs and markers must hash the same as
+  # the plain reference.
   for i in $(seq 1 "$KILLS"); do
     rm -rf "$WORK/sweep" "$WORK/run.hash"
     delay_ms=$((RANDOM % window_ms))
-    setsid "$BIN" "${SHARDED[@]}" "${GRID[@]}" --hash-out "$WORK/run.hash" \
-      --quiet >/dev/null 2>&1 &
+    if ((i % 2 == 0)); then DURABLE=(--durable); mode=durable; else DURABLE=(); mode=plain; fi
+    setsid "$BIN" "${SHARDED[@]}" "${GRID[@]}" ${DURABLE[@]+"${DURABLE[@]}"} \
+      --hash-out "$WORK/run.hash" --quiet >/dev/null 2>&1 &
     pid=$!
     sleep "$(awk "BEGIN{printf \"%.3f\", $delay_ms / 1000}")"
     if kill -9 -- "-$pid" 2>/dev/null; then outcome=killed; else outcome=completed; fi
     wait "$pid" 2>/dev/null
 
     if ! run_until_complete --hash-out "$WORK/run.hash"; then
-      note "iter $i (delay ${delay_ms}ms, $outcome): resume FAILED"
+      note "iter $i (delay ${delay_ms}ms, $mode, $outcome): resume FAILED"
       fail=1
       continue
     fi
     if cmp -s "$WORK/ref.hash" "$WORK/run.hash"; then
-      note "iter $i (delay ${delay_ms}ms, $outcome): identical"
+      note "iter $i (delay ${delay_ms}ms, $mode, $outcome): identical"
     else
-      note "iter $i (delay ${delay_ms}ms, $outcome): HASH MISMATCH"
+      note "iter $i (delay ${delay_ms}ms, $mode, $outcome): HASH MISMATCH"
       fail=1
     fi
   done
@@ -282,7 +290,7 @@ if [[ "${1:-}" == "--shard" ]]; then
   if ((fail)); then
     note "FAILED (seed ${CRASH_SOAK_SEED:-1994})" >&2
   else
-    note "2 pool kills + $KILLS dispatcher kills across $POOLS pools / $SHARDS shards: all bit-identical"
+    note "2 pool kills + $KILLS dispatcher kills (every other one durable) across $POOLS pools / $SHARDS shards: all bit-identical"
   fi
   exit $fail
 fi
@@ -446,28 +454,32 @@ window_ms=$(((t1 - t0) / 1000000))
 ((window_ms < 50)) && window_ms=50
 echo "crash_soak: reference $(cat "$WORK/ref.hash") (~${window_ms}ms, threads=$THREADS)"
 
+# Every other iteration runs --durable (killed run and resume alike) against
+# the plain reference, so the fsync paths must write the same trace bytes.
 fail=0
 for i in $(seq 1 "$KILLS"); do
   rm -f "$WORK"/run.*
   delay_ms=$((RANDOM % window_ms))
-  "$BIN" --trace "$WORK/run.bin" --checkpoint "$WORK/run.ckpt" "${common[@]}" \
+  if ((i % 2 == 0)); then run=("${common[@]}" --durable); mode=durable; else run=("${common[@]}"); mode=plain; fi
+  "$BIN" --trace "$WORK/run.bin" --checkpoint "$WORK/run.ckpt" "${run[@]}" \
     --hash-out "$WORK/run.hash" --sink-out "$WORK/run.sink" >/dev/null 2>&1 &
   pid=$!
   sleep "$(awk "BEGIN{printf \"%.3f\", $delay_ms / 1000}")"
   if kill -9 "$pid" 2>/dev/null; then outcome=killed; else outcome=completed; fi
   wait "$pid" 2>/dev/null
 
-  if ! "$BIN" --trace "$WORK/run.bin" --checkpoint "$WORK/run.ckpt" "${common[@]}" \
+  if ! "$BIN" --trace "$WORK/run.bin" --checkpoint "$WORK/run.ckpt" "${run[@]}" \
     --resume --hash-out "$WORK/run.hash" --sink-out "$WORK/run.sink" >/dev/null; then
-    echo "crash_soak: iter $i (delay ${delay_ms}ms, $outcome): resume FAILED"
+    echo "crash_soak: iter $i (delay ${delay_ms}ms, $mode, $outcome): resume FAILED"
     fail=1
     continue
   fi
   if cmp -s "$WORK/ref.hash" "$WORK/run.hash" &&
-    cmp -s "$WORK/ref.sink" "$WORK/run.sink"; then
-    echo "crash_soak: iter $i (delay ${delay_ms}ms, $outcome): identical"
+    cmp -s "$WORK/ref.sink" "$WORK/run.sink" &&
+    cmp -s "$WORK/ref.bin" "$WORK/run.bin"; then
+    echo "crash_soak: iter $i (delay ${delay_ms}ms, $mode, $outcome): identical"
   else
-    echo "crash_soak: iter $i (delay ${delay_ms}ms, $outcome): ARTIFACT MISMATCH"
+    echo "crash_soak: iter $i (delay ${delay_ms}ms, $mode, $outcome): ARTIFACT MISMATCH"
     fail=1
   fi
 done
@@ -475,6 +487,6 @@ done
 if ((fail)); then
   echo "crash_soak: FAILED (seed ${CRASH_SOAK_SEED:-1994})" >&2
 else
-  echo "crash_soak: $KILLS kills, all resumes bit-identical"
+  echo "crash_soak: $KILLS kills (every other one durable), all resumes bit-identical"
 fi
 exit $fail

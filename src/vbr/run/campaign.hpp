@@ -43,7 +43,8 @@ struct CampaignOptions {
   std::size_t checkpoint_every_sources = 16;
   /// Continue from checkpoint_path if it exists; a fresh run otherwise.
   bool resume = false;
-  /// fsync the trace at sync intervals and the checkpoint on every save.
+  /// fsync the trace (its directory at creation, the file at sync
+  /// intervals and before each save) and the checkpoint on every save.
   /// SIGKILL-safety does not need this (the kernel keeps flushed data);
   /// power-loss safety does.
   bool durable = false;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -38,21 +39,17 @@ std::string shard_file_stem(std::uint64_t shard_index) {
 }
 
 std::string read_small_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  std::ifstream in(path, std::ios::binary);  // a missing file reads as empty
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// Write a small control file (token, tmp claim). Lease files are
 /// scheduling state, not results: losing one costs a replay, never data,
-/// so plain stream writes are fine here.
+/// so they are never fsynced (DESIGN §13).
 void write_small_file(const std::filesystem::path& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.flush();
-  if (!out) throw IoError("cannot write lease file: " + path.string());
+  OutputFile file(path, OutputFile::Mode::kTruncate);
+  file.write(data);
+  file.close();
 }
 
 double lease_age_seconds(const std::filesystem::path& lease_path) {
@@ -83,15 +80,7 @@ void ensure_sweep_meta(const std::filesystem::path& sweep_dir,
                   hex16(scan.header.sweep_fingerprint) + " over " +
                   std::to_string(scan.header.shard_count) + " shards");
   }
-  // Racing pools share the witness path, so their atomic-write tmp files
-  // collide and the loser's rename can fail after the winner's rename
-  // consumed it. The bytes are a pure function of the grid, so a loss is
-  // benign iff the winner's file matches what we meant to write.
-  try {
-    write_file_atomic(meta, expected, durable);
-  } catch (const IoError&) {
-    if (read_small_file(meta) != expected) throw;
-  }
+  publish_agreed_file(meta, expected, durable);
 }
 
 std::atomic<std::uint64_t> g_claim_counter{0};
@@ -100,10 +89,8 @@ std::atomic<std::uint64_t> g_claim_counter{0};
 /// exactly what a SIGKILL mid-append leaves behind. Recovery must truncate
 /// it and lose nothing that was whole.
 void append_torn_tail(const std::filesystem::path& log_path) {
-  std::ofstream out(log_path, std::ios::binary | std::ios::app);
   const char garbage[7] = {64, 0, 0, 0, 0, 0, 0};
-  out.write(garbage, sizeof garbage);
-  out.flush();
+  OutputFile(log_path, OutputFile::Mode::kExisting).write({garbage, sizeof garbage});
 }
 
 [[noreturn]] void run_pool_child(const PoolOptions* options) {
@@ -136,6 +123,17 @@ std::filesystem::path shard_done_path(const std::filesystem::path& sweep_dir,
 std::filesystem::path shard_lease_path(const std::filesystem::path& sweep_dir,
                                        std::uint64_t shard_index) {
   return sweep_dir / "leases" / (shard_file_stem(shard_index) + ".lease");
+}
+
+void publish_agreed_file(const std::filesystem::path& path, const std::string& content,
+                         bool durable) {
+  // A loser's rename can fail after the winner's rename consumed the
+  // shared temp sibling; the winner wrote the same bytes.
+  try {
+    write_file_atomic(path, content, durable);
+  } catch (const IoError&) {
+    if (read_small_file(path) != content) throw;
+  }
 }
 
 LeaseClaim claim_lease(const std::filesystem::path& lease_path,
@@ -292,8 +290,8 @@ bool work_shard(const PoolOptions& options, const ShardWork& work,
   // Done marker before release: a shard with no lease and no marker is
   // claimable, a shard with a marker is finished — there is no ambiguous
   // state in between.
-  write_file_atomic(shard_done_path(options.sweep_dir, work.index),
-                    hex16(header.shard_fingerprint) + "\n", options.durable);
+  publish_agreed_file(shard_done_path(options.sweep_dir, work.index),
+                      hex16(header.shard_fingerprint) + "\n", options.durable);
   release_lease(lease, work.token);
   report.shards_completed += 1;
   if (work.stolen) report.shards_stolen += 1;

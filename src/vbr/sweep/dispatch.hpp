@@ -81,7 +81,8 @@ struct PoolOptions {
   SweepLimits limits;
   SweepFaultPlan faults;
   PoolFaultPlan pool_faults;
-  /// fsync log appends and lease writes.
+  /// fsync the result logs (header and every append), sweep.meta and the
+  /// .done markers. Lease files are never fsynced (DESIGN §13).
   bool durable = false;
   /// Per-record progress hook (settling order, this pool's shards only).
   std::function<void(const CellRecord&)> on_cell_settled;
@@ -148,6 +149,13 @@ bool heartbeat_lease(const std::filesystem::path& lease_path,
 /// Drop the lease iff it still carries `token`.
 void release_lease(const std::filesystem::path& lease_path,
                    const std::string& token);
+
+/// Atomically write a file every racing writer means to fill with the same
+/// `content` (sweep.meta, the .done markers). Two pools that finish one
+/// shard race on the temp sibling, so a failed write is benign iff the
+/// file on disk holds `content`; otherwise throws vbr::IoError.
+void publish_agreed_file(const std::filesystem::path& path, const std::string& content,
+                         bool durable);
 
 /// Paths inside a sweep directory (shared with the soak harness).
 std::filesystem::path shard_log_path(const std::filesystem::path& sweep_dir,

@@ -1,17 +1,10 @@
 #include "vbr/sweep/result_log.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <utility>
 
-#include "vbr/common/atomic_file.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/serialize.hpp"
 #include "vbr/run/envelope.hpp"
@@ -183,63 +176,21 @@ std::optional<ResultLogScan> recover_result_log(const std::filesystem::path& pat
   ResultLogScan scan = scan_result_log(in, path.string(), &expected);
   in.close();
   if (scan.torn_bytes > 0) {
-    std::filesystem::resize_file(path, scan.valid_bytes, ec);
-    if (ec) {
-      throw IoError(path.string() + ": cannot truncate torn result log tail: " +
-                    ec.message());
-    }
+    OutputFile(path, OutputFile::Mode::kExisting).truncate(scan.valid_bytes);
     scan.torn_bytes = 0;
   }
   return scan;
 }
 
-namespace {
-
-/// One whole frame per write(2) call: an append interrupted by SIGKILL
-/// tears only the file tail, and concurrent appenders (a healed duplicate
-/// claim) interleave at frame granularity under O_APPEND, never mid-frame.
-void write_frame(int fd, std::string_view frame, const char* what) {
-  const char* data = frame.data();
-  std::size_t left = frame.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(std::string(what) + ": result log append failed: " +
-                    std::strerror(errno));
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
-}
-
-/// A durable log promises its bytes reached the disk, so a failed fsync is
-/// an error, never a warning: the kernel may already have dropped the dirty
-/// pages, and a later fsync can succeed without ever writing them.
-void sync_or_throw(int fd, const char* what) {
-  if (::fsync(fd) != 0) {
-    throw IoError(std::string(what) + ": result log fsync failed: " +
-                  std::strerror(errno));
-  }
-}
-
-}  // namespace
-
 ResultLogWriter ResultLogWriter::create(const std::filesystem::path& path,
                                         const ResultLogHeader& header,
                                         bool durable) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    throw IoError("cannot create sweep result log: " + path.string() + ": " +
-                  std::strerror(errno));
-  }
-  ResultLogWriter writer(fd, durable);
+  ResultLogWriter writer(OutputFile(path, OutputFile::Mode::kAppend), durable);
   const std::string sealed = encode_log_header(header);
-  write_frame(fd, sealed, path.c_str());
+  writer.file_.write(sealed);
   writer.bytes_written_ = sealed.size();
   if (durable) {
-    sync_or_throw(fd, path.c_str());
+    writer.file_.sync_file();
     fsync_parent_directory(path);  // the new file's entry, not only its bytes
   }
   return writer;
@@ -249,35 +200,11 @@ ResultLogWriter ResultLogWriter::append_to(const std::filesystem::path& path,
                                            const ResultLogScan& scan,
                                            bool durable) {
   (void)scan;  // the healthy prefix is already on disk; O_APPEND continues it
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) {
-    throw IoError("cannot open sweep result log for append: " + path.string() +
-                  ": " + std::strerror(errno));
-  }
-  return ResultLogWriter(fd, durable);
+  return ResultLogWriter(OutputFile(path, OutputFile::Mode::kExisting), durable);
 }
-
-ResultLogWriter::ResultLogWriter(ResultLogWriter&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      durable_(other.durable_),
-      poisoned_(other.poisoned_),
-      bytes_written_(other.bytes_written_) {}
-
-ResultLogWriter& ResultLogWriter::operator=(ResultLogWriter&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    durable_ = other.durable_;
-    poisoned_ = other.poisoned_;
-    bytes_written_ = other.bytes_written_;
-  }
-  return *this;
-}
-
-ResultLogWriter::~ResultLogWriter() { close(); }
 
 void ResultLogWriter::append(const CellRecord& record) {
-  VBR_ENSURE(fd_ >= 0, "append to a closed sweep result log");
+  VBR_ENSURE(file_.is_open(), "append to a closed sweep result log");
   if (poisoned_) {
     throw IoError("sweep result log: an earlier append failed; the log may be torn");
   }
@@ -287,19 +214,10 @@ void ResultLogWriter::append(const CellRecord& record) {
   // Set until the frame is written (and synced, when durable): after a
   // failed write or fsync the file's tail is unknown, so nothing may follow.
   poisoned_ = true;
-  write_frame(fd_, frame, "sweep result log");
+  file_.write(frame);
   bytes_written_ += frame.size();
-  if (durable_) sync_or_throw(fd_, "sweep result log");
+  if (durable_) file_.sync_file();
   poisoned_ = false;
-}
-
-void ResultLogWriter::close() {
-  if (fd_ < 0) return;
-  // Best effort: close() also runs from the destructor, which must not
-  // throw. It needs no fsync of its own: create() and every durable append()
-  // already synced their bytes, or threw.
-  (void)::close(fd_);
-  fd_ = -1;
 }
 
 }  // namespace vbr::sweep

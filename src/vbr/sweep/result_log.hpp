@@ -32,8 +32,10 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "vbr/common/atomic_file.hpp"
 #include "vbr/sweep/cell_eval.hpp"
 
 namespace vbr::sweep {
@@ -97,10 +99,12 @@ ResultLogScan scan_result_log(std::istream& in, const std::string& name,
 std::optional<ResultLogScan> recover_result_log(const std::filesystem::path& path,
                                                 const ResultLogHeader& expected);
 
-/// Appends settled-cell records to a log file. Each append is one write(2)
-/// of one whole frame — O(record) per settled cell, never O(cells) — so an
-/// interrupted append tears only the tail. With `durable`, the header and
-/// every append are fsync'd and create() fsyncs the log's directory
+/// Appends settled-cell records to a log file through one vbr::OutputFile
+/// opened in append mode. Each append is one write(2) of one whole frame —
+/// O(record) per settled cell, never O(cells) — so an interrupted append
+/// tears only the tail, and concurrent appenders (a healed duplicate claim)
+/// interleave whole frames. With `durable`, the header and every append are
+/// fsync'd on that descriptor and create() fsyncs the log's directory
 /// (power-loss safety; SIGKILL safety needs none). A failed write or fsync
 /// throws vbr::IoError and poisons the writer: every later append throws
 /// without writing.
@@ -113,23 +117,20 @@ class ResultLogWriter {
   static ResultLogWriter append_to(const std::filesystem::path& path,
                                    const ResultLogScan& scan, bool durable);
 
-  ResultLogWriter(ResultLogWriter&& other) noexcept;
-  ResultLogWriter& operator=(ResultLogWriter&& other) noexcept;
-  ResultLogWriter(const ResultLogWriter&) = delete;
-  ResultLogWriter& operator=(const ResultLogWriter&) = delete;
-  ~ResultLogWriter();
-
   void append(const CellRecord& record);
 
   /// Bytes written through this writer (bench instrumentation).
   std::uint64_t bytes_written() const { return bytes_written_; }
 
-  void close();
+  /// Close the log; throws vbr::IoError if the close fails. Destroying an
+  /// open writer closes it quietly.
+  void close() { file_.close(); }
 
  private:
-  ResultLogWriter(int fd, bool durable) : fd_(fd), durable_(durable) {}
+  ResultLogWriter(OutputFile file, bool durable)
+      : file_(std::move(file)), durable_(durable) {}
 
-  int fd_ = -1;
+  OutputFile file_;
   bool durable_ = false;
   /// An append failed to write or sync; every later append throws.
   bool poisoned_ = false;

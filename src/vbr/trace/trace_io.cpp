@@ -13,6 +13,7 @@
 
 #include "vbr/common/error.hpp"
 #include "vbr/trace/trace_format.hpp"
+#include "vbr/trace/trace_stream.hpp"
 
 namespace vbr::trace {
 namespace {
@@ -79,19 +80,9 @@ TimeSeries read_ascii(const std::filesystem::path& path) {
 }
 
 void write_binary(const TimeSeries& series, const std::filesystem::path& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open for writing: " + path.string());
-  out.write(kMagic.data(), kMagic.size());
-  const double dt = series.dt_seconds();
-  out.write(reinterpret_cast<const char*>(&dt), sizeof dt);
-  const auto unit_len = static_cast<std::uint32_t>(series.unit().size());
-  out.write(reinterpret_cast<const char*>(&unit_len), sizeof unit_len);
-  out.write(series.unit().data(), unit_len);
-  const auto n = static_cast<std::uint64_t>(series.size());
-  out.write(reinterpret_cast<const char*>(&n), sizeof n);
-  out.write(reinterpret_cast<const char*>(series.values().data()),
-            static_cast<std::streamsize>(n * sizeof(double)));
-  if (!out) throw IoError("write failed: " + path.string());
+  ChunkedTraceWriter writer(path, series.size(), series.dt_seconds(), series.unit());
+  writer.append(series.values());
+  writer.finish();
 }
 
 TimeSeries read_binary(std::istream& in, const std::string& name) {

@@ -34,7 +34,8 @@ TimeSeries read_ascii(const std::filesystem::path& path);
 /// Parse an ASCII trace from an open stream; `name` labels error messages.
 TimeSeries read_ascii(std::istream& in, const std::string& name);
 
-/// Write a trace in the library's binary format (magic, dt, n, doubles).
+/// Write a trace in the library's binary format through ChunkedTraceWriter,
+/// which throws vbr::IoError on samples a reader would reject.
 void write_binary(const TimeSeries& series, const std::filesystem::path& path);
 
 /// Read a binary trace written by write_binary(). Throws vbr::IoError on a

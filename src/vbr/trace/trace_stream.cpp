@@ -5,13 +5,8 @@
 #include <istream>
 #include <limits>
 #include <sstream>
-#include <system_error>
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
+#include "vbr/common/atomic_file.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/trace/trace_format.hpp"
 
@@ -140,6 +135,13 @@ std::size_t ChunkedTraceReader::read(std::span<double> out) {
   return got;
 }
 
+void ChunkedTraceWriter::put(const void* data, std::size_t size) {
+  const auto n = static_cast<std::streamsize>(size);
+  if (sink().sputn(static_cast<const char*>(data), n) != n) {
+    throw IoError("write failed: " + path_);
+  }
+}
+
 void ChunkedTraceWriter::write_header(double dt_seconds, const std::string& unit) {
   if (!(dt_seconds > 0.0) || !std::isfinite(dt_seconds)) {
     throw IoError(path_ + ": refusing to write non-positive dt_seconds");
@@ -147,13 +149,12 @@ void ChunkedTraceWriter::write_header(double dt_seconds, const std::string& unit
   if (unit.size() > detail::kMaxUnitLength) {
     throw IoError(path_ + ": unit string too long");
   }
-  out_->write(detail::kBinaryMagic.data(), detail::kBinaryMagic.size());
-  out_->write(reinterpret_cast<const char*>(&dt_seconds), sizeof dt_seconds);
   const auto unit_len = static_cast<std::uint32_t>(unit.size());
-  out_->write(reinterpret_cast<const char*>(&unit_len), sizeof unit_len);
-  out_->write(unit.data(), unit_len);
-  out_->write(reinterpret_cast<const char*>(&declared_), sizeof declared_);
-  if (!*out_) throw IoError("write failed: " + path_);
+  put(detail::kBinaryMagic.data(), detail::kBinaryMagic.size());
+  put(&dt_seconds, sizeof dt_seconds);
+  put(&unit_len, sizeof unit_len);
+  put(unit.data(), unit_len);
+  put(&declared_, sizeof declared_);
   header_bytes_ = detail::kBinaryMagic.size() + sizeof dt_seconds + sizeof unit_len +
                   unit.size() + sizeof declared_;
 }
@@ -162,13 +163,13 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::filesystem::path& path,
                                        std::uint64_t total_samples, double dt_seconds,
                                        const std::string& unit,
                                        const TraceWriterOptions& options)
-    : file_(std::make_unique<std::fstream>(
-          path, std::ios::binary | std::ios::out | std::ios::trunc)),
-      out_(file_.get()),
+    : file_(path, OutputFile::Mode::kTruncate),
       path_(path.string()),
       options_(options),
       declared_(total_samples) {
-  if (!*file_) throw IoError("cannot open for writing: " + path_);
+  // The new entry must outlive a power loss too, or a checkpoint in another
+  // directory could claim samples of a trace that no longer exists.
+  if (options_.durable) fsync_parent_directory(path);
   write_header(dt_seconds, unit);
   next_sync_ = options_.sync_every_samples;
 }
@@ -176,7 +177,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::filesystem::path& path,
 ChunkedTraceWriter::ChunkedTraceWriter(std::ostream& out, std::string name,
                                        std::uint64_t total_samples, double dt_seconds,
                                        const std::string& unit)
-    : out_(&out), path_(std::move(name)), declared_(total_samples) {
+    : out_(out.rdbuf()), path_(std::move(name)), declared_(total_samples) {
   write_header(dt_seconds, unit);
 }
 
@@ -203,24 +204,16 @@ ChunkedTraceWriter::ChunkedTraceWriter(ResumeTag, const std::filesystem::path& p
     throw IoError(path_ + ": checkpoint claims more samples than declared");
   }
   const std::uint64_t keep = info.header_bytes + 8 * samples_written;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) throw IoError(path_ + ": cannot stat for resume: " + ec.message());
-  if (size < keep) {
+  file_ = OutputFile(path, OutputFile::Mode::kExisting);  // opened at its end
+  const std::streamoff size = file_.pubseekoff(0, std::ios_base::cur, std::ios_base::out);
+  if (static_cast<std::uint64_t>(size) < keep) {
     throw IoError(path_ + ": file holds " + std::to_string(size) +
                   " bytes, fewer than the " + std::to_string(keep) +
                   " the checkpoint recorded as durable");
   }
-  // Discard the torn tail a mid-append crash may have left, then continue
-  // appending from the last checkpointed sample.
-  if (size > keep) {
-    std::filesystem::resize_file(path, keep, ec);
-    if (ec) throw IoError(path_ + ": cannot truncate torn tail: " + ec.message());
-  }
-  file_ = std::make_unique<std::fstream>(
-      path, std::ios::binary | std::ios::in | std::ios::out | std::ios::ate);
-  if (!*file_) throw IoError("cannot reopen for resume: " + path_);
-  out_ = file_.get();
+  // Discard the torn tail a mid-append crash may have left; appends then
+  // continue from the last checkpointed sample at the file's end.
+  if (static_cast<std::uint64_t>(size) > keep) file_.truncate(keep);
   written_ = samples_written;
   header_bytes_ = info.header_bytes;
   next_sync_ = written_ + options_.sync_every_samples;
@@ -233,27 +226,9 @@ ChunkedTraceWriter ChunkedTraceWriter::resume(const std::filesystem::path& path,
   return ChunkedTraceWriter(ResumeTag{}, path, total_samples, samples_written, options);
 }
 
-ChunkedTraceWriter::~ChunkedTraceWriter() {
-  // Destruction without finish() (e.g. during exception unwinding) just
-  // closes the file; the truncated result fails read_binary()'s count check.
-}
-
-void ChunkedTraceWriter::sync_to_disk() {
-#ifdef __unix__
-  const int fd = ::open(path_.c_str(), O_WRONLY);
-  if (fd < 0) throw IoError(path_ + ": cannot open for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) throw IoError(path_ + ": fsync failed");
-#endif
-}
-
 void ChunkedTraceWriter::maybe_sync() {
-  if (!options_.durable || file_ == nullptr) return;
-  if (written_ < next_sync_) return;
-  out_->flush();
-  if (!*out_) throw IoError("flush failed: " + path_);
-  sync_to_disk();
+  if (!options_.durable || written_ < next_sync_) return;
+  file_.sync_file();
   while (next_sync_ <= written_) next_sync_ += options_.sync_every_samples;
 }
 
@@ -265,18 +240,15 @@ void ChunkedTraceWriter::append(std::span<const double> samples) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     detail::validate_sample(samples[i], path_, written_ + i);
   }
-  out_->write(reinterpret_cast<const char*>(samples.data()),
-              static_cast<std::streamsize>(samples.size() * sizeof(double)));
-  if (!*out_) throw IoError("write failed: " + path_);
+  put(samples.data(), samples.size() * sizeof(double));
   written_ += samples.size();
   maybe_sync();
 }
 
 void ChunkedTraceWriter::flush() {
   if (finished_) return;
-  out_->flush();
-  if (!*out_) throw IoError("flush failed: " + path_);
-  if (options_.durable && file_ != nullptr) sync_to_disk();
+  if (sink().pubsync() != 0) throw IoError("flush failed: " + path_);
+  if (options_.durable) file_.sync_file();
 }
 
 void ChunkedTraceWriter::finish() {
@@ -285,19 +257,17 @@ void ChunkedTraceWriter::finish() {
     throw IoError(path_ + ": finish() after " + std::to_string(written_) +
                   " of " + std::to_string(declared_) + " declared samples");
   }
-  out_->flush();
-  if (!*out_) throw IoError("write failed: " + path_);
+  flush();
   // A stream can report success while the sink absorbed fewer bytes than
   // asked (full disk, faulty filter buffer). The put position is the ground
   // truth for how much the stream actually holds.
-  const auto pos = out_->tellp();
+  const auto pos = sink().pubseekoff(0, std::ios_base::cur, std::ios_base::out);
   const auto expected = static_cast<std::streamoff>(header_bytes_ + 8 * declared_);
   if (pos >= 0 && pos != expected) {
     throw IoError(path_ + ": short write: stream holds " + std::to_string(pos) +
                   " bytes, expected " + std::to_string(expected));
   }
-  if (options_.durable && file_ != nullptr) sync_to_disk();
-  if (file_ != nullptr) file_->close();
+  file_.close();  // a no-op for a caller-owned stream
   finished_ = true;
 }
 

@@ -20,6 +20,8 @@
 #include <span>
 #include <string>
 
+#include "vbr/common/atomic_file.hpp"
+
 namespace vbr::trace {
 
 /// Header metadata available before any samples are read.
@@ -74,11 +76,12 @@ class ChunkedTraceReader {
 
 /// Durability knobs for ChunkedTraceWriter.
 struct TraceWriterOptions {
-  /// When true, the writer fsyncs the file every `sync_every_samples`
-  /// appended samples and again at finish(), so a crash loses at most one
-  /// sync window instead of everything the OS still had buffered. Off by
-  /// default: the paper-scale single-run tools don't need power-loss
-  /// guarantees, and fsync costs real throughput.
+  /// When true, a fresh trace's directory is fsynced at creation, and the
+  /// file every `sync_every_samples` appended samples, at flush() and at
+  /// finish(), so a power loss loses at most one sync window instead of
+  /// everything the OS still had buffered. Off by default: the paper-scale
+  /// single-run tools don't need power-loss guarantees, and fsync costs
+  /// real throughput.
   bool durable = false;
   std::uint64_t sync_every_samples = 65536;
 };
@@ -86,24 +89,26 @@ struct TraceWriterOptions {
 /// Incremental writer for the binary trace format. The header carries the
 /// total sample count, so the count must be declared up front; append() in
 /// any block sizes, then finish() (which verifies the declared count was
-/// delivered — including that the underlying stream really absorbed every
-/// byte, so short writes from a full disk surface as IoError, not silent
-/// truncation). The result is read_binary()/ChunkedTraceReader-compatible.
+/// delivered — including that the sink really absorbed every byte). A trace
+/// file is written through one vbr::OutputFile: each append is one
+/// unbuffered write, and fsync runs on that descriptor, so a full disk
+/// surfaces as IoError at the append that hit it. The result is
+/// read_binary()/ChunkedTraceReader-compatible.
 class ChunkedTraceWriter {
  public:
   ChunkedTraceWriter(const std::filesystem::path& path, std::uint64_t total_samples,
                      double dt_seconds, const std::string& unit = "bytes/frame",
                      const TraceWriterOptions& options = {});
 
-  /// Write into a caller-owned stream (tests and fault injection); `name`
-  /// labels errors and the stream must outlive the writer. Durability
-  /// options are ignored — there is no file to fsync.
+  /// Write into a caller-owned stream's buffer (tests and fault injection);
+  /// `name` labels errors and the buffer must outlive the writer. There is
+  /// no file to fsync, so the writer is never durable.
   ChunkedTraceWriter(std::ostream& out, std::string name, std::uint64_t total_samples,
                      double dt_seconds, const std::string& unit = "bytes/frame");
 
   /// Reopen a partially written trace and continue after sample
   /// `samples_written`. Validates the existing header (declared count,
-  /// readable metadata) and truncates the file back to exactly
+  /// readable metadata) and truncates the open file back to exactly
   /// header + 8 * samples_written bytes, discarding any torn tail a crash
   /// left behind. Throws vbr::IoError if the file is shorter than that, or
   /// the header disagrees with `total_samples`.
@@ -112,24 +117,22 @@ class ChunkedTraceWriter {
                                    std::uint64_t samples_written,
                                    const TraceWriterOptions& options = {});
 
-  ~ChunkedTraceWriter();
-
   ChunkedTraceWriter(ChunkedTraceWriter&&) = default;
-  ChunkedTraceWriter(const ChunkedTraceWriter&) = delete;
-  ChunkedTraceWriter& operator=(const ChunkedTraceWriter&) = delete;
 
   /// Append validated samples; throws vbr::IoError if the declared total
   /// would be exceeded or a sample is negative/non-finite.
   void append(std::span<const double> samples);
 
-  /// Push everything buffered so far to the OS (and to the platter when
-  /// durable). The campaign runner calls this before persisting a checkpoint
-  /// so the checkpoint never claims samples a crash could still lose.
+  /// Push everything written so far to the platter when durable (a trace
+  /// file is unbuffered, so the OS already holds it). The campaign runner
+  /// calls this before persisting a checkpoint so the checkpoint never
+  /// claims samples a crash could still lose.
   void flush();
 
-  /// Flush and close; throws vbr::IoError if fewer samples than declared
-  /// were appended, the final flush fails, or the stream position shows the
-  /// file is shorter than the declared payload (short write). Idempotent.
+  /// Sync (when durable) and close; throws vbr::IoError if fewer samples
+  /// than declared were appended, the sync or close fails, or the put
+  /// position shows the sink holds less than the declared payload (short
+  /// write). Idempotent.
   void finish();
 
   std::uint64_t written() const { return written_; }
@@ -141,11 +144,12 @@ class ChunkedTraceWriter {
                      std::uint64_t total_samples, std::uint64_t samples_written,
                      const TraceWriterOptions& options);
   void write_header(double dt_seconds, const std::string& unit);
-  void sync_to_disk();
+  void put(const void* data, std::size_t size);
   void maybe_sync();
+  std::streambuf& sink() { return out_ != nullptr ? *out_ : file_; }
 
-  std::unique_ptr<std::fstream> file_;  ///< owned when constructed from a path
-  std::ostream* out_ = nullptr;
+  OutputFile file_;                ///< the trace file when constructed from a path
+  std::streambuf* out_ = nullptr;  ///< the caller-owned stream's buffer otherwise
   std::string path_;
   TraceWriterOptions options_;
   std::uint64_t declared_ = 0;

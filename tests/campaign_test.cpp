@@ -366,6 +366,20 @@ TEST(TraceWriterResumeTest, RejectsFilesShorterThanTheCheckpointClaims) {
   std::filesystem::remove(path);
 }
 
+TEST(TraceWriterResumeTest, ResumingACompleteTraceFinishesWithoutAppending) {
+  // A run killed after its last append resumes with nothing left to write;
+  // finish() must still see the whole payload on disk.
+  const auto path =
+      std::filesystem::temp_directory_path() / "vbr_resume_complete.trace";
+  {
+    trace::ChunkedTraceWriter writer(path, 8, 1.0 / 24.0);
+    writer.append(std::vector<double>(8, 3.0));
+  }  // destroyed unfinished, every sample on disk
+  auto writer = trace::ChunkedTraceWriter::resume(path, 8, 8);
+  EXPECT_NO_THROW(writer.finish());
+  std::filesystem::remove(path);
+}
+
 TEST(TraceWriterDurabilityTest, DurableWriterProducesIdenticalBytes) {
   const auto plain_path =
       std::filesystem::temp_directory_path() / "vbr_durable_a.trace";
@@ -393,6 +407,17 @@ TEST(TraceWriterDurabilityTest, DurableWriterProducesIdenticalBytes) {
   EXPECT_EQ(bytes_a, bytes_b);
   std::filesystem::remove(plain_path);
   std::filesystem::remove(durable_path);
+}
+
+TEST(TraceWriterDurabilityTest, FailedFsyncThrowsFromFlush) {
+  // fsync(2) on /dev/null fails with EINVAL, a stand-in for a disk that
+  // refuses a flush: a durable trace must report it, not carry on.
+  trace::TraceWriterOptions durable_options;
+  durable_options.durable = true;
+  trace::ChunkedTraceWriter writer("/dev/null", 8, 1.0 / 24.0, "bytes/frame",
+                                   durable_options);
+  writer.append(std::vector<double>(4, 1.0));
+  EXPECT_THROW(writer.flush(), vbr::IoError);
 }
 
 }  // namespace

@@ -121,6 +121,19 @@ TEST(AtomicFileTest, ReplacesContentAtomically) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "second");
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+  // A stream-form fill that throws halfway leaves the destination and no
+  // temp sibling behind.
+  EXPECT_THROW(write_file_atomic(path,
+                                 [](std::ostream& out) {
+                                   out << "third, torn";
+                                   throw IoError("fill failed");
+                                 }),
+               vbr::IoError);
+  std::ifstream again(path);
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(again)),
+                        std::istreambuf_iterator<char>()),
+            "second");
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
   std::filesystem::remove(path);
 }
 
@@ -142,6 +155,52 @@ TEST(AtomicFileTest, DurableWriteSyncsTheDirectory) {
   // A bare file name lives in the working directory.
   EXPECT_NO_THROW(fsync_parent_directory("bare_name.txt"));
   EXPECT_THROW(fsync_parent_directory(dir / "vbr_no_such_dir" / "file.txt"), vbr::IoError);
+}
+
+TEST(OutputFileTest, ModesSeeksAndCheckedErrors) {
+  const auto path = std::filesystem::temp_directory_path() / "vbr_output_file_test.bin";
+  const auto read_all = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  {
+    // Truncate mode writes at the offset, so a stream over it can patch.
+    OutputFile file(path, OutputFile::Mode::kTruncate);
+    std::ostream out(&file);
+    out << "xxxx-body";
+    EXPECT_EQ(out.tellp(), std::streampos(9));
+    out.seekp(0);
+    out << "head";
+    EXPECT_TRUE(out.good());
+    file.close();
+    EXPECT_FALSE(file.is_open());
+  }
+  EXPECT_EQ(read_all(), "head-body");
+  {
+    // Existing mode keeps the bytes and appends after a truncation.
+    OutputFile file(path, OutputFile::Mode::kExisting);
+    file.truncate(4);
+    file.write("+tail");
+    file.close();
+  }
+  EXPECT_EQ(read_all(), "head+tail");
+  {
+    // Append mode empties the file, then every write lands at its end.
+    OutputFile file(path, OutputFile::Mode::kAppend);
+    OutputFile moved = std::move(file);
+    moved.write("a");
+    moved.write("b");
+    moved.close();
+  }
+  EXPECT_EQ(read_all(), "ab");
+  std::filesystem::remove(path);
+  EXPECT_THROW({ OutputFile missing(path, OutputFile::Mode::kExisting); }, vbr::IoError);
+  // fsync(2) on /dev/null fails with EINVAL, a stand-in for a disk that
+  // refuses a flush.
+  OutputFile null_file("/dev/null", OutputFile::Mode::kTruncate);
+  null_file.write("bytes");
+  EXPECT_THROW(null_file.sync_file(), vbr::IoError);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,17 @@
 // claims must all end at the single-pool fault-free results hash.
 #include "vbr/sweep/dispatch.hpp"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "vbr/common/error.hpp"
 #include "vbr/sweep/supervisor.hpp"
@@ -110,6 +115,57 @@ TEST(Lease, DuplicateClaimFaultIgnoresFreshness) {
   EXPECT_EQ(claim_lease(lease, "rogue", 30.0, true, /*ignore_fresh=*/true),
             LeaseClaim::kStolen);
   EXPECT_FALSE(heartbeat_lease(lease, "owner"));
+}
+
+// ---------------------------------------------------------------------------
+// Agreed files: the .done marker race
+
+/// One racing pool's side: publish the marker 300 times, then exit with
+/// the number of calls that threw.
+[[noreturn]] void publish_in_child(const std::filesystem::path& path,
+                                   const std::string& content, bool durable) {
+  int throws = 0;
+  for (int round = 0; round < 300; ++round) {
+    try {
+      publish_agreed_file(path, content, durable);
+    } catch (const IoError&) {
+      ++throws;
+    }
+  }
+  ::_exit(std::min(throws, 255));
+}
+
+TEST(AgreedFile, RacingPublishersNeverThrow) {
+  // Two pools that finish one shard (a duplicate claim, a stale-lease race)
+  // both publish its .done marker through the same temp sibling, so one
+  // rename can find the sibling already consumed by the other.
+  TempDir dir("agreed");
+  const auto marker = dir.path() / "shard_0000.done";
+  const std::string content = "0123456789abcdef\n";
+  for (const bool durable : {false, true}) {
+    std::vector<pid_t> pids;
+    for (int pool = 0; pool < 2; ++pool) {
+      // NOLINTNEXTLINE(vbr-fork-safety): the test stands in for two pool processes; gtest is single-threaded here and the child only publishes, then _exits.
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) publish_in_child(marker, content, durable);
+      pids.push_back(pid);
+    }
+    for (const pid_t pid : pids) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      ASSERT_TRUE(WIFEXITED(status));
+      EXPECT_EQ(WEXITSTATUS(status), 0) << "calls that threw, durable=" << durable;
+    }
+    std::ifstream in(marker, std::ios::binary);
+    EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>()),
+              content);
+  }
+  // A failure that leaves the file without the bytes still throws.
+  EXPECT_THROW(publish_agreed_file(dir.path() / "missing" / "shard_0001.done", content,
+                                   false),
+               IoError);
 }
 
 // ---------------------------------------------------------------------------

@@ -150,6 +150,27 @@ void rule_isa_dispatch(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// R8 durable-io
+// ---------------------------------------------------------------------------
+
+/// Bytes reach the disk through vbr::OutputFile, whose sync_file() fsyncs
+/// the descriptor that wrote them. An fsync elsewhere in the library would
+/// be a second durability path, free to sync a descriptor reopened by path
+/// or to drop a close error.
+void rule_durable_io(const SourceFile& f, std::vector<Finding>& out) {
+  const std::string& p = f.rel_path();
+  if (!under(p, "src") || p == "src/vbr/common/atomic_file.cpp") return;
+  const Toks& t = f.tokens();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if ((is_ident(t[i], "fsync") || is_ident(t[i], "fdatasync")) && is_call(t, i)) {
+      report(out, f, t[i].line, "vbr-durable-io",
+             "fsync outside src/vbr/common/atomic_file.cpp; sync through "
+             "vbr::OutputFile or fsync_parent_directory");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // R3 no-mutable-static
 // ---------------------------------------------------------------------------
 
@@ -1054,6 +1075,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"vbr-isa-dispatch", "R7",
        "__builtin_cpu_supports and target()/target_clones attributes appear "
        "only in src/vbr/service/streaming_hosking.cpp"},
+      {"vbr-durable-io", "R8",
+       "fsync and fdatasync appear under src/ only in "
+       "src/vbr/common/atomic_file.cpp"},
       {"vbr-suppression", "meta",
        "NOLINT(vbr-*) markers must name known rules and carry a "
        "justification"},
@@ -1090,6 +1114,7 @@ void run_rules(const std::vector<SourceFile>& files,
     rule_pragma_once(f, findings);
     rule_atomic_artifacts(f, findings);
     rule_isa_dispatch(f, findings);
+    rule_durable_io(f, findings);
     rule_fork_safety_blocks(f, fork_scan, findings);
     rule_rng_discipline(f, findings);
     rule_thread_boundary(f, findings);
