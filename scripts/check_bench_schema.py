@@ -47,6 +47,29 @@ def check_hash(obj, key, ctx=""):
     return v
 
 
+# The scaling gate: on a host with at least four hardware threads, four
+# workers must generate a recorded-scale run (16 sources of 2^17 frames or
+# more) at least 3x faster than one. Below four hardware threads a 4-thread
+# row measures contention, not scaling; below the recorded scale (CI's smoke
+# run of 4 x 8192 frames) it measures thread start-up.
+SCALING_MIN_HARDWARE = 4
+SCALING_MIN_FRAMES = 16 * 131072
+SCALING_MIN_SPEEDUP = 3.0
+
+
+def check_engine_thread_scaling(doc, results):
+    if doc["hardware_concurrency"] < SCALING_MIN_HARDWARE:
+        return
+    if doc["sources"] * doc["frames_per_source"] < SCALING_MIN_FRAMES:
+        return
+    require(results[0]["threads"] == 1, "the first row must be the 1-thread baseline")
+    four = [row for row in results if row["threads"] == 4]
+    require(four, "no 4-thread row on a host with >= 4 hardware threads")
+    require(four[0]["speedup_vs_first"] >= SCALING_MIN_SPEEDUP,
+            f"4-thread speedup {four[0]['speedup_vs_first']} below "
+            f"{SCALING_MIN_SPEEDUP} on {doc['hardware_concurrency']} hardware threads")
+
+
 def check_engine_scaling(doc):
     """BENCH_engine_scaling.json: thread-scaling + determinism witness."""
     require(doc.get("contracts") in ("on", "off"), "contracts must be on/off")
@@ -71,6 +94,7 @@ def check_engine_scaling(doc):
     require(doc["bit_identical_across_thread_counts"],
             "recorded run was not bit-identical across thread counts")
     require(len(hashes) == 1, "trace hashes differ across thread counts")
+    check_engine_thread_scaling(doc, results)
     ck = doc.get("checkpoint_overhead")
     require(isinstance(ck, dict), "missing 'checkpoint_overhead' object")
     check_number(ck, "plain_seconds", lo=0.0)

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numbers>
 
 #include "vbr/common/error.hpp"
@@ -56,7 +59,7 @@ constexpr std::size_t kTwiddleSlice = 256;
 // product chain whose exact rounding the pinned Davies-Harte traces depend
 // on. The chain runs once per stage, a slice of kTwiddleSlice values at a
 // time, and every block of the stage reads each slice from the table.
-void fft_radix2(std::vector<Complex>& data, int sign) {
+void fft_radix2(std::span<Complex> data, int sign) {
   const std::size_t n = data.size();
   // Bit-reversal permutation.
   for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -93,7 +96,7 @@ void fft_radix2(std::vector<Complex>& data, int sign) {
 }
 
 // Bluestein's chirp-z transform for arbitrary n.
-void fft_bluestein(std::vector<Complex>& a, int sign) {
+void fft_bluestein(std::span<Complex> a, int sign) {
   const std::size_t n = a.size();
   const std::size_t m = next_power_of_two(2 * n + 1);
 
@@ -125,7 +128,7 @@ void fft_bluestein(std::vector<Complex>& a, int sign) {
   for (std::size_t j = 0; j < n; ++j) a[j] = x[j] * scale * chirp[j];
 }
 
-void transform(std::vector<Complex>& a, int sign) {
+void transform(std::span<Complex> a, int sign) {
   const std::size_t n = a.size();
   VBR_ENSURE(n >= 1, "fft requires a non-empty sequence");
   if (n == 1) return;
@@ -136,7 +139,55 @@ void transform(std::vector<Complex>& a, int sign) {
   }
 }
 
+// exp(+2 pi i k / n) for k = 0..n/2: the real-FFT unpack twiddles, which
+// irfft() reads as is and rfft() conjugated. Each entry is the value the
+// per-bin loops used to compute, Complex(cos(angle), sin(angle)) with the
+// same angle expression; rfft()'s angle was the exact negation, and cos and
+// sin are even and odd bit for bit, so conjugation reproduces it.
+using UnpackTable = std::shared_ptr<const std::vector<Complex>>;
+
+struct UnpackCache {
+  std::mutex mutex;
+  std::map<std::size_t, UnpackTable> entries;
+};
+
+UnpackCache& unpack_cache() {
+  static UnpackCache cache;
+  return cache;
+}
+
+UnpackTable unpack_table(std::size_t n) {
+  auto& cache = unpack_cache();
+  {
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    const auto it = cache.entries.find(n);
+    if (it != cache.entries.end()) return it->second;
+  }
+  // Fill outside the lock; a racing duplicate is identical and the first
+  // insert wins.
+  auto table = std::make_shared<std::vector<Complex>>(n / 2 + 1);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    (*table)[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.entries.emplace(n, std::move(table)).first->second;
+}
+
 }  // namespace
+
+std::size_t unpack_table_cache_size() {
+  auto& cache = unpack_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.entries.size();
+}
+
+void unpack_table_cache_clear() {
+  auto& cache = unpack_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  cache.entries.clear();
+}
 
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
@@ -178,65 +229,79 @@ std::vector<Complex> rfft(const std::vector<double>& data) {
   // z[j] = x[2j] + i x[2j+1]. With E/O the length-L DFTs of the even/odd
   // subsequences, Z[k] = E[k] + i O[k] and (x real) conj(Z[L-k]) =
   // E[k] - i O[k], so one length-L FFT recovers both, and
-  // X[k] = E[k] + e^{-2 pi i k / n} O[k].
+  // X[k] = E[k] + e^{-2 pi i k / n} O[k]. Z is L-periodic (Z[L] = Z[0]);
+  // it is transformed and unpacked inside the output buffer.
   const std::size_t L = n / 2;
-  std::vector<Complex> z(L);
-  for (std::size_t j = 0; j < L; ++j) z[j] = Complex(data[2 * j], data[2 * j + 1]);
-  fft(z);
-
   std::vector<Complex> out(half);
-  for (std::size_t k = 0; k <= L; ++k) {
-    const Complex zk = z[k % L];  // Z is L-periodic: Z[L] = Z[0]
-    const Complex zc = std::conj(z[(L - k) % L]);
+  for (std::size_t j = 0; j < L; ++j) out[j] = Complex(data[2 * j], data[2 * j + 1]);
+  transform(std::span<Complex>(out).first(L), -1);
+
+  const auto table = unpack_table(n);
+  const Complex* const w = table->data();
+  const auto unpack = [w](Complex zk, Complex zl, std::size_t k) {
+    const Complex zc = std::conj(zl);
     const Complex even = 0.5 * (zk + zc);
     const Complex odd = Complex(0.0, -0.5) * (zk - zc);  // (Z[k] - conj(Z[L-k])) / 2i
-    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    out[k] = even + Complex(std::cos(angle), std::sin(angle)) * odd;
-  }
+    return even + std::conj(w[k]) * odd;
+  };
+  const Complex z0 = out[0];
+  out[L] = z0;
+  detail::pack_pairs_in_place(out, L, unpack);
+  out[L] = unpack(z0, z0, L);
   return out;
 }
 
 std::vector<double> irfft(const std::vector<Complex>& spectrum, std::size_t n) {
+  std::vector<Complex> packed(spectrum);
+  std::vector<double> out(n);
+  irfft(packed, n, out);
+  return out;
+}
+
+void irfft(std::span<Complex> spectrum, std::size_t n, std::span<double> out, double scale) {
   VBR_ENSURE(n >= 1, "irfft requires n >= 1");
   VBR_ENSURE(spectrum.size() == n / 2 + 1,
              "irfft spectrum must hold exactly floor(n/2) + 1 coefficients");
-  if (n == 1) return {spectrum[0].real()};
+  VBR_ENSURE(out.size() <= n, "irfft writes at most n samples");
+  if (out.empty()) return;
+  if (n == 1) {
+    out[0] = spectrum[0].real() * scale;
+    return;
+  }
   if (n % 2 != 0) {
     // Rebuild the conjugate-symmetric full spectrum and invert directly.
     std::vector<Complex> full(n);
     for (std::size_t k = 0; k < spectrum.size(); ++k) full[k] = spectrum[k];
     for (std::size_t k = 1; k < spectrum.size(); ++k) full[n - k] = std::conj(spectrum[k]);
     ifft(full);
-    std::vector<double> out(n);
-    for (std::size_t j = 0; j < n; ++j) out[j] = full[j].real();
-    return out;
+    for (std::size_t j = 0; j < out.size(); ++j) out[j] = full[j].real() * scale;
+    return;
   }
 
   // Invert the half-length packing of rfft(): from X[k] = E[k] + W^k O[k]
   // and conj(X[L-k]) = E[k] - W^k O[k] (W = e^{-2 pi i / n}), recover
-  // Z[k] = E[k] + i O[k]; one length-L inverse FFT then yields the
-  // interleaved samples z[j] = x[2j] + i x[2j+1]. The 1/L normalization of
-  // ifft() is exactly the 1/n of the full inverse applied subsequence-wise.
+  // Z[k] = E[k] + i O[k] in place of X[k]; one length-L inverse FFT then
+  // yields the interleaved samples z[j] = x[2j] + i x[2j+1]. The 1/L
+  // normalization of ifft() is exactly the 1/n of the full inverse applied
+  // subsequence-wise.
   const std::size_t L = n / 2;
-  std::vector<Complex> z(L);
-  for (std::size_t k = 0; k < L; ++k) {
-    const Complex xk = spectrum[k];
-    const Complex xc = std::conj(spectrum[L - k]);
+  const auto table = unpack_table(n);
+  const Complex* const w = table->data();
+  detail::pack_pairs_in_place(spectrum, L, [w](Complex xk, Complex xl, std::size_t k) {
+    const Complex xc = std::conj(xl);
     const Complex even = 0.5 * (xk + xc);
-    const Complex odd_twiddled = 0.5 * (xk - xc);  // = W^k O[k]
-    const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    const Complex odd = Complex(std::cos(angle), std::sin(angle)) * odd_twiddled;
-    z[k] = even + Complex(0.0, 1.0) * odd;
+    const Complex odd = w[k] * (0.5 * (xk - xc));  // W^-k (W^k O[k])
+    return even + Complex(0.0, 1.0) * odd;
+  });
+  const std::span<Complex> z = spectrum.first(L);
+  transform(z, +1);
+  const double inv_l = 1.0 / static_cast<double>(L);
+  for (std::size_t j = 0; 2 * j < out.size(); ++j) {
+    Complex v = z[j];
+    v *= inv_l;  // ifft()'s normalization, rounded as it rounds
+    out[2 * j] = v.real() * scale;
+    if (2 * j + 1 < out.size()) out[2 * j + 1] = v.imag() * scale;
   }
-  ifft(z);
-  std::vector<double> out(n);
-  for (std::size_t j = 0; j < L; ++j) {
-    out[2 * j] = z[j].real();
-    out[2 * j + 1] = z[j].imag();
-  }
-  return out;
 }
 
 }  // namespace vbr

@@ -4,10 +4,16 @@
 // lengths go through Bluestein's chirp-z algorithm (which reduces to three
 // power-of-two FFTs). This supports the periodogram of the 171,000-frame
 // trace, FFT-based autocorrelation, and the Davies-Harte fGn generator.
+//
+// The real transforms run at half length and read their unpack twiddles
+// from one table per even length, cached process-wide; the span form of
+// irfft() works in the caller's spectrum buffer, so a generator that keeps
+// that buffer (model/workspace.hpp) transforms with no allocation at all.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace vbr {
@@ -33,12 +39,51 @@ std::vector<std::complex<double>> rfft(const std::vector<double>& data);
 /// floor(n/2) + 1 leading DFT coefficients. The spectrum is assumed
 /// conjugate-symmetric (X[0] — and X[n/2] for even n — should be real;
 /// imaginary parts there are ignored). Normalized by 1/n like ifft().
+/// A thin wrapper over the span form below.
 std::vector<double> irfft(const std::vector<std::complex<double>>& spectrum, std::size_t n);
+
+/// irfft() in the caller's memory: writes the first out.size() <= n samples,
+/// each multiplied by `scale` after the 1/n normalization (two roundings, as
+/// irfft() followed by a separate scaling pass). For even n the half-length
+/// sequence is packed into `spectrum` itself and transformed in place, so
+/// the spectrum is clobbered and nothing is allocated once the unpack table
+/// for n is cached; odd n allocates a full-length scratch.
+void irfft(std::span<std::complex<double>> spectrum, std::size_t n, std::span<double> out,
+           double scale = 1.0);
+
+/// Number of cached unpack-twiddle tables. rfft() and irfft() of an even
+/// length n share one table of exp(+2 pi i k / n), k <= n/2, built on first
+/// use with the angle expression the per-bin loops always evaluated, so the
+/// cache changes no bit. Process-wide and thread-safe.
+std::size_t unpack_table_cache_size();
+
+/// Drop every cached unpack table (a cold Davies-Harte generation clears it
+/// through davies_harte_cache_clear()).
+void unpack_table_cache_clear();
 
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_power_of_two(std::size_t n);
 
 /// True iff n is a power of two (n >= 1).
 bool is_power_of_two(std::size_t n);
+
+namespace detail {
+
+/// Rewrite x[0..L) in place as x[k] <- f(x[k], x[L - k], k), reading both
+/// members of each pair (k, L - k) before writing either; x[L] is read for
+/// k = 0 and never written. The half-length real-FFT (un)packing steps are
+/// all of this shape.
+template <typename F>
+void pack_pairs_in_place(std::span<std::complex<double>> x, std::size_t L, F f) {
+  x[0] = f(x[0], x[L], std::size_t{0});
+  for (std::size_t k = 1; 2 * k <= L; ++k) {
+    const std::complex<double> a = x[k];
+    const std::complex<double> b = x[L - k];
+    x[k] = f(a, b, k);
+    if (L - k != k) x[L - k] = f(b, a, L - k);
+  }
+}
+
+}  // namespace detail
 
 }  // namespace vbr

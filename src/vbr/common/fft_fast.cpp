@@ -95,12 +95,13 @@ Plan cached_plan(std::size_t n) {
 // exp(+2 pi i (j + l/2) / (2l)) = i exp(+2 pi i j / (2l)) and
 // exp(+2 pi i j / l) for the second stage; the remaining single stage of an
 // odd log2 runs unfused.
-void ifft_pow2_tables(std::vector<Complex>& a, const std::vector<Complex>& stages) {
+// `scratch` holds a.size() points for the ping-pong passes.
+void ifft_pow2_tables(std::span<Complex> a, Complex* scratch,
+                      const std::vector<Complex>& stages) {
   const std::size_t len_total = a.size();
   if (len_total <= 1) return;
-  std::vector<Complex> scratch(len_total);
   Complex* x = a.data();
-  Complex* y = scratch.data();
+  Complex* y = scratch;
   std::size_t l = len_total / 2;
   std::size_t m = 1;
   for (; l >= 2; l >>= 2, m <<= 2) {
@@ -144,33 +145,42 @@ void ifft_pow2_tables(std::vector<Complex>& a, const std::vector<Complex>& stage
 }  // namespace
 
 std::vector<double> fast_irfft_pow2(const std::vector<Complex>& spectrum, std::size_t n) {
+  std::vector<Complex> packed(spectrum);
+  std::vector<Complex> scratch;
+  std::vector<double> out(n);
+  fast_irfft_pow2(packed, n, out, scratch);
+  return out;
+}
+
+void fast_irfft_pow2(std::span<Complex> spectrum, std::size_t n, std::span<double> out,
+                     std::vector<Complex>& scratch) {
   VBR_ENSURE(n >= 2 && is_power_of_two(n), "fast_irfft_pow2 requires a power-of-two n >= 2");
   VBR_ENSURE(spectrum.size() == n / 2 + 1,
              "fast_irfft_pow2 spectrum must hold exactly n/2 + 1 coefficients");
+  VBR_ENSURE(out.size() <= n, "fast_irfft_pow2 writes at most n samples");
   const auto plan = cached_plan(n);
-  const auto& w = plan->unpack;
+  const Complex* const w = plan->unpack.data();
   const std::size_t half = n / 2;
 
-  // Same half-length packing as irfft(): recover Z[k] = E[k] + i O[k] from
-  // X[k] and conj(X[L-k]), with the full transform's 1/n normalization
-  // folded into the 0.5 unpacking weight (0.5 / L = 1/n per subsequence).
+  // Same half-length packing as irfft(), in place: recover Z[k] = E[k] +
+  // i O[k] from X[k] and conj(X[L-k]), with the full transform's 1/n
+  // normalization folded into the 0.5 unpacking weight (0.5 / L = 1/n per
+  // subsequence).
   const double weight = 0.5 / static_cast<double>(half);
-  std::vector<Complex> z(half);
-  for (std::size_t k = 0; k < half; ++k) {
-    const Complex xk = spectrum[k];
-    const Complex xc = std::conj(spectrum[half - k]);
+  detail::pack_pairs_in_place(spectrum, half, [w, weight](Complex xk, Complex xl, std::size_t k) {
+    const Complex xc = std::conj(xl);
     const Complex even = weight * (xk + xc);
     const Complex odd = w[k] * (weight * (xk - xc));
-    z[k] = Complex(even.real() - odd.imag(), even.imag() + odd.real());
-  }
-  ifft_pow2_tables(z, plan->stages);
+    return Complex(even.real() - odd.imag(), even.imag() + odd.real());
+  });
+  scratch.resize(half);
+  const std::span<Complex> z = spectrum.first(half);
+  ifft_pow2_tables(z, scratch.data(), plan->stages);
 
-  std::vector<double> out(n);
-  for (std::size_t j = 0; j < half; ++j) {
+  for (std::size_t j = 0; 2 * j < out.size(); ++j) {
     out[2 * j] = z[j].real();
-    out[2 * j + 1] = z[j].imag();
+    if (2 * j + 1 < out.size()) out[2 * j + 1] = z[j].imag();
   }
-  return out;
 }
 
 std::size_t fast_fft_plan_cache_size() {

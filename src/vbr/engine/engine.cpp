@@ -48,7 +48,8 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
                                   model::GeneratorBackend backend,
                                   std::size_t threads,
                                   const stream::Sink* tap,
-                                  const FailurePolicy& policy) {
+                                  const FailurePolicy& policy,
+                                  std::span<model::Workspace> workspaces) {
   VBR_ENSURE(frames_per_source >= 1, "batch needs at least one frame per source");
   VBR_ENSURE(policy.max_attempts >= 1, "failure policy needs at least one attempt");
 
@@ -60,7 +61,13 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
   if (count == 0) return batch;
 
   threads = std::min(resolve_thread_count(threads), count);
-  parallel_for_index(count, threads, [&](std::size_t i) {
+  std::vector<model::Workspace> own;
+  if (workspaces.empty()) {
+    own.resize(threads);
+    workspaces = own;
+  }
+  VBR_ENSURE(workspaces.size() >= threads, "batch needs one workspace per worker");
+  parallel_for_index(count, threads, [&](std::size_t i, std::size_t worker) {
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&] {
       return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -72,8 +79,8 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
         // that needed three tries is bit-identical to one that succeeded
         // immediately.
         Rng rng = streams[i];
-        std::vector<double> trace =
-            model.generate(frames_per_source, rng, variant, backend);
+        std::vector<double> trace(frames_per_source);
+        model.generate(trace, rng, variant, backend, workspaces[worker]);
         std::unique_ptr<stream::Sink> sink;
         if (tap != nullptr) {
           sink = tap->clone_empty();

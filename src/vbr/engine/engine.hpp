@@ -130,6 +130,11 @@ struct SourceBatch {
 /// never influences the output. Each retry restarts from a copy of the
 /// source's original stream, so retried output is bit-identical to
 /// first-try output for any thread count.
+///
+/// Each worker generates into `workspaces[worker]` (at least one per worker
+/// thread), so a caller that runs many batches keeps the generators' FFT
+/// buffers warm across them; empty `workspaces` makes the batch hold its
+/// own for this call. The workspaces never influence the output.
 SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
                                   std::span<const Rng> streams,
                                   std::size_t first_index,
@@ -138,7 +143,8 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
                                   model::GeneratorBackend backend,
                                   std::size_t threads,
                                   const stream::Sink* tap,
-                                  const FailurePolicy& policy);
+                                  const FailurePolicy& policy,
+                                  std::span<model::Workspace> workspaces = {});
 
 /// Execute the plan. Output depends only on the plan fields other than
 /// `threads`. Throws InvalidArgument on an empty plan.

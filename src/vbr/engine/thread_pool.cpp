@@ -15,7 +15,7 @@ std::size_t resolve_thread_count(std::size_t requested) {
 }
 
 void parallel_for_index(std::size_t count, std::size_t threads,
-                        const std::function<void(std::size_t)>& fn) {
+                        const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   threads = resolve_thread_count(threads);
   if (threads > count) threads = count;
@@ -31,12 +31,12 @@ void parallel_for_index(std::size_t count, std::size_t threads,
   std::exception_ptr error;
   std::mutex error_mutex;
 
-  const auto worker = [&]() {
+  const auto worker = [&](std::size_t slot) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
       try {
-        fn(i);
+        fn(i, slot);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (i < error_index) {
@@ -49,8 +49,8 @@ void parallel_for_index(std::size_t count, std::size_t threads,
 
   std::vector<std::thread> pool;
   pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread is worker 0
+  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);  // the calling thread is worker 0
   for (auto& t : pool) t.join();
 
   if (error) std::rethrow_exception(error);

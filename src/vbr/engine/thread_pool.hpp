@@ -16,9 +16,13 @@ namespace vbr::engine {
 /// anything else is taken literally. Always returns >= 1.
 std::size_t resolve_thread_count(std::size_t requested);
 
-/// Run fn(i) for every i in [0, count) across `threads` OS threads (the
-/// calling thread counts as one of them, so `threads == 1` never spawns).
-/// fn must only write to state that no other invocation writes.
+/// Run fn(i, worker) for every i in [0, count) across `threads` OS threads
+/// (the calling thread counts as one of them, so `threads == 1` never
+/// spawns). `worker` < min(threads, count) names the thread running the
+/// call, and no two calls with the same worker overlap, so per-worker
+/// scratch indexed by it needs no lock; which worker gets which i is
+/// scheduling, so results must not depend on it. fn must only write to
+/// state that no other invocation writes, or to its worker's scratch.
 /// Index claims are relaxed: they order nothing. If any invocation throws,
 /// every remaining index still runs (so the set of observed failures does
 /// not depend on scheduling), all workers are joined, and the exception from
@@ -26,6 +30,6 @@ std::size_t resolve_thread_count(std::size_t requested);
 /// deterministic by task index, not by completion order. Exceptions from
 /// higher-index tasks are discarded, never silently swallowed mid-run.
 void parallel_for_index(std::size_t count, std::size_t threads,
-                        const std::function<void(std::size_t)>& fn);
+                        const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace vbr::engine

@@ -104,16 +104,32 @@ std::size_t davies_harte_cache_size() {
 }
 
 void davies_harte_cache_clear() {
-  auto& cache = eigen_cache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.entries.clear();
+  {
+    auto& cache = eigen_cache();
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    cache.entries.clear();
+  }
+  unpack_table_cache_clear();
 }
 
 std::vector<double> davies_harte(std::size_t n, const DaviesHarteOptions& options, Rng& rng) {
+  // NOLINTNEXTLINE(vbr-contract-coverage): a thin wrapper; the span form validates n (n == 0 throws there).
+  std::vector<double> out(n);
+  Workspace workspace;
+  davies_harte(out, options, rng, workspace);
+  return out;
+}
+
+void davies_harte(std::span<double> out, const DaviesHarteOptions& options, Rng& rng,
+                  Workspace& workspace) {
+  const std::size_t n = out.size();
   VBR_ENSURE(n >= 1, "cannot generate an empty realization");
   VBR_ENSURE(options.hurst > 0.0 && options.hurst < 1.0, "H must be in (0, 1)");
   VBR_ENSURE(options.variance > 0.0, "variance must be positive");
-  if (n == 1) return {rng.normal(0.0, std::sqrt(options.variance))};
+  if (n == 1) {
+    out[0] = rng.normal(0.0, std::sqrt(options.variance));
+    return;
+  }
 
   // Embedding length 2m with m a power of two >= n keeps the FFT fast.
   const std::size_t m = next_power_of_two(n);
@@ -129,7 +145,8 @@ std::vector<double> davies_harte(std::size_t n, const DaviesHarteOptions& option
   // W_0..W_m is ever materialized; irfft() supplies the mirrored half
   // implicitly. The Rng draw order matches the pre-rfft implementation
   // exactly: W_0, W_m, then (Re, Im) pairs for k = 1..m-1.
-  std::vector<std::complex<double>> w(m + 1);
+  auto& w = workspace.spectrum;
+  w.resize(m + 1);
   w[0] = rng.normal() * (*sqrt_lambda)[0];
   w[m] = rng.normal() * (*sqrt_lambda)[m];
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
@@ -139,15 +156,10 @@ std::vector<double> davies_harte(std::size_t n, const DaviesHarteOptions& option
   }
 
   // X_j = (1/sqrt(2m)) sum_k sqrt(lambda_k) W_k e^{+2 pi i jk / 2m}:
-  // irfft() includes a 1/(2m) factor, so scale by sqrt(2m).
-  const auto x = irfft(w, two_m);
+  // irfft() includes a 1/(2m) factor, so it scales by sqrt(2m) after it.
   const double scale = std::sqrt(static_cast<double>(two_m) * options.variance);
-  std::vector<double> out(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    VBR_DCHECK(std::isfinite(x[j]), "non-finite Davies-Harte sample");
-    out[j] = x[j] * scale;
-  }
-  return out;
+  irfft(w, two_m, out, scale);
+  for (const double v : out) VBR_DCHECK(std::isfinite(v), "non-finite Davies-Harte sample");
 }
 
 }  // namespace vbr::model

@@ -1,5 +1,7 @@
 #include "vbr/model/fgn_generator.hpp"
 
+#include <algorithm>
+
 #include "vbr/common/error.hpp"
 #include "vbr/model/davies_harte.hpp"
 #include "vbr/model/hosking.hpp"
@@ -9,15 +11,20 @@
 namespace vbr::model {
 namespace {
 
+DaviesHarteOptions davies_harte_options(double hurst, double variance) {
+  DaviesHarteOptions options;
+  options.hurst = hurst;
+  options.variance = variance;
+  // The paper's process is fARIMA(0,d,0); keeping the exact generators on
+  // that covariance preserves the pre-zoo engine output bit-for-bit.
+  options.covariance = CovarianceKind::kFarima;
+  return options;
+}
+
 class DaviesHarteGenerator final : public FgnGenerator {
  public:
-  DaviesHarteGenerator(double hurst, double variance) {
-    options_.hurst = hurst;
-    options_.variance = variance;
-    // The paper's process is fARIMA(0,d,0); keeping the exact generators on
-    // that covariance preserves the pre-zoo engine output bit-for-bit.
-    options_.covariance = CovarianceKind::kFarima;
-  }
+  DaviesHarteGenerator(double hurst, double variance)
+      : options_(davies_harte_options(hurst, variance)) {}
   std::vector<double> generate(std::size_t n, Rng& rng) const override {
     return davies_harte(n, options_, rng);
   }
@@ -102,6 +109,23 @@ std::unique_ptr<FgnGenerator> make_fgn_generator(GeneratorBackend backend, doubl
       return std::make_unique<OnOffGenerator>(hurst, variance);
   }
   throw InvalidArgument("unknown GeneratorBackend value");
+}
+
+void generate_fgn(GeneratorBackend backend, double hurst, std::span<double> out, Rng& rng,
+                  Workspace& workspace) {
+  VBR_ENSURE(hurst > 0.0 && hurst < 1.0, "H must be in (0, 1)");
+  switch (backend) {
+    case GeneratorBackend::kDaviesHarte:
+      davies_harte(out, davies_harte_options(hurst, 1.0), rng, workspace);
+      return;
+    case GeneratorBackend::kPaxson:
+      paxson_fgn(out, PaxsonOptions{.hurst = hurst}, rng, workspace);
+      return;
+    default: {
+      const auto x = make_fgn_generator(backend, hurst)->generate(out.size(), rng);
+      std::copy(x.begin(), x.end(), out.begin());
+    }
+  }
 }
 
 std::unique_ptr<FgnGenerator> make_fgn_generator(std::string_view name, double hurst,

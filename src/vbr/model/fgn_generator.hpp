@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,14 @@ class FgnGenerator {
 /// marginal transform.
 std::unique_ptr<FgnGenerator> make_fgn_generator(GeneratorBackend backend, double hurst,
                                                  double variance = 1.0);
+
+/// Workspace form of make_fgn_generator(backend, hurst)->generate(n, rng)
+/// with n = out.size(): the same bits at unit variance, written into `out`.
+/// Davies-Harte and Paxson run in `workspace` and, once it has grown to the
+/// shape, allocate nothing; the other backends allocate as their
+/// generate() does and copy.
+void generate_fgn(GeneratorBackend backend, double hurst, std::span<double> out, Rng& rng,
+                  Workspace& workspace);
 
 /// Construct by registry name. Throws vbr::InvalidArgument for an unknown
 /// name or invalid H.

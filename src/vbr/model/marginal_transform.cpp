@@ -84,11 +84,16 @@ double TabulatedMarginalMap::operator()(double z) const {
 
 std::vector<double> TabulatedMarginalMap::apply(std::span<const double> gaussian, double mu,
                                                 double sigma) const {
-  VBR_ENSURE(sigma > 0.0, "Gaussian sigma must be positive");
-  std::vector<double> out;
-  out.reserve(gaussian.size());
-  for (double x : gaussian) out.push_back((*this)((x - mu) / sigma));
+  std::vector<double> out(gaussian.size());
+  apply(gaussian, out, mu, sigma);
   return out;
+}
+
+void TabulatedMarginalMap::apply(std::span<const double> gaussian, std::span<double> out,
+                                 double mu, double sigma) const {
+  VBR_ENSURE(sigma > 0.0, "Gaussian sigma must be positive");
+  VBR_ENSURE(out.size() == gaussian.size(), "marginal map output must match its input");
+  for (std::size_t i = 0; i < gaussian.size(); ++i) out[i] = (*this)((gaussian[i] - mu) / sigma);
 }
 
 std::shared_ptr<const SharedMarginalMap> shared_marginal_map(

@@ -40,6 +40,11 @@ class TabulatedMarginalMap {
   std::vector<double> apply(std::span<const double> gaussian, double mu = 0.0,
                             double sigma = 1.0) const;
 
+  /// Map into `out` (same size as `gaussian`; may be the same memory, as
+  /// each output depends only on the input at its own index).
+  void apply(std::span<const double> gaussian, std::span<double> out, double mu = 0.0,
+             double sigma = 1.0) const;
+
  private:
   const stats::Distribution& target_;
   std::vector<double> z_grid_;   ///< Gaussian abscissae

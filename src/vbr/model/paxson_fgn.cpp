@@ -162,14 +162,27 @@ void paxson_spectrum_cache_clear() {
 }
 
 std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng& rng) {
+  // NOLINTNEXTLINE(vbr-contract-coverage): a thin wrapper; the span form validates n (n == 0 throws there).
+  std::vector<double> out(n);
+  Workspace workspace;
+  paxson_fgn(out, options, rng, workspace);
+  return out;
+}
+
+void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
+                Workspace& workspace) {
+  const std::size_t n = out.size();
   VBR_ENSURE(n >= 1, "cannot generate an empty realization");
   VBR_ENSURE(options.hurst > 0.0 && options.hurst < 1.0, "H must be in (0, 1)");
   VBR_ENSURE(options.variance > 0.0, "variance must be positive");
   const double sigma = std::sqrt(options.variance);
-  if (n == 1) return {rng.normal(0.0, sigma)};
+  if (n == 1) {
+    out[0] = rng.normal(0.0, sigma);
+    return;
+  }
 
   // Padding rule (see header): synthesize at the next power of two and
-  // return the leading n points.
+  // keep the leading n points.
   const std::size_t len = next_power_of_two(n);
   const std::size_t half = len / 2;
 
@@ -185,7 +198,8 @@ std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng&
   // is part of the determinism contract: k ascending, real part before
   // imaginary part.
   const double inv_sqrt2 = 1.0 / std::numbers::sqrt2;
-  std::vector<std::complex<double>> spectrum(half + 1);
+  auto& spectrum = workspace.spectrum;
+  spectrum.resize(half + 1);
   spectrum[0] = 0.0;
   for (std::size_t k = 1; k < half; ++k) {
     const double scale = sigma * (*amps)[k] * inv_sqrt2;
@@ -199,10 +213,8 @@ std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng&
   // and normalizes by 1/len — the amplitude normalization above already
   // accounts for it. The table-driven kernel is what buys the cold-cache
   // speed advantage over the exact methods (fft_fast.hpp).
-  auto x = fast_irfft_pow2(spectrum, len);
-  x.resize(n);
-  for (const double v : x) VBR_DCHECK(std::isfinite(v), "non-finite Paxson sample");
-  return x;
+  fast_irfft_pow2(spectrum, len, out, workspace.scratch);
+  for (const double v : out) VBR_DCHECK(std::isfinite(v), "non-finite Paxson sample");
 }
 
 }  // namespace vbr::model

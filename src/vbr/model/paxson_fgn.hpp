@@ -30,9 +30,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "vbr/common/rng.hpp"
+#include "vbr/model/workspace.hpp"
 
 namespace vbr::model {
 
@@ -54,8 +56,16 @@ struct PaxsonOptions {
 /// paxson_fgn(n) is bit-identical to the n-point prefix of paxson_fgn(m)
 /// under the same Rng state (pinned by a zoo test).
 ///
-/// Throws vbr::InvalidArgument for H outside (0, 1) or variance <= 0.
+/// Throws vbr::InvalidArgument for H outside (0, 1) or variance <= 0. A thin
+/// wrapper over the span form with a fresh workspace.
 std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng& rng);
+
+/// Generate out.size() points into `out`, bit-identical to the allocating
+/// form; the spectrum and the FFT's ping-pong buffer live in `workspace`, so
+/// with the amplitudes and FFT plan cached a second call of the same shape
+/// on the same workspace allocates nothing.
+void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
+                Workspace& workspace);
 
 /// Paxson's approximate fGn spectral density at angular frequency
 /// lambda in (0, pi], unit scale (absolute normalization does not matter

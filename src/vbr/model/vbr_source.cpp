@@ -49,35 +49,41 @@ VbrVideoSourceModel VbrVideoSourceModel::fit(std::span<const double> frame_bytes
 std::vector<double> VbrVideoSourceModel::generate(std::size_t n, Rng& rng,
                                                   ModelVariant variant,
                                                   GeneratorBackend backend) const {
-  VBR_ENSURE(n >= 1, "cannot generate an empty trace");
+  // NOLINTNEXTLINE(vbr-contract-coverage): a thin wrapper; the span form validates n (n == 0 throws there).
+  std::vector<double> out(n);
+  Workspace workspace;
+  generate(out, rng, variant, backend, workspace);
+  return out;
+}
+
+void VbrVideoSourceModel::generate(std::span<double> out, Rng& rng, ModelVariant variant,
+                                   GeneratorBackend backend, Workspace& workspace) const {
+  VBR_ENSURE(!out.empty(), "cannot generate an empty trace");
 
   if (variant == ModelVariant::kIidGammaPareto) {
-    std::vector<double> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(marginal_.sample(rng));
-    return out;
+    for (auto& y : out) y = marginal_.sample(rng);
+    return;
   }
 
   // Gaussian(-ish) LRD core with zero mean, unit variance, from the
   // generator zoo. The exact backends realize the paper's fARIMA(0,d,0)
   // covariance; the approximate ones target fGn (see fgn_generator.hpp for
   // the fidelity contract).
-  std::vector<double> gaussian =
-      make_fgn_generator(backend, params_.hurst)->generate(n, rng);
+  generate_fgn(backend, params_.hurst, out, rng, workspace);
 
   if (variant == ModelVariant::kGaussianFarima) {
     // Gaussian marginals scaled to the trace's mean/stddev; negative frame
     // sizes are physically impossible, so clip at zero (rare for the
     // paper's coefficient of variation of ~0.23).
-    for (auto& x : gaussian) {
+    for (auto& x : out) {
       VBR_DCHECK(std::isfinite(x), "non-finite Gaussian core sample");
       x = std::max(0.0, params_.marginal.mu_gamma + params_.marginal.sigma_gamma * x);
     }
-    return gaussian;
+    return;
   }
 
   // Full model: Eq. (13) through the shared Gaussian -> Gamma/Pareto table.
-  return shared_marginal_map(params_.marginal)->map.apply(gaussian);
+  shared_marginal_map(params_.marginal)->map.apply(out, out);
 }
 
 trace::TimeSeries VbrVideoSourceModel::generate_trace(std::size_t n, Rng& rng,

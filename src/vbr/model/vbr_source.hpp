@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "vbr/common/rng.hpp"
+#include "vbr/model/workspace.hpp"
 #include "vbr/stats/gamma_pareto.hpp"
 #include "vbr/trace/time_series.hpp"
 
@@ -64,10 +65,19 @@ class VbrVideoSourceModel {
   const VbrModelParams& params() const { return params_; }
   const stats::GammaParetoDistribution& marginal() const { return marginal_; }
 
-  /// Generate n frame sizes (bytes/frame).
+  /// Generate n frame sizes (bytes/frame). A thin wrapper over the span
+  /// form with a fresh workspace.
   std::vector<double> generate(std::size_t n, Rng& rng,
                                ModelVariant variant = ModelVariant::kFull,
                                GeneratorBackend backend = GeneratorBackend::kDaviesHarte) const;
+
+  /// Generate out.size() frame sizes into `out`, bit-identical to the
+  /// allocating form. The Gaussian core is written into `out` and the
+  /// marginal map applied there in place; with Davies-Harte or Paxson and
+  /// warm caches, a second call of the same shape on the same workspace
+  /// allocates nothing.
+  void generate(std::span<double> out, Rng& rng, ModelVariant variant, GeneratorBackend backend,
+                Workspace& workspace) const;
 
   /// Convenience wrapper returning a TimeSeries at the paper's frame rate.
   trace::TimeSeries generate_trace(std::size_t n, Rng& rng,

@@ -120,6 +120,9 @@ CampaignResult run_campaign(const CampaignOptions& options, stream::Sink* tap) {
   };
 
   const std::size_t threads = engine::resolve_thread_count(plan.threads);
+  // One per worker for the whole campaign: every batch reuses the
+  // generators' FFT buffers instead of faulting in fresh ones per source.
+  std::vector<model::Workspace> workspaces(threads);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> zeros;  // quarantine padding, allocated on first use
   while (next_source < plan.num_sources) {
@@ -131,8 +134,7 @@ CampaignResult run_campaign(const CampaignOptions& options, stream::Sink* tap) {
     engine::SourceBatch batch = engine::generate_source_batch(
         model, std::span<const Rng>(streams).subspan(next_source, batch_size),
         next_source, plan.frames_per_source, plan.variant, plan.resolved_backend(),
-        threads,
-        tap, options.failure);
+        threads, tap, options.failure, workspaces);
 
     // Serial, in source order: append to the trace, fold into the hash,
     // merge into the tap. A quarantined source keeps its trace slot as

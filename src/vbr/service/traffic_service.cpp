@@ -89,7 +89,7 @@ void TrafficService::advance_round(std::size_t block, StreamGovernor* governor) 
   // Worker w claims chunks from one counter and generates each into scratch
   // slot w; a chunk folds only into its own partial, so no write is shared.
   std::atomic<std::size_t> next{0};
-  engine::parallel_for_index(workers, workers, [&](std::size_t w) {
+  engine::parallel_for_index(workers, workers, [&](std::size_t w, std::size_t /*worker*/) {
     std::vector<double>* const out = &scratch_[w * kChunkStreams];
     for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
          c = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -291,7 +291,7 @@ std::uint32_t TrafficService::save_state(std::ostream& out) const {
   std::vector<std::uint32_t> piece_crcs(workers);
   for (std::size_t first = 0; first < chunks; first += workers) {
     const std::size_t batch = std::min(workers, chunks - first);
-    engine::parallel_for_index(batch, batch, [&](std::size_t w) {
+    engine::parallel_for_index(batch, batch, [&](std::size_t w, std::size_t /*worker*/) {
       std::string& piece = pieces[w];
       piece.clear();
       const std::size_t base = (first + w) * kChunkStreams;

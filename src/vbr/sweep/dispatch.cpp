@@ -85,6 +85,13 @@ void ensure_sweep_meta(const std::filesystem::path& sweep_dir,
 
 std::atomic<std::uint64_t> g_claim_counter{0};
 
+/// A sibling of `path` no other writer (process or thread) names.
+std::filesystem::path unique_sibling(const std::filesystem::path& path, const char* prefix) {
+  return path.parent_path() /
+         (prefix + std::to_string(static_cast<std::uint64_t>(::getpid())) + "_" +
+          std::to_string(g_claim_counter.fetch_add(1)));
+}
+
 /// A torn tail, manufactured: the first half of a plausible frame header,
 /// exactly what a SIGKILL mid-append leaves behind. Recovery must truncate
 /// it and lose nothing that was whole.
@@ -127,22 +134,37 @@ std::filesystem::path shard_lease_path(const std::filesystem::path& sweep_dir,
 
 void publish_agreed_file(const std::filesystem::path& path, const std::string& content,
                          bool durable) {
-  // A loser's rename can fail after the winner's rename consumed the
-  // shared temp sibling; the winner wrote the same bytes.
-  try {
-    write_file_atomic(path, content, durable);
-  } catch (const IoError&) {
-    if (read_small_file(path) != content) throw;
+  // Each writer stages its own temp, so no writer can truncate a file
+  // another already published, and link(2) publishes it only if `path` does
+  // not exist yet: the first writer wins, whole, and every later one finds
+  // the winner's bytes and compares.
+  const std::filesystem::path tmp = unique_sibling(path, ".publish_");
+  {
+    OutputFile file(tmp, OutputFile::Mode::kTruncate);
+    file.write(content);
+    if (durable) file.sync_file();
+    file.close();
+  }
+  const int rc = ::link(tmp.c_str(), path.c_str());
+  const int link_errno = errno;
+  std::error_code ec;
+  std::filesystem::remove(tmp, ec);
+  if (rc == 0) {
+    if (durable) fsync_parent_directory(path);
+    return;
+  }
+  if (link_errno != EEXIST) {
+    throw IoError("publish failed: " + path.string() + ": " + std::strerror(link_errno));
+  }
+  if (read_small_file(path) != content) {
+    throw IoError(path.string() + ": already published with different content");
   }
 }
 
 LeaseClaim claim_lease(const std::filesystem::path& lease_path,
                        const std::string& token, double ttl_seconds,
                        bool steal_stale, bool ignore_fresh) {
-  const std::filesystem::path tmp =
-      lease_path.parent_path() /
-      (".claim_" + std::to_string(static_cast<std::uint64_t>(::getpid())) + "_" +
-       std::to_string(g_claim_counter.fetch_add(1)));
+  const std::filesystem::path tmp = unique_sibling(lease_path, ".claim_");
   write_small_file(tmp, token);
 
   // link(2) is atomic and *exclusive*: exactly one pool's token becomes the

@@ -150,10 +150,12 @@ bool heartbeat_lease(const std::filesystem::path& lease_path,
 void release_lease(const std::filesystem::path& lease_path,
                    const std::string& token);
 
-/// Atomically write a file every racing writer means to fill with the same
-/// `content` (sweep.meta, the .done markers). Two pools that finish one
-/// shard race on the temp sibling, so a failed write is benign iff the
-/// file on disk holds `content`; otherwise throws vbr::IoError.
+/// Publish a file every racing writer means to fill with the same `content`
+/// (sweep.meta, the .done markers). Each writer stages a temp of its own
+/// (fsynced when `durable`) and links it into place; the first link wins,
+/// so a reader of an existing file always sees the whole content, and a
+/// later writer only compares. Throws vbr::IoError if the file holds other
+/// bytes or the publish fails.
 void publish_agreed_file(const std::filesystem::path& path, const std::string& content,
                          bool durable);
 

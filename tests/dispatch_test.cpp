@@ -135,17 +135,41 @@ TEST(Lease, DuplicateClaimFaultIgnoresFreshness) {
   ::_exit(std::min(throws, 255));
 }
 
+/// A pool starting up meanwhile: read the file until `stop` appears, then
+/// exit with the number of reads of an existing file that did not return
+/// exactly `content` (an empty or partial file).
+[[noreturn]] void read_in_child(const std::filesystem::path& path, const std::string& content,
+                                const std::filesystem::path& stop) {
+  int wrong = 0;
+  while (!std::filesystem::exists(stop)) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) continue;  // not published yet
+    const std::string found((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    if (found != content) ++wrong;
+  }
+  ::_exit(std::min(wrong, 255));
+}
+
 TEST(AgreedFile, RacingPublishersNeverThrow) {
-  // Two pools that finish one shard (a duplicate claim, a stale-lease race)
-  // both publish its .done marker through the same temp sibling, so one
-  // rename can find the sibling already consumed by the other.
+  // A run_pools start has every pool publish sweep.meta at once, and two
+  // pools that finish one shard both publish its .done marker. Three
+  // publishers race while a fourth process reads: no publish may throw,
+  // and no read of the existing file may see less than its whole content.
   TempDir dir("agreed");
   const auto marker = dir.path() / "shard_0000.done";
+  const auto stop = dir.path() / "stop";
   const std::string content = "0123456789abcdef\n";
   for (const bool durable : {false, true}) {
+    std::filesystem::remove(marker);
+    std::filesystem::remove(stop);
+    // NOLINTNEXTLINE(vbr-fork-safety): the test stands in for a starting pool; gtest is single-threaded here and the child only reads, then _exits.
+    const pid_t reader = ::fork();
+    ASSERT_GE(reader, 0);
+    if (reader == 0) read_in_child(marker, content, stop);
     std::vector<pid_t> pids;
-    for (int pool = 0; pool < 2; ++pool) {
-      // NOLINTNEXTLINE(vbr-fork-safety): the test stands in for two pool processes; gtest is single-threaded here and the child only publishes, then _exits.
+    for (int pool = 0; pool < 3; ++pool) {
+      // NOLINTNEXTLINE(vbr-fork-safety): the test stands in for racing pool processes; gtest is single-threaded here and the child only publishes, then _exits.
       const pid_t pid = ::fork();
       ASSERT_GE(pid, 0);
       if (pid == 0) publish_in_child(marker, content, durable);
@@ -157,15 +181,30 @@ TEST(AgreedFile, RacingPublishersNeverThrow) {
       ASSERT_TRUE(WIFEXITED(status));
       EXPECT_EQ(WEXITSTATUS(status), 0) << "calls that threw, durable=" << durable;
     }
+    std::ofstream(stop).put('\n');
+    int status = 0;
+    ASSERT_EQ(::waitpid(reader, &status, 0), reader);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "wrong reads, durable=" << durable;
+
     std::ifstream in(marker, std::ios::binary);
     EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>()),
               content);
   }
-  // A failure that leaves the file without the bytes still throws.
+  // A publish that cannot leave the file holding the bytes still throws:
+  // a missing directory, or a file already holding other content.
   EXPECT_THROW(publish_agreed_file(dir.path() / "missing" / "shard_0001.done", content,
                                    false),
                IoError);
+  EXPECT_THROW(publish_agreed_file(marker, "fedcba9876543210\n", false), IoError);
+  // No staged temp is left behind.
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);  // the marker and the stop file
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -14,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/math_util.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/engine/thread_pool.hpp"
+#include "vbr/model/fgn_generator.hpp"
 #include "vbr/stream/sink.hpp"
 
 namespace vbr::engine {
@@ -75,6 +78,49 @@ TEST(EngineTest, BitIdenticalForEveryVariantAndBackend) {
   plan.threads = 4;
   const auto parallel = generate_sources(plan);
   EXPECT_EQ(serial.sources, parallel.sources);
+}
+
+/// FNV-1a over every source's bits, in source order.
+std::uint64_t trace_hash(const std::vector<std::vector<double>>& sources) {
+  Fnv1a hash;
+  for (const auto& source : sources) hash.update(std::span<const double>(source));
+  return hash.digest();
+}
+
+TEST(EngineTest, TraceHashEqualAtOneTwoAndFourThreadsWithReusedWorkspaces) {
+  // The campaign's shape: batches of sources through caller-owned
+  // workspaces that outlive each batch. Which worker's workspace served a
+  // source, and what it held before, must not show in the bits.
+  for (const auto backend :
+       {model::GeneratorBackend::kDaviesHarte, model::GeneratorBackend::kPaxson}) {
+    auto plan = small_plan();
+    plan.num_sources = 12;
+    plan.frames_per_source = 3000;
+    plan.backend = backend;
+    plan.threads = 1;
+    const std::uint64_t reference = trace_hash(generate_sources(plan).sources);
+
+    const model::VbrVideoSourceModel model(plan.params);
+    Rng master(plan.seed);
+    std::vector<Rng> streams;
+    for (std::size_t i = 0; i < plan.num_sources; ++i) streams.push_back(master.split());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      std::vector<model::Workspace> workspaces(threads);
+      // A larger shape first, so every workspace arrives holding leftovers.
+      (void)generate_source_batch(model, streams, 0, 5000, plan.variant, backend, threads,
+                                  nullptr, {}, workspaces);
+      std::vector<std::vector<double>> sources;
+      for (std::size_t first = 0; first < plan.num_sources; first += 5) {
+        const std::size_t count = std::min<std::size_t>(5, plan.num_sources - first);
+        SourceBatch batch = generate_source_batch(
+            model, std::span<const Rng>(streams).subspan(first, count), first,
+            plan.frames_per_source, plan.variant, backend, threads, nullptr, {}, workspaces);
+        for (auto& trace : batch.traces) sources.push_back(std::move(trace));
+      }
+      EXPECT_EQ(trace_hash(sources), reference)
+          << model::generator_backend_name(backend) << " threads=" << threads;
+    }
+  }
 }
 
 TEST(EngineTest, SourcesAreDistinctStreams) {
@@ -171,7 +217,7 @@ TEST(ThreadPoolTest, RethrowsLowestIndexExceptionRegardlessOfScheduling) {
     for (int repeat = 0; repeat < 20; ++repeat) {
       std::atomic<std::size_t> ran{0};
       try {
-        parallel_for_index(64, threads, [&](std::size_t i) {
+        parallel_for_index(64, threads, [&](std::size_t i, std::size_t /*worker*/) {
           ran.fetch_add(1);
           if (i == 7 || i == 3 || i == 50) {
             throw std::runtime_error("task " + std::to_string(i));

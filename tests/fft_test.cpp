@@ -381,7 +381,19 @@ TEST_P(FftBitIdentity, MatchesSerialTwiddleKernelBitForBit) {
   const auto real = random_real_signal(n, 4300 + n);
   EXPECT_TRUE(same_bits(rfft(real), oracle::rfft(real))) << "rfft n=" << n;
   std::vector<Complex> half(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n / 2 + 1));
-  EXPECT_TRUE(same_bits(irfft(half, n), oracle::irfft(half, n))) << "irfft n=" << n;
+  const auto irfft_oracle = oracle::irfft(half, n);
+  EXPECT_TRUE(same_bits(irfft(half, n), irfft_oracle)) << "irfft n=" << n;
+
+  // The span form, in place in a copy of the spectrum, keeping a prefix
+  // and scaling it after the 1/n as a separate pass over the oracle does.
+  const double scale = 1.7;
+  std::vector<Complex> packed = half;
+  std::vector<double> prefix(n - n / 3);
+  irfft(packed, n, prefix, scale);
+  std::vector<double> expected(irfft_oracle.begin(),
+                               irfft_oracle.begin() + static_cast<std::ptrdiff_t>(prefix.size()));
+  for (auto& v : expected) v *= scale;
+  EXPECT_TRUE(same_bits(prefix, expected)) << "span irfft n=" << n;
 }
 
 std::vector<std::size_t> bit_identity_lengths() {
@@ -419,6 +431,31 @@ TEST(RfftTest, IrfftRejectsWrongSpectrumSize) {
   EXPECT_THROW(irfft(spec, 8), InvalidArgument);   // needs 5
   EXPECT_NO_THROW(irfft(spec, 6));                 // 6/2+1 == 4
   EXPECT_NO_THROW(irfft(spec, 7));                 // 7/2+1 == 4
+}
+
+TEST(RfftTest, SpanIrfftRejectsAnOutputLongerThanN) {
+  std::vector<Complex> spec(4);
+  std::vector<double> out(7);
+  EXPECT_THROW(irfft(spec, 6, out), InvalidArgument);
+  out.resize(6);
+  EXPECT_NO_THROW(irfft(spec, 6, out));
+}
+
+TEST(RfftTest, UnpackTablesAreCachedPerEvenLengthAndCleared) {
+  unpack_table_cache_clear();
+  EXPECT_EQ(unpack_table_cache_size(), 0u);
+  const auto x = random_real_signal(64, 11);
+  const auto first = rfft(x);
+  EXPECT_EQ(unpack_table_cache_size(), 1u);
+  (void)irfft(first, 64);  // same n: same table
+  EXPECT_EQ(unpack_table_cache_size(), 1u);
+  (void)rfft(random_real_signal(63, 12));  // odd: no table
+  EXPECT_EQ(unpack_table_cache_size(), 1u);
+  (void)rfft(random_real_signal(128, 13));
+  EXPECT_EQ(unpack_table_cache_size(), 2u);
+  unpack_table_cache_clear();
+  EXPECT_EQ(unpack_table_cache_size(), 0u);
+  EXPECT_TRUE(same_bits(rfft(x), first));  // a rebuilt table has the same bits
 }
 
 TEST(FftTest, RealTransformHasConjugateSymmetry) {

@@ -21,6 +21,7 @@
 #include "vbr/model/fgn_generator.hpp"
 #include "vbr/model/hosking.hpp"
 #include "vbr/model/marginal_transform.hpp"
+#include "vbr/model/paxson_fgn.hpp"
 #include "vbr/model/vbr_source.hpp"
 #include "vbr/stats/autocorrelation.hpp"
 #include "vbr/stats/whittle.hpp"
@@ -368,6 +369,87 @@ TEST(MarginalMapCacheTest, ConcurrentFirstUseLeavesOneEntry) {
   EXPECT_EQ(marginal_map_cache_size(), 1u);
   for (const auto& entry : got) EXPECT_EQ(entry.get(), got[0].get());
   marginal_map_cache_clear();
+}
+
+// ---------------------------------------------------------------------------
+// Workspace forms: the span-and-workspace generators against the allocating
+// ones, with one workspace reused across every shape (up, then down again),
+// so a buffer left over from a larger or smaller shape cannot leak in.
+
+std::vector<std::size_t> workspace_shapes() {
+  const std::vector<std::size_t> up = {1, 2, 3, 1000, 1024, 171000};
+  std::vector<std::size_t> shapes = up;
+  shapes.insert(shapes.end(), up.rbegin(), up.rend());
+  return shapes;
+}
+
+TEST(WorkspaceFormTest, DaviesHarteMatchesAllocatingFormBitForBit) {
+  Workspace workspace;
+  for (const auto covariance : {CovarianceKind::kFgn, CovarianceKind::kFarima}) {
+    DaviesHarteOptions options;
+    options.hurst = 0.8;
+    options.variance = 2.5;
+    options.covariance = covariance;
+    for (const std::size_t n : workspace_shapes()) {
+      Rng a(500 + n);
+      Rng b(500 + n);
+      const auto expected = davies_harte(n, options, a);
+      std::vector<double> out(n);
+      davies_harte(out, options, b, workspace);
+      EXPECT_TRUE(same_bytes(out, expected)) << "n=" << n;
+      EXPECT_EQ(a.normal(), b.normal()) << "n=" << n;  // both left at the same draw
+    }
+  }
+}
+
+TEST(WorkspaceFormTest, PaxsonMatchesAllocatingFormBitForBit) {
+  Workspace workspace;
+  PaxsonOptions options;
+  options.hurst = 0.7;
+  options.variance = 3.0;
+  for (const std::size_t n : workspace_shapes()) {
+    Rng a(600 + n);
+    Rng b(600 + n);
+    const auto expected = paxson_fgn(n, options, a);
+    std::vector<double> out(n);
+    paxson_fgn(out, options, b, workspace);
+    EXPECT_TRUE(same_bytes(out, expected)) << "n=" << n;
+    EXPECT_EQ(a.normal(), b.normal()) << "n=" << n;  // both left at the same draw
+  }
+}
+
+TEST(WorkspaceFormTest, GenerateMatchesAllocatingFormBitForBit) {
+  const VbrVideoSourceModel model(VbrModelParams{marginal_param_sets()[0], 0.8});
+  Workspace workspace;  // shared by every backend, variant and shape
+  for (const auto backend : {GeneratorBackend::kDaviesHarte, GeneratorBackend::kPaxson}) {
+    for (const auto variant : {ModelVariant::kFull, ModelVariant::kGaussianFarima,
+                               ModelVariant::kIidGammaPareto}) {
+      for (const std::size_t n : workspace_shapes()) {
+        Rng a(700 + n);
+        Rng b(700 + n);
+        const auto expected = model.generate(n, a, variant, backend);
+        std::vector<double> out(n);
+        model.generate(out, b, variant, backend, workspace);
+        EXPECT_TRUE(same_bytes(out, expected))
+            << generator_backend_name(backend) << " variant " << static_cast<int>(variant)
+            << " n=" << n;
+      }
+    }
+  }
+  // The backends with no workspace path (Hosking is O(n^2): keep n small).
+  for (const auto backend : {GeneratorBackend::kHosking, GeneratorBackend::kAggregatedOnOff}) {
+    Rng a(800);
+    Rng b(800);
+    const auto expected = model.generate(1000, a, ModelVariant::kFull, backend);
+    std::vector<double> out(1000);
+    model.generate(out, b, ModelVariant::kFull, backend, workspace);
+    EXPECT_TRUE(same_bytes(out, expected)) << generator_backend_name(backend);
+  }
+  std::vector<double> empty;
+  Rng rng(1);
+  EXPECT_THROW(model.generate(empty, rng, ModelVariant::kFull, GeneratorBackend::kDaviesHarte,
+                              workspace),
+               InvalidArgument);
 }
 
 }  // namespace
