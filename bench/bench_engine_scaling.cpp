@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
   appendf(json, "  ],\n");
 
   // Checkpoint overhead: identical campaigns to scratch files, one without a
-  // checkpoint path and one checkpointing every 2 sources (more frequent
-  // than the default, so the measurement is an upper bound on the default).
+  // checkpoint path and one checkpointing every `threads` sources. A
+  // campaign generates one checkpoint interval per batch, so an interval
+  // that is a multiple of the thread count keeps every worker busy and the
+  // difference is the cost of the saves, not idle workers.
   const auto scratch = std::filesystem::temp_directory_path();
   vbr::run::CampaignOptions campaign;
   campaign.plan = plan;
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
   campaign.checkpoint_path.clear();
   const double plain_seconds = timed_campaign_seconds(campaign);
   campaign.checkpoint_path = scratch / "bench_engine_scaling_campaign.ckpt";
-  campaign.checkpoint_every_sources = 2;
+  campaign.checkpoint_every_sources = campaign.plan.threads;
   const double checkpointed_seconds = timed_campaign_seconds(campaign);
   const double overhead =
       plain_seconds > 0.0 ? checkpointed_seconds / plain_seconds - 1.0 : 0.0;

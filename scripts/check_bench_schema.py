@@ -255,6 +255,29 @@ def check_generator_pareto(doc):
     print(f"schema check OK: {sys.argv[1]} ({len(gens)} generators)")
 
 
+# The pool gate: at a recorded-scale sweep (512 cells or more) on a host
+# with at least two hardware threads, no multi-pool row may run at less
+# than half the single-pool rate. A pool that idles a full heartbeat-capped
+# sleep past the sweep's last shard read 0.12 here; smaller sweeps (CI's
+# 128-cell smoke run) finish in a few milliseconds and measure fork start-up.
+POOL_GATE_MIN_CELLS = 512
+POOL_GATE_MIN_HARDWARE = 2
+POOL_GATE_MIN_SPEEDUP = 0.5
+
+
+def check_sweep_pool_scaling(doc, pools):
+    if doc["sweep_cells"] < POOL_GATE_MIN_CELLS:
+        return
+    if doc["hardware_concurrency"] < POOL_GATE_MIN_HARDWARE:
+        return
+    for row in pools:
+        if row["pools"] < 2:
+            continue
+        require(row["speedup_vs_first"] >= POOL_GATE_MIN_SPEEDUP,
+                f"{row['pools']}-pool speedup {row['speedup_vs_first']} below "
+                f"{POOL_GATE_MIN_SPEEDUP} on a {doc['sweep_cells']}-cell sweep")
+
+
 def check_sweep_shard(doc):
     """BENCH_sweep_shard.json: checkpoint I/O + steal latency + pool scaling."""
     require(doc.get("contracts") in ("on", "off"), "contracts must be on/off")
@@ -304,6 +327,7 @@ def check_sweep_shard(doc):
     require(len(hashes) == 1, "results hashes differ across pool counts")
     require(doc.get("bit_identical_across_pool_counts") is True,
             "recorded run was not bit-identical across pool counts")
+    check_sweep_pool_scaling(doc, pools)
     print(f"schema check OK: {sys.argv[1]} ({len(io)} sweep sizes, "
           f"{len(pools)} pool counts)")
 

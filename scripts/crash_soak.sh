@@ -92,22 +92,29 @@ if [[ "${1:-}" == "--sweep" ]]; then
 
   # Phase 3: hang a worker from the outside. SIGSTOP the first live worker
   # we can catch; the supervisor's watchdog must SIGKILL it and the retry
-  # must heal the cell.
-  "$BIN" --log "$WORK/stopped.log" "${GRID[@]}" --deadline-sec 2 \
-    --hash-out "$WORK/stopped.hash" --quiet >/dev/null 2>&1 &
-  sup=$!
+  # must heal the cell. A worker lives about a millisecond, so a sweep can
+  # finish before the polling loop lands a SIGSTOP; such a run, if it
+  # succeeded, proves nothing and is started again from an empty log, up to
+  # five times.
   stopped=""
-  while kill -0 "$sup" 2>/dev/null; do
-    worker=$(pgrep -P "$sup" | head -1)
-    if [[ -n "$worker" ]] && kill -STOP "$worker" 2>/dev/null; then
-      stopped=$worker
-      break
-    fi
+  for attempt in 1 2 3 4 5; do
+    rm -f "$WORK"/stopped.*
+    "$BIN" --log "$WORK/stopped.log" "${GRID[@]}" --deadline-sec 2 \
+      --hash-out "$WORK/stopped.hash" --quiet >/dev/null 2>&1 &
+    sup=$!
+    while kill -0 "$sup" 2>/dev/null; do
+      worker=$(pgrep -P "$sup" | head -1)
+      if [[ -n "$worker" ]] && kill -STOP "$worker" 2>/dev/null; then
+        stopped=$worker
+        break
+      fi
+    done
+    wait "$sup"
+    sup_rc=$?
+    [[ -n "$stopped" || $sup_rc -ne 0 ]] && break
   done
-  wait "$sup"
-  sup_rc=$?
   if [[ -z "$stopped" ]]; then
-    note "never caught a worker to SIGSTOP (sweep too fast?)"
+    note "never caught a worker to SIGSTOP (sweep too fast?, rc=$sup_rc)"
     fail=1
   elif ((sup_rc != 0)); then
     note "supervisor died after external SIGSTOP (rc=$sup_rc)"

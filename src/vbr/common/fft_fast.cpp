@@ -144,14 +144,6 @@ void ifft_pow2_tables(std::span<Complex> a, Complex* scratch,
 
 }  // namespace
 
-std::vector<double> fast_irfft_pow2(const std::vector<Complex>& spectrum, std::size_t n) {
-  std::vector<Complex> packed(spectrum);
-  std::vector<Complex> scratch;
-  std::vector<double> out(n);
-  fast_irfft_pow2(packed, n, out, scratch);
-  return out;
-}
-
 void fast_irfft_pow2(std::span<Complex> spectrum, std::size_t n, std::span<double> out,
                      std::vector<Complex>& scratch) {
   VBR_ENSURE(n >= 2 && is_power_of_two(n), "fast_irfft_pow2 requires a power-of-two n >= 2");

@@ -21,19 +21,14 @@
 
 namespace vbr {
 
-/// Inverse real FFT for power-of-two n >= 2. `spectrum` holds the
-/// non-redundant half, exactly n/2 + 1 coefficients, and the conjugate
-/// mirror is implied; includes the 1/n normalization, matching irfft().
-/// Twiddle tables are cached per n, process-wide and thread-safe. A thin
-/// wrapper over the span form below.
-std::vector<double> fast_irfft_pow2(const std::vector<std::complex<double>>& spectrum,
-                                    std::size_t n);
-
-/// fast_irfft_pow2() in the caller's memory: packs the half-length sequence
-/// into `spectrum` in place (clobbering it), runs the passes against
-/// `scratch` (resized to n/2 points) and writes the first out.size() <= n
-/// samples. Allocates nothing once the plan is cached and `scratch` has
-/// grown to n/2.
+/// Inverse real FFT for power-of-two n >= 2, in the caller's memory.
+/// `spectrum` holds the non-redundant half, exactly n/2 + 1 coefficients,
+/// and the conjugate mirror is implied; includes the 1/n normalization,
+/// matching irfft(). Packs the half-length sequence into `spectrum` in
+/// place (clobbering it), runs the passes against `scratch` (resized to n/2
+/// points) and writes the first out.size() <= n samples. Twiddle tables are
+/// cached per n, process-wide and thread-safe, so this allocates nothing
+/// once the plan is cached and `scratch` has grown to n/2.
 void fast_irfft_pow2(std::span<std::complex<double>> spectrum, std::size_t n,
                      std::span<double> out, std::vector<std::complex<double>>& scratch);
 

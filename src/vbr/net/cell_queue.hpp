@@ -6,6 +6,21 @@
 // The finite buffer drops an arriving cell that does not fit. This is the
 // classic workload recursion of a D-server finite-buffer FIFO and agrees
 // with the fluid model to within one cell per interval.
+//
+// Uniform spacing puts cell c of k at t0 + dt*(c+0.5)/k, computed inline in
+// that operation order, and its one loop fast-forwards a drained queue bit
+// for bit. With u = 2^-53, each computed instant is within 2u*dt (the
+// offset's two roundings) plus u*(t0+dt) (the sum) of the exact one, so a
+// computed gap is within 6u*dt + 2u*t0 of dt/k, and gap*C loses two more
+// u. An interval whose nominal service per arrival s = C*dt/k satisfies
+//     s >= 48*(1 + 8*eps) + 8*eps*C*(t0 + dt),   eps = 2u,
+// (the margin also covers the rounding of this test itself) therefore
+// drains at least 48 B, in floating point, between any two of its
+// arrivals. Once the workload just after an arrival is exactly 48 B, the
+// next arrival clamps it to 0 and is accepted (the workload never exceeds
+// the buffer, so the buffer holds 48 B), which leaves exactly 48 B again.
+// The rest of the interval is then counted in O(1) and the last arrival
+// instant is set with the same expression. Random spacing steps every cell.
 #pragma once
 
 #include <cstddef>

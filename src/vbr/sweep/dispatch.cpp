@@ -351,6 +351,10 @@ PoolReport run_pool(const PoolOptions& options) {
   Fnv1a spread;
   spread.update(pool_id.data(), pool_id.size());
   const std::uint64_t start = spread.digest() % options.shard_count;
+  // Idle wait while every unfinished shard is leased elsewhere.
+  const double idle_cap_seconds = std::min(options.lease.heartbeat_seconds, 0.25);
+  const double idle_floor_seconds = std::min(0.001, idle_cap_seconds);
+  double idle_seconds = idle_floor_seconds;
 
   for (;;) {
     bool all_done = true;
@@ -381,13 +385,15 @@ PoolReport run_pool(const PoolOptions& options) {
       return report;
     }
     if (!claimed.has_value()) {
-      // Every unfinished shard is freshly leased to someone else. Wait a
-      // beat: either their markers appear, or their leases go stale and
-      // the next scan steals them.
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          std::min(options.lease.heartbeat_seconds, 0.25)));
+      // Every unfinished shard is freshly leased to someone else. Wait:
+      // either their markers appear, or their leases go stale and a later
+      // scan steals them. A sweep's last shards settle within milliseconds
+      // of each other, so the wait starts at 1 ms and doubles up to the cap.
+      std::this_thread::sleep_for(std::chrono::duration<double>(idle_seconds));
+      idle_seconds = std::min(2.0 * idle_seconds, idle_cap_seconds);
       continue;
     }
+    idle_seconds = idle_floor_seconds;
     (void)work_shard(options, *claimed, records_appended, report);
   }
 }

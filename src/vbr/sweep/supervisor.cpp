@@ -256,9 +256,9 @@ AttemptOutcome run_attempt(const CellSpec& spec, const WorkerLimits& limits,
 }
 
 /// The isolation-free attempt: evaluate in-process, classify exceptions the
-/// way the worker protocol would. ~1 ms of fork/pipe overhead saved per
-/// cell — the difference between hours and minutes at 10^5 cells — at the
-/// cost of crash containment, which trusted specs don't need.
+/// way the worker protocol would. ~0.6 ms of fork/pipe overhead saved per
+/// cell — a minute at 10^5 cells — at the cost of crash containment, which
+/// trusted specs don't need.
 AttemptOutcome run_attempt_inprocess(const CellSpec& spec, InjectedFault fault) {
   AttemptOutcome outcome;
   const auto start = std::chrono::steady_clock::now();

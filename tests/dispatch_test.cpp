@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "vbr/common/error.hpp"
@@ -295,6 +297,40 @@ TEST(Dispatch, InterruptedSweepResumesAcrossInvocations) {
   const SweepReport merged = collect_sweep(options.sweep_dir, options.grid, 4);
   EXPECT_EQ(merged.results_hash, reference_hash());
   EXPECT_GT(merged.resumed_cells + merged.completed, 0u);
+}
+
+TEST(Dispatch, IdlePoolSeesAForeignShardFinishWithinMilliseconds) {
+  // The only unfinished shard is freshly leased to another pool, which
+  // publishes its done marker ~20 ms in. The idle pool's wait starts at
+  // 1 ms and backs off, so it sees the marker long before one full
+  // heartbeat-capped sleep (0.25 s here) would end.
+  TempDir dir("idle");
+  PoolOptions options = base_pool_options(dir, 1);
+  options.lease.ttl_seconds = 30.0;
+  options.lease.heartbeat_seconds = 5.0;
+  std::filesystem::create_directories(options.sweep_dir / "leases");
+  ASSERT_EQ(claim_lease(shard_lease_path(options.sweep_dir, 0), "other pool\n",
+                        options.lease.ttl_seconds, false),
+            LeaseClaim::kClaimed);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::exception_ptr publish_error;
+  std::thread other([&] {
+    try {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      publish_agreed_file(shard_done_path(options.sweep_dir, 0), "done\n", false);
+    } catch (...) {
+      publish_error = std::current_exception();
+    }
+  });
+  const PoolReport report = run_pool(options);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  other.join();
+  if (publish_error) std::rethrow_exception(publish_error);
+
+  EXPECT_TRUE(report.sweep_complete);
+  EXPECT_EQ(report.shards_completed, 0u);
+  EXPECT_LT(waited, std::chrono::milliseconds(200));
 }
 
 TEST(Dispatch, MismatchedGridIsRejectedByTheSweepMeta) {

@@ -451,8 +451,10 @@ TEST(FastFftTest, AgreesWithReferenceIrfft) {
     spectrum[0] = rng.normal();  // DC and Nyquist real, as irfft assumes
     spectrum[n / 2] = rng.normal();
     for (std::size_t k = 1; k < n / 2; ++k) spectrum[k] = {rng.normal(), rng.normal()};
-    const auto fast = fast_irfft_pow2(spectrum, n);
     const auto reference = irfft(spectrum, n);
+    std::vector<double> fast(n);
+    std::vector<std::complex<double>> scratch;
+    fast_irfft_pow2(spectrum, n, fast, scratch);  // clobbers `spectrum`
     ASSERT_EQ(fast.size(), reference.size());
     double max_abs = 0.0;
     for (const double v : reference) max_abs = std::max(max_abs, std::abs(v));
@@ -467,14 +469,16 @@ TEST(FastFftTest, PlanCacheBookkeepingAndBadSizes) {
   fast_fft_plan_cache_clear();
   ASSERT_EQ(fast_fft_plan_cache_size(), 0u);
   std::vector<std::complex<double>> spectrum(9, 0.0);
-  (void)fast_irfft_pow2(spectrum, 16);
+  std::vector<double> out(16);
+  std::vector<std::complex<double>> scratch;
+  fast_irfft_pow2(spectrum, 16, out, scratch);
   EXPECT_EQ(fast_fft_plan_cache_size(), 1u);
-  (void)fast_irfft_pow2(spectrum, 16);
+  fast_irfft_pow2(spectrum, 16, out, scratch);
   EXPECT_EQ(fast_fft_plan_cache_size(), 1u);
 
-  EXPECT_THROW((void)fast_irfft_pow2(spectrum, 12), InvalidArgument);  // not pow2
-  EXPECT_THROW((void)fast_irfft_pow2(spectrum, 0), InvalidArgument);
-  EXPECT_THROW((void)fast_irfft_pow2(spectrum, 32), InvalidArgument);  // wrong count
+  EXPECT_THROW(fast_irfft_pow2(spectrum, 12, out, scratch), InvalidArgument);  // not pow2
+  EXPECT_THROW(fast_irfft_pow2(spectrum, 0, out, scratch), InvalidArgument);
+  EXPECT_THROW(fast_irfft_pow2(spectrum, 32, out, scratch), InvalidArgument);  // wrong count
   fast_fft_plan_cache_clear();
   EXPECT_EQ(fast_fft_plan_cache_size(), 0u);
 }
