@@ -6,9 +6,14 @@
 // bytes/sec recorded. A FNV-1a hash over the raw double bits of every
 // generated frame doubles as the determinism witness: the engine guarantees
 // bit-identical output for any thread count, so all runs must report the
-// same checksum. A final pair of campaign runs — identical except that one
-// checkpoints at the default interval — measures the checkpoint overhead
-// the crash-safe runner charges for resumability (budget: <= 5%).
+// same checksum. Five final pairs of campaign runs — identical except that
+// one of each pair checkpoints every `threads` sources — measure the
+// checkpoint overhead the crash-safe runner charges for resumability
+// (budget: <= 5%). One pair reads anywhere from 4% to 47% on a shared
+// machine, so the artifact records the median of the interleaved pairs with
+// their min and max. The plain run is one batch, whose commits overlap its
+// generation; a batch of exactly `threads` sources finishes all of them at
+// once and commits them after, so the checkpointed run also pays that tail.
 //
 // Usage:
 //   ./bench_engine_scaling [sources] [frames_per_source] [thread_list]
@@ -35,6 +40,13 @@ std::uint64_t fnv1a_trace_hash(const vbr::engine::MultiSourceTrace& trace) {
   vbr::Fnv1a hash;
   for (const auto& source : trace.sources) hash.update(source);
   return hash.digest();
+}
+
+/// Median; the mean of the middle two for an even count.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 double timed_campaign_seconds(const vbr::run::CampaignOptions& options) {
@@ -124,31 +136,40 @@ int main(int argc, char** argv) {
   appendf(json, "  ],\n");
 
   // Checkpoint overhead: identical campaigns to scratch files, one without a
-  // checkpoint path and one checkpointing every `threads` sources. A
-  // campaign generates one checkpoint interval per batch, so an interval
-  // that is a multiple of the thread count keeps every worker busy and the
-  // difference is the cost of the saves, not idle workers.
+  // checkpoint path and one checkpointing every `threads` sources, run as
+  // interleaved pairs. A campaign generates one checkpoint interval per
+  // batch, so an interval that is a multiple of the thread count keeps every
+  // worker busy and the difference is the cost of the saves, not idle
+  // workers.
+  constexpr std::size_t kPairs = 5;
   const auto scratch = std::filesystem::temp_directory_path();
-  vbr::run::CampaignOptions campaign;
-  campaign.plan = plan;
-  campaign.plan.threads = thread_counts.back();
-  campaign.trace_path = scratch / "bench_engine_scaling_campaign.trace";
-  campaign.checkpoint_path.clear();
-  const double plain_seconds = timed_campaign_seconds(campaign);
-  campaign.checkpoint_path = scratch / "bench_engine_scaling_campaign.ckpt";
-  campaign.checkpoint_every_sources = campaign.plan.threads;
-  const double checkpointed_seconds = timed_campaign_seconds(campaign);
-  const double overhead =
-      plain_seconds > 0.0 ? checkpointed_seconds / plain_seconds - 1.0 : 0.0;
+  vbr::run::CampaignOptions plain;
+  plain.plan = plan;
+  plain.plan.threads = thread_counts.back();
+  plain.trace_path = scratch / "bench_engine_scaling_campaign.trace";
+  vbr::run::CampaignOptions checkpointed = plain;
+  checkpointed.checkpoint_path = scratch / "bench_engine_scaling_campaign.ckpt";
+  checkpointed.checkpoint_every_sources = plain.plan.threads;
+  std::vector<double> plain_seconds, checkpointed_seconds, overhead;
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    plain_seconds.push_back(timed_campaign_seconds(plain));
+    checkpointed_seconds.push_back(timed_campaign_seconds(checkpointed));
+    overhead.push_back(plain_seconds.back() > 0.0
+                           ? checkpointed_seconds.back() / plain_seconds.back() - 1.0
+                           : 0.0);
+  }
   std::error_code cleanup;
-  std::filesystem::remove(campaign.trace_path, cleanup);
-  std::filesystem::remove(campaign.checkpoint_path, cleanup);
+  std::filesystem::remove(checkpointed.trace_path, cleanup);
+  std::filesystem::remove(checkpointed.checkpoint_path, cleanup);
   appendf(json,
-          "  \"checkpoint_overhead\": {\"plain_seconds\": %.6f, "
+          "  \"checkpoint_overhead\": {\"pairs\": %zu, \"plain_seconds\": %.6f, "
           "\"checkpointed_seconds\": %.6f, \"overhead_fraction\": %.4f, "
+          "\"overhead_fraction_min\": %.4f, \"overhead_fraction_max\": %.4f, "
           "\"checkpoint_every_sources\": %zu},\n",
-          plain_seconds, checkpointed_seconds, overhead,
-          campaign.checkpoint_every_sources);
+          kPairs, median(plain_seconds), median(checkpointed_seconds), median(overhead),
+          *std::min_element(overhead.begin(), overhead.end()),
+          *std::max_element(overhead.begin(), overhead.end()),
+          checkpointed.checkpoint_every_sources);
 
   appendf(json, "  \"bit_identical_across_thread_counts\": %s\n",
           bit_identical ? "true" : "false");

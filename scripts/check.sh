@@ -4,7 +4,8 @@
 #   ./scripts/check.sh            # every stage, in order
 #   ./scripts/check.sh --tier1    # configure + build + ctest (canonical gate)
 #   ./scripts/check.sh --asan     # full ctest under ASan+UBSan
-#   ./scripts/check.sh --tsan     # engine/fft/generator tests and the service
+#   ./scripts/check.sh --tsan     # engine/fft/generator/campaign tests, the
+#                                 # engine tap, and the service
 #                                 # scheduler/governor cases under TSan
 #   ./scripts/check.sh --analyze  # vbr_analyze over the full tree (build the
 #                                 # analyzer, zero findings required)
@@ -67,11 +68,16 @@ if [[ $run_asan -eq 1 ]]; then
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
-  echo "=== tsan: engine + fft + generator tests, service scheduler + governor under -fsanitize=thread ==="
+  echo "=== tsan: engine + fft + generator + campaign tests, service scheduler + governor under -fsanitize=thread ==="
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j \
-    --target engine_test fft_test generators_test service_test governor_test >/dev/null
+    --target engine_test fft_test generators_test campaign_test streaming_test \
+    service_test governor_test >/dev/null
   ./build-tsan/tests/engine_test
+  # The campaign's committer (tap merge, trace append, hash) beside the
+  # generating workers, and the engine tap merged while a batch generates.
+  ./build-tsan/tests/campaign_test --gtest_filter='CampaignTest.*'
+  ./build-tsan/tests/streaming_test --gtest_filter='EngineTapTest.*'
   ./build-tsan/tests/fft_test
   ./build-tsan/tests/generators_test
   # The round scheduler's chunk claims and merge, and the governed rounds: the

@@ -101,6 +101,12 @@ def check_engine_scaling(doc):
     check_number(ck, "checkpointed_seconds", lo=0.0)
     check_number(ck, "overhead_fraction", lo=-1.0)
     check_number(ck, "checkpoint_every_sources", lo=1)
+    # One pair cannot resolve the 5% budget; the fraction is a median.
+    check_number(ck, "pairs", lo=5)
+    check_number(ck, "overhead_fraction_min", lo=-1.0)
+    check_number(ck, "overhead_fraction_max", lo=-1.0)
+    require(ck["overhead_fraction_min"] <= ck["overhead_fraction"] <= ck["overhead_fraction_max"],
+            "checkpoint overhead median lies outside its recorded min and max")
     print(f"schema check OK: {sys.argv[1]} ({len(results)} thread counts)")
 
 

@@ -36,29 +36,36 @@ struct SourceOutcome {
   SourceFailure failure;  ///< meaningful only when failed
   bool failed = false;
   std::size_t transient_retries = 0;
+  double total = 0.0;  ///< kahan_total of the trace
 };
 
 }  // namespace
 
-SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
-                                  std::span<const Rng> streams,
-                                  std::size_t first_index,
-                                  std::size_t frames_per_source,
-                                  model::ModelVariant variant,
-                                  model::GeneratorBackend backend,
-                                  std::size_t threads,
-                                  const stream::Sink* tap,
-                                  const FailurePolicy& policy,
-                                  std::span<model::Workspace> workspaces) {
+void generate_source_batch(const model::VbrVideoSourceModel& model,
+                           std::span<const Rng> streams,
+                           std::size_t first_index,
+                           std::size_t frames_per_source,
+                           model::ModelVariant variant,
+                           model::GeneratorBackend backend,
+                           std::size_t threads,
+                           const stream::Sink* tap,
+                           const FailurePolicy& policy,
+                           std::span<model::Workspace> workspaces,
+                           SourceBatch& batch,
+                           const CommitSource& commit) {
   VBR_ENSURE(frames_per_source >= 1, "batch needs at least one frame per source");
   VBR_ENSURE(policy.max_attempts >= 1, "failure policy needs at least one attempt");
 
   const std::size_t count = streams.size();
-  SourceBatch batch;
+  // Sized here, on the calling thread, so a reused batch keeps its buffers
+  // and a fresh one allocates them from one thread.
   batch.traces.resize(count);
+  for (auto& trace : batch.traces) trace.resize(frames_per_source);
+  batch.sinks.clear();
   if (tap != nullptr) batch.sinks.resize(count);
-  std::vector<SourceOutcome> outcomes(count);
-  if (count == 0) return batch;
+  batch.failures.clear();
+  batch.transient_retries = 0;
+  if (count == 0) return;
 
   threads = std::min(resolve_thread_count(threads), count);
   std::vector<model::Workspace> own;
@@ -67,27 +74,32 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
     workspaces = own;
   }
   VBR_ENSURE(workspaces.size() >= threads, "batch needs one workspace per worker");
-  parallel_for_index(count, threads, [&](std::size_t i, std::size_t worker) {
+  // Workers clone this, never `tap`: the committer merges into `tap` while
+  // they run.
+  const std::unique_ptr<stream::Sink> prototype =
+      tap != nullptr ? tap->clone_empty() : nullptr;
+  std::vector<SourceOutcome> outcomes(count);
+
+  parallel_for_ordered(count, threads, [&](std::size_t i, std::size_t worker) {
     const auto start = std::chrono::steady_clock::now();
     const auto elapsed = [&] {
       return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
     };
+    std::vector<double>& trace = batch.traces[i];
     for (std::size_t attempt = 1;; ++attempt) {
       try {
         // A fresh copy of the pre-derived stream every attempt: a source
         // that needed three tries is bit-identical to one that succeeded
         // immediately.
         Rng rng = streams[i];
-        std::vector<double> trace(frames_per_source);
         model.generate(trace, rng, variant, backend, workspaces[worker]);
-        std::unique_ptr<stream::Sink> sink;
-        if (tap != nullptr) {
-          sink = tap->clone_empty();
+        if (prototype != nullptr) {
+          std::unique_ptr<stream::Sink> sink = prototype->clone_empty();
           sink->push(trace);
+          batch.sinks[i] = std::move(sink);
         }
-        batch.traces[i] = std::move(trace);
-        if (tap != nullptr) batch.sinks[i] = std::move(sink);
+        outcomes[i].total = kahan_total(trace);
         return;
       } catch (const TransientError& e) {
         const bool out_of_attempts = attempt >= policy.max_attempts;
@@ -105,7 +117,7 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
                   : std::string("transient fault persisted across ") +
                         std::to_string(attempt) + " attempts: " + e.what();
           if (!policy.quarantine) throw;
-          batch.traces[i].clear();
+          trace.clear();
           return;
         }
         ++outcomes[i].transient_retries;
@@ -121,16 +133,35 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
         out.failure.attempts = attempt;
         out.failure.error = std::string("permanent failure: ") + e.what();
         if (!policy.quarantine) throw;
-        batch.traces[i].clear();
+        trace.clear();
         return;
       }
     }
+  }, [&](std::size_t i) {
+    commit(FinishedSource{batch.traces[i], tap != nullptr ? batch.sinks[i].get() : nullptr,
+                          outcomes[i].total});
   });
 
   for (std::size_t i = 0; i < count; ++i) {
     if (outcomes[i].failed) batch.failures.push_back(outcomes[i].failure);
     batch.transient_retries += outcomes[i].transient_retries;
   }
+}
+
+SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
+                                  std::span<const Rng> streams,
+                                  std::size_t first_index,
+                                  std::size_t frames_per_source,
+                                  model::ModelVariant variant,
+                                  model::GeneratorBackend backend,
+                                  std::size_t threads,
+                                  const stream::Sink* tap,
+                                  const FailurePolicy& policy,
+                                  std::span<model::Workspace> workspaces) {
+  SourceBatch batch;
+  generate_source_batch(model, streams, first_index, frames_per_source, variant, backend,
+                        threads, tap, policy, workspaces, batch,
+                        [](const FinishedSource&) {});
   return batch;
 }
 
@@ -151,27 +182,24 @@ MultiSourceTrace generate_sources(const GenerationPlan& plan, stream::Sink* tap,
 
   const std::size_t threads =
       std::min(resolve_thread_count(plan.threads), plan.num_sources);
+  SourceBatch batch;
+  double bytes = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
-  SourceBatch batch = generate_source_batch(
-      model, streams, /*first_index=*/0, plan.frames_per_source, plan.variant,
-      plan.resolved_backend(), threads, tap, policy);
-  const auto t1 = std::chrono::steady_clock::now();
-
   // In-order reduction keeps the tap independent of scheduling; quarantined
   // sources have null sinks and contribute nothing.
-  if (tap != nullptr) {
-    for (const auto& sink : batch.sinks) {
-      if (sink) tap->merge(*sink);
-    }
-  }
+  generate_source_batch(model, streams, /*first_index=*/0, plan.frames_per_source,
+                        plan.variant, plan.resolved_backend(), threads, tap, policy, {},
+                        batch, [&](const FinishedSource& source) {
+                          if (source.sink != nullptr) tap->merge(*source.sink);
+                          bytes += source.total;
+                        });
+  const auto t1 = std::chrono::steady_clock::now();
 
   MultiSourceTrace out;
   out.sources = std::move(batch.traces);
   out.stats.sources = plan.num_sources;
   out.stats.frames =
       (plan.num_sources - batch.failures.size()) * plan.frames_per_source;
-  double bytes = 0.0;
-  for (const auto& source : out.sources) bytes += kahan_total(source);
   out.stats.bytes = bytes;
   out.stats.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   out.stats.threads_used = threads;

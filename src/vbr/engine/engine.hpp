@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,7 +67,7 @@ struct GenerationPlan {
 /// source is dropped (empty output, failure recorded in EngineStats) and the
 /// rest of the campaign completes; without it, the failure propagates as an
 /// exception after all sources have run (lowest source index wins, see
-/// parallel_for_index).
+/// parallel_for_ordered), and the sources before it have been committed.
 struct FailurePolicy {
   std::size_t max_attempts = 3;       ///< total tries per source (>= 1)
   double backoff_seconds = 0.0;       ///< sleep before retry k: backoff * 2^(k-1)
@@ -115,6 +116,9 @@ struct MultiSourceTrace {
 /// Output of one generation batch. `traces[k]` / `sinks[k]` belong to source
 /// `first_index + k` of the surrounding plan; a quarantined source leaves an
 /// empty trace and a null sink, with the reason recorded in `failures`.
+/// A caller that keeps one SourceBatch across same-shape batches (the
+/// campaign runner) reuses its trace buffers: after the first batch no
+/// trace memory is allocated.
 struct SourceBatch {
   std::vector<std::vector<double>> traces;
   std::vector<std::unique_ptr<stream::Sink>> sinks;  ///< empty when tap == nullptr
@@ -122,19 +126,58 @@ struct SourceBatch {
   std::size_t transient_retries = 0;
 };
 
+/// One generated source, handed to the committer in source order.
+struct FinishedSource {
+  std::span<const double> trace;       ///< empty when quarantined
+  const stream::Sink* sink = nullptr;  ///< null when quarantined or untapped
+  double total = 0.0;                  ///< kahan_total(trace), computed on the worker
+};
+
+/// Receives each finished source on the calling thread (see
+/// generate_source_batch).
+using CommitSource = std::function<void(const FinishedSource&)>;
+
 /// Generate `streams.size()` sources, one per pre-derived Rng stream, under a
-/// FailurePolicy. This is the checkpointable core of the engine: the campaign
-/// runner calls it one batch at a time, persisting the unconsumed stream
-/// states between calls, so a resumed run hands the surviving streams back
-/// and continues bit-identically. `first_index` only labels failures; it
-/// never influences the output. Each retry restarts from a copy of the
-/// source's original stream, so retried output is bit-identical to
-/// first-try output for any thread count.
+/// FailurePolicy, into `batch`. This is the checkpointable core of the
+/// engine: the campaign runner calls it one batch at a time, persisting the
+/// unconsumed stream states between calls, so a resumed run hands the
+/// surviving streams back and continues bit-identically. `first_index` only
+/// labels failures; it never influences the output. Each retry restarts from
+/// a copy of the source's original stream, so retried output is
+/// bit-identical to first-try output for any thread count.
+///
+/// `threads` workers generate while the calling thread commits: as soon as
+/// source k and every source before it are generated, `commit` receives
+/// source k, so the caller's in-order work (tap merge, trace append, hash)
+/// runs beside generation rather than after it (with one thread, the
+/// calling thread generates and commits each source in turn, spawning
+/// nothing). Commits stop at the first source that failed without
+/// quarantine, or after a commit that threw; the error rethrown once every
+/// worker has joined is the one with the lowest source index, from either
+/// side. Per-source sinks are clones of one blank prototype taken from
+/// `tap` before generation starts, so the committer may merge into `tap`
+/// itself while workers run.
 ///
 /// Each worker generates into `workspaces[worker]` (at least one per worker
 /// thread), so a caller that runs many batches keeps the generators' FFT
 /// buffers warm across them; empty `workspaces` makes the batch hold its
-/// own for this call. The workspaces never influence the output.
+/// own for this call. Neither the workspaces nor the reused buffers in
+/// `batch` ever influence the output.
+void generate_source_batch(const model::VbrVideoSourceModel& model,
+                           std::span<const Rng> streams,
+                           std::size_t first_index,
+                           std::size_t frames_per_source,
+                           model::ModelVariant variant,
+                           model::GeneratorBackend backend,
+                           std::size_t threads,
+                           const stream::Sink* tap,
+                           const FailurePolicy& policy,
+                           std::span<model::Workspace> workspaces,
+                           SourceBatch& batch,
+                           const CommitSource& commit);
+
+/// The batch with nothing committed: every trace and per-source sink is
+/// returned for the caller to fold.
 SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
                                   std::span<const Rng> streams,
                                   std::size_t first_index,
@@ -151,11 +194,12 @@ SourceBatch generate_source_batch(const model::VbrVideoSourceModel& model,
 ///
 /// If `tap` is non-null, every source's frame stream is also pushed into a
 /// streaming-statistics sink while the run is in flight: each source gets a
-/// private tap->clone_empty() filled on whichever worker generates it, and
-/// the per-source sinks are merged into `tap` *in source order on the
-/// calling thread* after the join. Because the sinks never touch generation
-/// and the merge order is fixed, the generated trace stays bit-identical
-/// for any thread count and the tap statistics are deterministic too.
+/// private blank sink filled on whichever worker generates it, and the
+/// per-source sinks are merged into `tap` *in source order on the calling
+/// thread* while later sources are still generating. Because the sinks
+/// never touch generation and the merge order is fixed, the generated trace
+/// stays bit-identical for any thread count and the tap statistics are
+/// deterministic too.
 ///
 /// `policy` governs failure handling (see FailurePolicy); the default
 /// retries transient faults and throws on anything permanent.

@@ -32,4 +32,20 @@ std::size_t resolve_thread_count(std::size_t requested);
 void parallel_for_index(std::size_t count, std::size_t threads,
                         const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// parallel_for_index with an in-order hand-off: fn(i, worker) runs for every
+/// i on `threads` spawned workers while the calling thread runs commit(i) in
+/// index order, each as soon as fn(0..i) have all returned. So commit(i)
+/// overlaps fn(j) for j > i, and anything commit reads of what fn(i) wrote
+/// is ordered by the hand-off; commit may write state fn never touches.
+/// `threads == 1` spawns nothing: the calling thread runs fn(i) then
+/// commit(i) in turn (forked sweep cells rely on that).
+/// Commits stop before the first i whose fn threw and after a commit that
+/// threw; every fn still runs. After the workers join, the lowest-index
+/// exception from either side is rethrown (a commit error at i always
+/// precedes any fn error, since commit(i) runs only after fn(0..i)
+/// succeeded).
+void parallel_for_ordered(std::size_t count, std::size_t threads,
+                          const std::function<void(std::size_t, std::size_t)>& fn,
+                          const std::function<void(std::size_t)>& commit);
+
 }  // namespace vbr::engine

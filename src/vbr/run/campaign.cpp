@@ -9,7 +9,6 @@
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
-#include "vbr/common/math_util.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/engine/thread_pool.hpp"
 #include "vbr/run/checkpoint.hpp"
@@ -120,38 +119,39 @@ CampaignResult run_campaign(const CampaignOptions& options, stream::Sink* tap) {
   };
 
   const std::size_t threads = engine::resolve_thread_count(plan.threads);
-  // One per worker for the whole campaign: every batch reuses the
-  // generators' FFT buffers instead of faulting in fresh ones per source.
+  // One per worker, and one batch of trace buffers, for the whole campaign:
+  // every batch reuses the generators' FFT buffers and the trace memory
+  // instead of faulting in fresh pages per source.
   std::vector<model::Workspace> workspaces(threads);
-  const auto t0 = std::chrono::steady_clock::now();
+  engine::SourceBatch batch;
   std::vector<double> zeros;  // quarantine padding, allocated on first use
+  // Runs on this thread, in source order, beside the generation of later
+  // sources: merge into the tap, append to the trace, fold into the hash.
+  // A quarantined source keeps its trace slot as zeros (the binary header's
+  // declared count is a promise) but adds nothing to the statistics.
+  const auto commit = [&](const engine::FinishedSource& source) {
+    std::span<const double> samples = source.trace;
+    if (samples.empty()) {
+      if (zeros.empty()) zeros.assign(plan.frames_per_source, 0.0);
+      samples = zeros;
+    } else if (source.sink != nullptr) {
+      tap->merge(*source.sink);
+    }
+    writer->append(samples);
+    hash.update(samples);
+    bytes += source.total;
+  };
+  const auto t0 = std::chrono::steady_clock::now();
   while (next_source < plan.num_sources) {
     const std::size_t remaining = plan.num_sources - next_source;
     const std::size_t batch_size =
         options.checkpoint_every_sources == 0
             ? remaining
             : std::min(options.checkpoint_every_sources, remaining);
-    engine::SourceBatch batch = engine::generate_source_batch(
+    engine::generate_source_batch(
         model, std::span<const Rng>(streams).subspan(next_source, batch_size),
         next_source, plan.frames_per_source, plan.variant, plan.resolved_backend(),
-        threads, tap, options.failure, workspaces);
-
-    // Serial, in source order: append to the trace, fold into the hash,
-    // merge into the tap. A quarantined source keeps its trace slot as
-    // zeros (the binary header's declared count is a promise) but adds
-    // nothing to the statistics.
-    for (std::size_t k = 0; k < batch_size; ++k) {
-      const std::vector<double>* samples = &batch.traces[k];
-      if (samples->empty()) {
-        if (zeros.empty()) zeros.assign(plan.frames_per_source, 0.0);
-        samples = &zeros;
-      } else if (tap != nullptr && batch.sinks[k] != nullptr) {
-        tap->merge(*batch.sinks[k]);
-      }
-      writer->append(*samples);
-      hash.update(std::span<const double>(*samples));
-      bytes += kahan_total(*samples);
-    }
+        threads, tap, options.failure, workspaces, batch, commit);
     for (auto& f : batch.failures) failures.push_back(std::move(f));
     transient_retries += batch.transient_retries;
     next_source += batch_size;

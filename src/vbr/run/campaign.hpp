@@ -17,6 +17,18 @@
 // crash can therefore leave a trace that is ahead of the checkpoint — the
 // resume truncates the excess — but never a checkpoint that is ahead of the
 // trace.
+//
+// Commits overlap generation. `plan.threads` workers generate a batch while
+// the calling thread commits it in source order: tap merge, trace append,
+// hash fold and byte total for source k, as soon as sources 0..k are
+// generated. The checkpoint follows the batch's last commit. The runner
+// keeps its workspaces and the batch's trace buffers for the whole
+// campaign. Commits stop at the first source that failed without
+// quarantine, or after a commit that threw; the error rethrown is the one
+// with the lowest source index, from either side. Such a throw, like a
+// kill, can leave the trace and the tap ahead of the last checkpoint;
+// resume truncates the trace and restores the tap (DESIGN §8, "The commit
+// pipeline").
 #pragma once
 
 #include <cstdint>
@@ -73,6 +85,8 @@ struct CampaignResult {
 ///
 /// Throws vbr::IoError on trace/checkpoint I/O failures and on any
 /// plan/checkpoint mismatch; rethrows engine failures per the FailurePolicy.
+/// After a throw the trace and `tap` may hold sources past the last
+/// checkpoint; a resume truncates the trace and restores the tap.
 CampaignResult run_campaign(const CampaignOptions& options,
                             stream::Sink* tap = nullptr);
 

@@ -73,6 +73,7 @@ void FaultySink::push(std::span<const double> samples) {
 }
 
 void FaultySink::merge(const Sink& other) {
+  injector_->maybe_throw(site_ + ".merge");
   const auto& peer = stream::detail::merge_peer<FaultySink>(other, kind());
   inner_->merge(*peer.inner_);
 }

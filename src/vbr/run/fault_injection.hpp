@@ -113,7 +113,9 @@ class FaultyStreambuf final : public std::streambuf {
 /// engine pushes each source's samples through a clone of the tap on
 /// whichever worker generated it). Clones share the injector, so a plan like
 /// "op 5 at site 'tap' is transient" fires on the 6th push across the whole
-/// run regardless of which source performs it.
+/// run regardless of which source performs it. merge() polls its own site,
+/// `<site>.merge`: merges run in source order on the committing thread, so
+/// "op 4 at site 'tap.merge'" always hits the fifth source's merge.
 class FaultySink final : public stream::Sink {
  public:
   FaultySink(std::unique_ptr<Sink> inner, FaultInjector* injector, std::string site)

@@ -1,5 +1,6 @@
 #include "vbr/stream/welch.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -12,11 +13,31 @@
 namespace vbr::stream {
 
 StreamingWelchPeriodogram::StreamingWelchPeriodogram(const WelchOptions& options)
-    : options_(options) {
-  VBR_ENSURE(options_.segment_size >= 8 && is_power_of_two(options_.segment_size),
-             "Welch segment size must be a power of two >= 8");
-  buffer_.assign(options_.segment_size, 0.0);
-  power_sum_.assign((options_.segment_size - 1) / 2, 0.0);
+    : StreamingWelchPeriodogram(options, nullptr) {}
+
+StreamingWelchPeriodogram::StreamingWelchPeriodogram(const WelchOptions& options,
+                                                     std::shared_ptr<const Window> window)
+    : options_(options), window_(std::move(window)) {
+  const std::size_t s = options_.segment_size;
+  VBR_ENSURE(s >= 8 && is_power_of_two(s), "Welch segment size must be a power of two >= 8");
+  if (window_ == nullptr) {
+    auto built = std::make_shared<Window>();
+    built->weights.resize(s);
+    KahanSum window_power;
+    for (std::size_t i = 0; i < s; ++i) {
+      double w = 1.0;
+      if (options_.hann_window) {
+        w = 0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * static_cast<double>(i) /
+                                  static_cast<double>(s)));
+      }
+      built->weights[i] = w;
+      window_power.add(w * w);
+    }
+    built->norm = 1.0 / (2.0 * std::numbers::pi * window_power.value());
+    window_ = std::move(built);
+  }
+  buffer_.assign(s, 0.0);
+  power_sum_.assign((s - 1) / 2, 0.0);
 }
 
 void StreamingWelchPeriodogram::flush_segment() {
@@ -24,21 +45,12 @@ void StreamingWelchPeriodogram::flush_segment() {
   // Per-segment mean removal (Welch's detrend); the global-mean batch
   // periodogram differs only in the lowest ordinate's leakage.
   const double mean = kahan_total(buffer_) / static_cast<double>(s);
-  std::vector<double> seg(s);
-  KahanSum window_power;
-  for (std::size_t i = 0; i < s; ++i) {
-    double w = 1.0;
-    if (options_.hann_window) {
-      w = 0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * static_cast<double>(i) /
-                                static_cast<double>(s)));
-    }
-    seg[i] = (buffer_[i] - mean) * w;
-    window_power.add(w * w);
-  }
-  const auto spectrum = rfft(seg);
-  const double norm = 1.0 / (2.0 * std::numbers::pi * window_power.value());
+  const std::vector<double>& weights = window_->weights;
+  segment_.resize(s);
+  for (std::size_t i = 0; i < s; ++i) segment_[i] = (buffer_[i] - mean) * weights[i];
+  const auto spectrum = rfft(segment_);
   for (std::size_t k = 0; k < power_sum_.size(); ++k) {
-    const double p = std::norm(spectrum[k + 1]) * norm;
+    const double p = std::norm(spectrum[k + 1]) * window_->norm;
     VBR_DCHECK(std::isfinite(p), "non-finite Welch ordinate");
     // NOLINTNEXTLINE(vbr-naive-accumulation): ordinates are nonnegative (no cancellation) and power_sum_ is snapshot-serialized state; a compensation vector would change the on-disk format and the merge identity.
     power_sum_[k] += p;
@@ -48,11 +60,17 @@ void StreamingWelchPeriodogram::flush_segment() {
 }
 
 void StreamingWelchPeriodogram::push(std::span<const double> samples) {
-  for (const double x : samples) {
-    VBR_DCHECK(std::isfinite(x), "non-finite sample pushed into Welch periodogram");
-    buffer_[buffer_fill_++] = x;
-    ++n_;
-    if (buffer_fill_ == options_.segment_size) flush_segment();
+  const std::size_t s = options_.segment_size;
+  while (!samples.empty()) {
+    const auto run = samples.first(std::min(samples.size(), s - buffer_fill_));
+    for (const double x : run) {
+      VBR_DCHECK(std::isfinite(x), "non-finite sample pushed into Welch periodogram");
+    }
+    std::copy(run.begin(), run.end(), buffer_.data() + buffer_fill_);
+    buffer_fill_ += run.size();
+    n_ += run.size();
+    samples = samples.subspan(run.size());
+    if (buffer_fill_ == s) flush_segment();
   }
 }
 
@@ -72,7 +90,7 @@ void StreamingWelchPeriodogram::merge(const Sink& other) {
 }
 
 std::unique_ptr<Sink> StreamingWelchPeriodogram::clone_empty() const {
-  return std::make_unique<StreamingWelchPeriodogram>(options_);
+  return std::make_unique<StreamingWelchPeriodogram>(options_, window_);
 }
 
 void StreamingWelchPeriodogram::save(std::ostream& out) const {

@@ -13,6 +13,10 @@
 // merge() adds the power accumulators and segment counts (exact and
 // associative); the left operand's partial segment is discarded (< one
 // segment per merge boundary) and the right's remains open.
+//
+// The window and its Kahan-summed power are tabulated once per sink and
+// shared with every clone_empty() copy, so the engine's per-source clones
+// pay for neither per segment.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +40,16 @@ struct WelchOptions {
 };
 
 class StreamingWelchPeriodogram final : public Sink {
+  /// The segment window w[i] and 1 / (2 pi sum w^2), immutable once built.
+  struct Window {
+    std::vector<double> weights;
+    double norm = 0.0;
+  };
+
  public:
   explicit StreamingWelchPeriodogram(const WelchOptions& options = {});
+  /// clone_empty()'s form: shares `window`, built for the same options.
+  StreamingWelchPeriodogram(const WelchOptions& options, std::shared_ptr<const Window> window);
 
   void push(std::span<const double> samples) override;
   void merge(const Sink& other) override;
@@ -60,7 +72,9 @@ class StreamingWelchPeriodogram final : public Sink {
   void flush_segment();
 
   WelchOptions options_;
+  std::shared_ptr<const Window> window_;
   std::vector<double> buffer_;       ///< open segment, buffer_fill_ valid
+  std::vector<double> segment_;      ///< flush scratch: the windowed segment
   std::size_t buffer_fill_ = 0;
   std::vector<double> power_sum_;    ///< summed normalized ordinates, k = 1..
   std::size_t segments_ = 0;

@@ -11,7 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,104 @@ TEST(CampaignTest, PermanentTapFaultQuarantinesOnlyThatSource) {
   double sum = 0.0;
   for (const double x : slot) sum += x;
   EXPECT_GT(sum, 0.0);
+}
+
+/// Run `options` with a FaultySink over a moments+ACF tap scheduled by
+/// `plan`; require it to throw a permanent fault naming `site` and to leave
+/// the checkpoint after the first batch; then resume fault-free and require
+/// the reference trace hash and sink bytes. The trace and tap are ahead of
+/// that checkpoint when the throw escapes (the sources committed before the
+/// failing one), as after a kill; resume truncates and restores them.
+/// `committed`, when set, is how many sources the trace must hold when the
+/// throw escapes.
+void expect_fault_then_bit_identical_resume(CampaignOptions options, FaultPlan plan,
+                                            const std::string& site,
+                                            const std::optional<std::size_t>& committed,
+                                            const TempCampaignFiles& reference_files,
+                                            const CampaignResult& reference,
+                                            const std::string& reference_sink) {
+  FaultInjector faults(std::move(plan));
+  {
+    TapPair pair;
+    FaultySink tap(pair.tap->clone_empty(), &faults, "tap");
+    try {
+      run_campaign(options, &tap);
+      ADD_FAILURE() << "expected the " << site << " fault to escape";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("site '" + site + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(faults.fired(site), 1u);
+  EXPECT_EQ(load_checkpoint(options.checkpoint_path).next_source,
+            options.checkpoint_every_sources);
+  if (committed) {
+    const std::size_t source_bytes = options.plan.frames_per_source * sizeof(double);
+    const std::uintmax_t header = std::filesystem::file_size(reference_files.trace()) -
+                                  options.plan.num_sources * source_bytes;
+    EXPECT_EQ(std::filesystem::file_size(options.trace_path),
+              header + *committed * source_bytes);
+  }
+
+  options.resume = true;
+  TapPair pair;
+  FaultInjector none(FaultPlan{});
+  FaultySink tap(pair.tap->clone_empty(), &none, "tap");
+  const auto resumed = run_campaign(options, &tap);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.resumed_at_source, options.checkpoint_every_sources);
+  EXPECT_EQ(resumed.trace_hash, reference.trace_hash);
+  EXPECT_EQ(sink_bytes(tap), reference_sink);
+}
+
+TEST(CampaignTest, PermanentTapFaultMidBatchThrowsAndResumesBitIdentically) {
+  // Quarantine off. Batches are sources {0, 1, 2} and {3, 4, 5}; the fifth
+  // push (op 4) fails, which is in the second batch for any thread count
+  // (each batch joins before the next starts). On one thread it is source
+  // 4, so source 3 is already in the trace and the tap when the error
+  // escapes.
+  TempCampaignFiles ref_files("camp_midbatch_ref");
+  auto ref = small_campaign(ref_files);
+  ref.checkpoint_every_sources = 3;
+  TapPair ref_pair;
+  const auto reference = run_campaign(ref, ref_pair.tap.get());
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    TempCampaignFiles files("camp_midbatch");
+    auto options = small_campaign(files);
+    options.checkpoint_every_sources = 3;
+    options.plan.threads = threads;
+    FaultPlan plan;
+    plan.faults.push_back({"tap", 4, FaultKind::kPermanent, 1});
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_fault_then_bit_identical_resume(
+        options, std::move(plan), "tap",
+        threads == 1 ? std::optional<std::size_t>(4) : std::nullopt, ref_files, reference,
+        sink_bytes(*ref_pair.tap));
+  }
+}
+
+TEST(CampaignTest, TapMergeFaultStopsLaterCommitsAndResumesBitIdentically) {
+  // Merges run in source order on the committing thread, so merge op 4 is
+  // source 4's for any thread count: sources 0-3 are committed, source 4's
+  // merge throws, and nothing after it reaches the trace.
+  TempCampaignFiles ref_files("camp_mergefault_ref");
+  auto ref = small_campaign(ref_files);
+  ref.checkpoint_every_sources = 3;
+  TapPair ref_pair;
+  const auto reference = run_campaign(ref, ref_pair.tap.get());
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    TempCampaignFiles files("camp_mergefault");
+    auto options = small_campaign(files);
+    options.checkpoint_every_sources = 3;
+    options.plan.threads = threads;
+    FaultPlan plan;
+    plan.faults.push_back({"tap.merge", 4, FaultKind::kPermanent, 1});
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_fault_then_bit_identical_resume(options, std::move(plan), "tap.merge", 4, ref_files,
+                                           reference, sink_bytes(*ref_pair.tap));
+  }
 }
 
 TEST(CampaignTest, SourceDeadlineBoundsTheRetryLoop) {

@@ -233,6 +233,98 @@ TEST(ThreadPoolTest, RethrowsLowestIndexExceptionRegardlessOfScheduling) {
   }
 }
 
+TEST(ThreadPoolTest, OrderedCommitsSeeEveryTaskInIndexOrder) {
+  // commit(i) reads what task i wrote, with no lock of its own: the hand-off
+  // is the only ordering (TSan checks it), and commits arrive in index order.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::vector<std::size_t> written(64, 0);
+    std::vector<std::size_t> committed;
+    parallel_for_ordered(
+        64, threads, [&](std::size_t i, std::size_t /*worker*/) { written[i] = i * i + 1; },
+        [&](std::size_t i) {
+          EXPECT_EQ(written[i], i * i + 1);
+          committed.push_back(i);
+        });
+    ASSERT_EQ(committed.size(), 64u);
+    for (std::size_t i = 0; i < committed.size(); ++i) EXPECT_EQ(committed[i], i);
+  }
+}
+
+TEST(ThreadPoolTest, OrderedCommitsStopAtTheFirstFailureAndTheLowestIndexWins) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (int repeat = 0; repeat < 10; ++repeat) {
+      // A commit error at 2 precedes a task error at 5.
+      std::atomic<std::size_t> ran{0};
+      std::vector<std::size_t> committed;
+      try {
+        parallel_for_ordered(
+            16, threads,
+            [&](std::size_t i, std::size_t /*worker*/) {
+              ran.fetch_add(1);
+              if (i == 5) throw std::runtime_error("task 5");
+            },
+            [&](std::size_t i) {
+              if (i == 2) throw std::runtime_error("commit 2");
+              committed.push_back(i);
+            });
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "commit 2");
+      }
+      EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1}));
+      EXPECT_EQ(ran.load(), 16u);  // every task still runs
+
+      // A task error at 2 stops the commits before 2; the commit that would
+      // have thrown at 4 never runs.
+      committed.clear();
+      try {
+        parallel_for_ordered(
+            16, threads,
+            [&](std::size_t i, std::size_t /*worker*/) {
+              if (i == 2 || i == 9) throw std::runtime_error("task " + std::to_string(i));
+            },
+            [&](std::size_t i) {
+              if (i == 4) throw std::runtime_error("commit 4");
+              committed.push_back(i);
+            });
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task 2");
+      }
+      EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1}));
+    }
+  }
+}
+
+TEST(EngineTest, ReusedBatchCommitsEverySourceInOrderBitIdentically) {
+  // The campaign's shape: one SourceBatch reused across batches, each source
+  // handed over in order with its trace and total while later ones generate.
+  auto plan = small_plan();
+  plan.num_sources = 12;
+  plan.threads = 1;
+  const MultiSourceTrace reference = generate_sources(plan);
+  const model::VbrVideoSourceModel model(plan.params);
+  Rng master(plan.seed);
+  std::vector<Rng> streams;
+  for (std::size_t i = 0; i < plan.num_sources; ++i) streams.push_back(master.split());
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SourceBatch batch;
+    std::vector<std::vector<double>> committed;
+    double bytes = 0.0;
+    for (std::size_t first = 0; first < plan.num_sources; first += 5) {
+      const std::size_t count = std::min<std::size_t>(5, plan.num_sources - first);
+      generate_source_batch(model, std::span<const Rng>(streams).subspan(first, count), first,
+                            plan.frames_per_source, plan.variant, plan.backend, threads,
+                            nullptr, {}, {}, batch, [&](const FinishedSource& source) {
+                              committed.emplace_back(source.trace.begin(), source.trace.end());
+                              bytes += source.total;
+                            });
+    }
+    EXPECT_EQ(committed, reference.sources) << "threads=" << threads;
+    EXPECT_EQ(bytes, reference.stats.bytes) << "threads=" << threads;
+  }
+}
+
 TEST(EngineFailureTest, TransientFaultsAreRetriedBitIdentically) {
   // A sink family sharing one trip-wire: the first push anywhere throws
   // TransientError, everything after succeeds. Exactly one source needs one

@@ -13,6 +13,7 @@
 //     changes the generated trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/common/serialize.hpp"
@@ -167,6 +169,35 @@ TEST(StreamingWelchTest, LowFrequencySlopeSeesLongRangeDependence) {
   const double hurst = (1.0 + alpha) / 2.0;
   EXPECT_GT(hurst, 0.6);
   EXPECT_LT(hurst, 1.0);
+}
+
+TEST(StreamingWelchTest, SavedStateIsPinnedForEveryPushSplit) {
+  // FNV-1a of save() after 171000 samples, rectangular then Hann, recorded
+  // from the per-sample push with a per-segment window. The state must not
+  // depend on how the stream is cut into pushes, nor on whether the sink is
+  // a clone sharing its prototype's window table.
+  std::vector<double> samples(171000);
+  Rng rng(1994);
+  for (double& x : samples) x = rng.uniform(20000.0, 40000.0);
+  const std::uint64_t pinned[] = {0xa2be917284294bf0ULL, 0x10fff2c9493d21d3ULL};
+  for (const bool hann : {false, true}) {
+    WelchOptions options;
+    options.hann_window = hann;
+    const StreamingWelchPeriodogram prototype(options);
+    for (const std::size_t split : {1u, 7u, 4096u, 171000u}) {
+      const auto sink = prototype.clone_empty();
+      for (std::size_t at = 0; at < samples.size(); at += split) {
+        sink->push(std::span<const double>(samples).subspan(
+            at, std::min(split, samples.size() - at)));
+      }
+      std::ostringstream out(std::ios::binary);
+      sink->save(out);
+      Fnv1a fnv;
+      fnv.update(out.str().data(), out.str().size());
+      EXPECT_EQ(fnv.digest(), pinned[hann ? 1 : 0])
+          << std::hex << fnv.digest() << " hann=" << hann << " split=" << std::dec << split;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -576,6 +607,32 @@ TEST(EngineTapTest, TapStatisticsAreDeterministicAcrossThreadCounts) {
   // thread, so scheduling cannot perturb even the last bit.
   EXPECT_EQ(serial, two);
   EXPECT_EQ(serial, eight);
+}
+
+TEST(EngineTapTest, TapMergedWhileLaterSourcesGenerateMatchesOneThread) {
+  // The calling thread merges source k into the tap while workers still
+  // generate later sources, cloning their sinks from a blank prototype and
+  // never from the tap being merged into. Every estimator takes part, so a
+  // shared Welch window or a clone racing a merge would show under TSan;
+  // the saved state must equal the one-thread run's byte for byte.
+  auto plan = small_plan();
+  plan.num_sources = 8;
+  auto saved_state = [&plan](std::size_t threads) {
+    plan.threads = threads;
+    StreamingMoments moments;
+    StreamingQuantiles quantiles;
+    StreamingAcf acf(32);
+    StreamingVarianceTime variance_time;
+    StreamingWelchPeriodogram welch(WelchOptions{.segment_size = 1024, .hann_window = true});
+    auto tap = chain(moments, quantiles, acf, variance_time, welch);
+    engine::generate_sources(plan, &tap);
+    std::ostringstream out(std::ios::binary);
+    tap.save(out);
+    return out.str();
+  };
+  const std::string serial = saved_state(1);
+  EXPECT_EQ(saved_state(2), serial);
+  EXPECT_EQ(saved_state(4), serial);
 }
 
 TEST(EngineTapTest, TapMatchesPushingSourcesInOrder) {

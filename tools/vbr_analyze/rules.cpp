@@ -601,7 +601,13 @@ std::vector<std::string_view> mutable_rng_names(const SourceFile& f,
 
 /// Parallel boundaries: work handed to them runs on pool threads.
 bool is_parallel_boundary(std::string_view name) {
-  return name == "parallel_for_index";
+  return name == "parallel_for_index" || name == "parallel_for_ordered";
+}
+
+/// The argument a boundary runs on pool threads: parallel_for_index's last,
+/// parallel_for_ordered's third (its commit runs on the calling thread).
+std::size_t parallel_task_arg(std::string_view name, const std::vector<std::size_t>& args) {
+  return name == "parallel_for_ordered" && args.size() >= 3 ? args[2] : args.back();
 }
 
 void rule_rng_discipline(const SourceFile& f, std::vector<Finding>& out) {
@@ -635,7 +641,7 @@ void rule_rng_discipline(const SourceFile& f, std::vector<Finding>& out) {
       }
     }
 
-    const LambdaShape shape = resolve_functor(f, args.back());
+    const LambdaShape shape = resolve_functor(f, parallel_task_arg(t[i].text, args));
     if (!shape.valid) continue;
 
     // Capture list checks.
