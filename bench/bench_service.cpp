@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   appendf(json, "  \"hosking_horizon\": %zu,\n", config.tuning.hosking_horizon);
   appendf(json, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
   appendf(json, "  \"kernel_isa\": \"%s\",\n",
-          vbr::service::kernel_isa_name(vbr::service::active_kernel_isa()));
+          vbr::kernel_isa_name(vbr::active_kernel_isa()));
   appendf(json, "  \"lockstep_lanes\": %zu,\n", vbr::service::lockstep_lanes());
   const KernelRow kernel = time_kernel(config.tuning.hosking_horizon);
   appendf(json,

@@ -1,6 +1,8 @@
 #include "vbr/common/fft.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -27,19 +29,54 @@ inline V2 load(const double* p) {
 
 inline void store(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
 
-// Butterfly on lo = a[j], hi = a[j + len/2] with twiddle w, given as
-// w_real = (w.re, w.re) and w_imag = (-w.im, w.im):
-// (lo, hi) <- (lo + hi * w, lo - hi * w). The product is the std::complex
-// one for finite operands, (ac - bd, ad + bc), rounded the same way:
-// re = h.re * w.re + h.im * (-w.im) is h.re * w.re - h.im * w.im exactly,
-// and im = h.im * w.re + h.re * w.im only swaps the addends.
-inline void butterfly(double* lo, double* hi, V2 w_real, V2 w_imag) {
-  const V2 h = load(hi);
+// A twiddle w as the butterflies read it: re = (w.re, w.re) and
+// im = (-w.im, w.im).
+struct Twiddle {
+  V2 re;
+  V2 im;
+};
+
+inline Twiddle splat(double w_re, double w_im) { return {V2{w_re, w_re}, V2{-w_im, w_im}}; }
+
+// h * w, the std::complex product for finite operands, (ac - bd, ad + bc),
+// rounded the same way: re = h.re * w.re + h.im * (-w.im) is
+// h.re * w.re - h.im * w.im exactly, and im = h.im * w.re + h.re * w.im only
+// swaps the addends.
+inline V2 times(V2 h, Twiddle w) {
   const V2 h_swapped = {h[1], h[0]};
-  const V2 v = h * w_real + h_swapped * w_imag;
+  return h * w.re + h_swapped * w.im;
+}
+
+// Butterfly on lo = a[j], hi = a[j + len/2]: (lo, hi) <- (lo + hi * w, lo - hi * w).
+inline void butterfly(double* lo, double* hi, Twiddle w) {
+  const V2 v = times(load(hi), w);
   const V2 u = load(lo);
   store(lo, u + v);
   store(hi, u - v);
+}
+
+// Stages len and 2 len at once on the four values x_k = p[k q], q = len/2,
+// that only mix with each other across the two stages: stage len pairs
+// (x0, x1) and (x2, x3) with its twiddle w_j, then stage 2 len pairs
+// (x0, x2) with its w_j (`lo`) and (x1, x3) with its w_{j+q} (`hi`). Each
+// value takes exactly the two butterflies it takes one stage at a time,
+// with one load and one store instead of two each.
+inline void butterfly_pair(double* p, std::size_t q, Twiddle w, Twiddle lo, Twiddle hi) {
+  double* const p1 = p + 2 * q;
+  double* const p2 = p + 4 * q;
+  double* const p3 = p + 6 * q;
+  const V2 x0 = load(p);
+  const V2 x2 = load(p2);
+  const V2 v1 = times(load(p1), w);
+  const V2 v3 = times(load(p3), w);
+  const V2 y0 = x0 + v1;
+  const V2 y1 = x0 - v1;
+  const V2 v2 = times(x2 + v3, lo);
+  const V2 v4 = times(x2 - v3, hi);
+  store(p, y0 + v2);
+  store(p2, y0 - v2);
+  store(p1, y1 + v4);
+  store(p3, y1 - v4);
 }
 
 // w <- w * wlen, the std::complex product for finite operands.
@@ -49,50 +86,184 @@ inline void advance(double& w_re, double& w_im, double wlen_re, double wlen_im) 
   w_re = re;
 }
 
-// Twiddles tabulated per pass over a stage's blocks: 8 KiB on the stack.
-constexpr std::size_t kTwiddleSlice = 256;
-
-// Iterative radix-2 Cooley-Tukey, n must be a power of two.
-// `sign` is -1 for the forward transform, +1 for the (unnormalized) inverse.
-//
 // Stage `len` uses the twiddles w_0 = 1, w_j = w_{j-1} * wlen: a serial
 // product chain whose exact rounding the pinned Davies-Harte traces depend
-// on. The chain runs once per stage, a slice of kTwiddleSlice values at a
-// time, and every block of the stage reads each slice from the table.
-void fft_radix2(std::span<Complex> data, int sign) {
-  const std::size_t n = data.size();
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  // std::complex<double> is layout-compatible with double[2].
-  double* const a = reinterpret_cast<double*>(data.data());
-  V2 table[2 * kTwiddleSlice];
-  for (std::size_t len = 2; len <= n; len <<= 1) {
+// on. Every twiddle below, tabulated or not, is a link of that chain.
+struct Chain {
+  double re = 1.0;
+  double im = 0.0;
+  double wlen_re = 0.0;
+  double wlen_im = 0.0;
+
+  Chain(std::size_t len, int sign) {
     const double angle = static_cast<double>(sign) * 2.0 * std::numbers::pi /
                          static_cast<double>(len);
-    const double wlen_re = std::cos(angle);
-    const double wlen_im = std::sin(angle);
-    const std::size_t half = len / 2;
-    double w_re = 1.0;
-    double w_im = 0.0;
-    for (std::size_t j0 = 0; j0 < half; j0 += kTwiddleSlice) {
-      const std::size_t count = std::min(kTwiddleSlice, half - j0);
-      for (std::size_t j = 0; j < count; ++j) {
-        table[2 * j] = V2{w_re, w_re};
-        table[2 * j + 1] = V2{-w_im, w_im};
-        advance(w_re, w_im, wlen_re, wlen_im);
+    wlen_re = std::cos(angle);
+    wlen_im = std::sin(angle);
+  }
+  // The current link, then step to the next.
+  Twiddle next() {
+    const Twiddle w = splat(re, im);
+    advance(re, im, wlen_re, wlen_im);
+    return w;
+  }
+};
+
+// Stages of length <= kFftBlock stay inside aligned blocks of kFftBlock
+// values, so they run block by block while the block is in cache. Their
+// twiddles come from one process-wide table per sign, the chains of every
+// stage len = 2..kFftBlock laid end to end (stage len at offset len/2 - 1),
+// filled once at load: kFftBlock - 1 values per sign, 128 KiB in all.
+constexpr std::size_t kBlock = detail::kFftBlock;
+
+using StageChains = std::array<Complex, kBlock - 1>;
+
+StageChains stage_chains(int sign) {
+  StageChains chains{};
+  for (std::size_t len = 2; len <= kBlock; len <<= 1) {
+    Chain chain(len, sign);
+    for (std::size_t j = 0; j < len / 2; ++j) {
+      chains[len / 2 - 1 + j] = Complex(chain.re, chain.im);
+      chain.next();
+    }
+  }
+  return chains;
+}
+
+const StageChains kForwardChains = stage_chains(-1);
+const StageChains kInverseChains = stage_chains(+1);
+
+inline Twiddle splat(Complex w) { return splat(w.real(), w.imag()); }
+
+// Stages 2..block of a[b, b + block), from the stage table: two at a time,
+// and a last one alone when their count is odd.
+void small_stages(double* a, std::size_t b, std::size_t block, const Complex* chains) {
+  std::size_t len = 2;
+  for (; 2 * len <= block; len <<= 2) {
+    const std::size_t q = len / 2;
+    const Complex* const w = chains + (q - 1);
+    const Complex* const w2 = chains + (len - 1);
+    for (std::size_t i = b; i < b + block; i += 2 * len) {
+      for (std::size_t j = 0; j < q; ++j) {
+        butterfly_pair(a + 2 * (i + j), q, splat(w[j]), splat(w2[j]), splat(w2[j + q]));
       }
-      for (std::size_t i = j0; i < n; i += len) {
+    }
+  }
+  if (len <= block) {
+    const std::size_t half = len / 2;
+    const Complex* const w = chains + (half - 1);
+    for (std::size_t i = b; i < b + block; i += len) {
+      for (std::size_t j = 0; j < half; ++j) {
+        butterfly(a + 2 * (i + j), a + 2 * (i + j + half), splat(w[j]));
+      }
+    }
+  }
+}
+
+// Twiddles of the larger stages, drawn from their chains a slice at a time
+// and read by every block of the stage: 8 KiB per chain on the stack.
+constexpr std::size_t kTwiddleSlice = 256;
+
+// Stages len..n of a[0, n), len > kFftBlock, two at a time and a last one
+// alone when their count is odd.
+void large_stages(double* a, std::size_t n, std::size_t len, int sign) {
+  Twiddle table[3][kTwiddleSlice];
+  for (; 2 * len <= n; len <<= 2) {
+    const std::size_t q = len / 2;
+    Chain chain(len, sign);
+    Chain lo(2 * len, sign);
+    Chain hi = lo;  // stage 2 len's chain from link q on
+    for (std::size_t j = 0; j < q; ++j) hi.next();
+    for (std::size_t j0 = 0; j0 < q; j0 += kTwiddleSlice) {
+      const std::size_t count = std::min(kTwiddleSlice, q - j0);
+      for (std::size_t j = 0; j < count; ++j) {
+        table[0][j] = chain.next();
+        table[1][j] = lo.next();
+        table[2][j] = hi.next();
+      }
+      for (std::size_t i = j0; i < n; i += 2 * len) {
         for (std::size_t j = 0; j < count; ++j) {
-          butterfly(a + 2 * (i + j), a + 2 * (i + j + half), table[2 * j], table[2 * j + 1]);
+          butterfly_pair(a + 2 * (i + j), q, table[0][j], table[1][j], table[2][j]);
         }
       }
     }
   }
+  if (len <= n) {
+    const std::size_t half = len / 2;
+    Chain chain(len, sign);
+    for (std::size_t j0 = 0; j0 < half; j0 += kTwiddleSlice) {
+      const std::size_t count = std::min(kTwiddleSlice, half - j0);
+      for (std::size_t j = 0; j < count; ++j) table[0][j] = chain.next();
+      for (std::size_t i = j0; i < n; i += len) {
+        for (std::size_t j = 0; j < count; ++j) {
+          butterfly(a + 2 * (i + j), a + 2 * (i + j + half), table[0][j]);
+        }
+      }
+    }
+  }
+}
+
+// The low `bits` bits of x in reverse order.
+std::size_t reverse_bits(std::size_t x, unsigned bits) {
+  std::size_t r = 0;
+  for (unsigned t = 0; t < bits; ++t, x >>= 1) r = (r << 1) | (x & 1);
+  return r;
+}
+
+// Bit-reversal permutation of a power-of-two length. An index splits into
+// [hi | mid | lo] with kTileBits-bit hi and lo, and reverses to
+// [rev lo | rev mid | rev hi], so the values of one mid form a tile of
+// kTile rows of kTile adjacent values that trades places with the tile of
+// rev mid, row for column. Swapping tile by tile touches each cache line
+// of both tiles once, where the index-by-index order touches a far line per
+// value.
+constexpr unsigned kTileBits = 3;
+
+void bit_reverse(std::span<Complex> data) {
+  const std::size_t n = data.size();
+  const auto bits = static_cast<unsigned>(std::countr_zero(n));
+  if (bits < 2 * kTileBits + 1) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::size_t j = reverse_bits(i, bits);
+      if (i < j) std::swap(data[i], data[j]);
+    }
+    return;
+  }
+  constexpr std::size_t kTile = std::size_t{1} << kTileBits;
+  std::array<std::size_t, kTile> rev{};
+  for (std::size_t t = 0; t < kTile; ++t) rev[t] = reverse_bits(t, kTileBits);
+  const unsigned mid_bits = bits - 2 * kTileBits;
+  const unsigned hi_shift = bits - kTileBits;
+  for (std::size_t mid = 0; mid < (std::size_t{1} << mid_bits); ++mid) {
+    const std::size_t mid_rev = reverse_bits(mid, mid_bits);
+    if (mid_rev < mid) continue;  // swapped with tile mid_rev already
+    for (std::size_t hi = 0; hi < kTile; ++hi) {
+      const std::size_t row = (hi << hi_shift) | (mid << kTileBits);
+      const std::size_t column = (mid_rev << kTileBits) | rev[hi];
+      for (std::size_t lo = 0; lo < kTile; ++lo) {
+        const std::size_t i = row | lo;
+        const std::size_t j = (rev[lo] << hi_shift) | column;
+        // A tile that is its own reverse swaps each pair once.
+        if (mid_rev != mid || i < j) std::swap(data[i], data[j]);
+      }
+    }
+  }
+}
+
+// Iterative radix-2 Cooley-Tukey, n must be a power of two.
+// `sign` is -1 for the forward transform, +1 for the (unnormalized) inverse.
+// Every stage's butterflies are independent of each other, so running the
+// small stages block by block, the larger ones slice by slice, and stages
+// in pairs changes the order of the butterflies and never their operands.
+void fft_radix2(std::span<Complex> data, int sign) {
+  const std::size_t n = data.size();
+  bit_reverse(data);
+  // std::complex<double> is layout-compatible with double[2].
+  double* const a = reinterpret_cast<double*>(data.data());
+  const Complex* const chains = (sign < 0 ? kForwardChains : kInverseChains).data();
+  const std::size_t block = std::min(n, kBlock);
+  for (std::size_t b = 0; b < n; b += block) small_stages(a, b, block, chains);
+  large_stages(a, n, 2 * block, sign);
 }
 
 // Bluestein's chirp-z transform for arbitrary n.

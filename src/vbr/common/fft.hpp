@@ -1,8 +1,9 @@
 // Fast Fourier transform for arbitrary lengths.
 //
-// Power-of-two lengths use an iterative radix-2 Cooley-Tukey kernel; all other
-// lengths go through Bluestein's chirp-z algorithm (which reduces to three
-// power-of-two FFTs). This supports the periodogram of the 171,000-frame
+// Power-of-two lengths use an iterative radix-2 Cooley-Tukey kernel, run
+// cache block by cache block and two stages at a time with the arithmetic
+// of the stage-by-stage kernel; all other lengths go through Bluestein's
+// chirp-z algorithm (which reduces to three power-of-two FFTs). This supports the periodogram of the 171,000-frame
 // trace, FFT-based autocorrelation, and the Davies-Harte fGn generator.
 //
 // The real transforms run at half length and read their unpack twiddles
@@ -68,6 +69,10 @@ std::size_t next_power_of_two(std::size_t n);
 bool is_power_of_two(std::size_t n);
 
 namespace detail {
+
+/// Radix-2 stages up to this length (in complex values, 64 KiB) run block
+/// by block on data that stays in cache, reading twiddles tabulated at load.
+inline constexpr std::size_t kFftBlock = 4096;
 
 /// Rewrite x[0..L) in place as x[k] <- f(x[k], x[L - k], k), reading both
 /// members of each pair (k, L - k) before writing either; x[L] is read for

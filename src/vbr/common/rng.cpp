@@ -1,5 +1,6 @@
 #include "vbr/common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "vbr/common/error.hpp"
@@ -111,6 +112,39 @@ double Rng::normal() {
   cached_normal_ = v * factor;
   has_cached_normal_ = true;
   return u * factor;
+}
+
+void Rng::fill_normal(std::span<double> out) {
+  std::size_t i = 0;
+  if (has_cached_normal_ && !out.empty()) out[i++] = normal();
+  // Whole pairs, one L1-sized chunk at a time. Pass 1 draws (u, v)
+  // candidates into the chunk and keeps one only where normal()'s loop
+  // would stop on it; each candidate takes the same two draws there.
+  // Pass 2 recomputes s bit for bit and applies the same factor.
+  constexpr std::size_t kChunk = 512;  // doubles: 4 KiB
+  while (out.size() - i >= 2) {
+    double* const chunk = out.data() + i;
+    const std::size_t len = std::min(kChunk, (out.size() - i) & ~std::size_t{1});
+    for (std::size_t pos = 0; pos < len;) {
+      const double u = uniform(-1.0, 1.0);
+      const double v = uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      chunk[pos] = u;
+      chunk[pos + 1] = v;
+      pos += static_cast<std::size_t>((s < 1.0) & (s != 0.0)) * 2;
+    }
+    for (std::size_t pos = 0; pos < len; pos += 2) {
+      const double u = chunk[pos];
+      const double v = chunk[pos + 1];
+      const double s = u * u + v * v;
+      const double factor = std::sqrt(-2.0 * std::log(s) / s);
+      chunk[pos] = u * factor;
+      chunk[pos + 1] = v * factor;
+    }
+    i += len;
+  }
+  // An odd tail takes a pair's first half and caches the second.
+  if (i < out.size()) out[i] = normal();
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 namespace vbr {
@@ -69,6 +70,13 @@ class Rng {
 
   /// Standard Normal deviate (polar Marsaglia method, cached pair).
   double normal();
+
+  /// Fill `out` with exactly the values successive normal() calls would
+  /// return, consuming the same draws and leaving the same state (a cached
+  /// half-pair included). Cheaper per value than normal(): the polar
+  /// method's rejection loop runs branch-free over L1-sized chunks of
+  /// `out`, and the log/sqrt pass follows on the accepted pairs.
+  void fill_normal(std::span<double> out);
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev);

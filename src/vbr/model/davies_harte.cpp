@@ -143,16 +143,21 @@ void davies_harte(std::span<double> out, const DaviesHarteOptions& options, Rng&
   // Color complex white noise. The full spectrum has W_0, W_m real and
   // conjugate symmetry W_{2m-k} = conj(W_k), so only the non-redundant half
   // W_0..W_m is ever materialized; irfft() supplies the mirrored half
-  // implicitly. The Rng draw order matches the pre-rfft implementation
-  // exactly: W_0, W_m, then (Re, Im) pairs for k = 1..m-1.
+  // implicitly. The Rng draw order is part of the pinned output: W_0, W_m,
+  // then one pair per k = 1..m-1 whose first draw is Im W_k and whose
+  // second is Re W_k. The pairs are drawn in place, as the doubles of
+  // W_1..W_{m-1}, and colored there.
   auto& w = workspace.spectrum;
   w.resize(m + 1);
   w[0] = rng.normal() * (*sqrt_lambda)[0];
   w[m] = rng.normal() * (*sqrt_lambda)[m];
+  rng.fill_normal(std::span<double>(reinterpret_cast<double*>(w.data() + 1), 2 * (m - 1)));
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   for (std::size_t k = 1; k < m; ++k) {
-    const std::complex<double> g(rng.normal() * inv_sqrt2, rng.normal() * inv_sqrt2);
-    w[k] = g * (*sqrt_lambda)[k];
+    const double first = w[k].real();
+    const double second = w[k].imag();
+    w[k] = std::complex<double>(second * inv_sqrt2 * (*sqrt_lambda)[k],
+                                first * inv_sqrt2 * (*sqrt_lambda)[k]);
   }
 
   // X_j = (1/sqrt(2m)) sum_k sqrt(lambda_k) W_k e^{+2 pi i jk / 2m}:

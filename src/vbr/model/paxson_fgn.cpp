@@ -201,11 +201,11 @@ void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
   auto& spectrum = workspace.spectrum;
   spectrum.resize(half + 1);
   spectrum[0] = 0.0;
+  rng.fill_normal(
+      std::span<double>(reinterpret_cast<double*>(spectrum.data() + 1), 2 * (half - 1)));
   for (std::size_t k = 1; k < half; ++k) {
     const double scale = sigma * (*amps)[k] * inv_sqrt2;
-    const double re = scale * rng.normal();
-    const double im = scale * rng.normal();
-    spectrum[k] = {re, im};
+    spectrum[k] = {scale * spectrum[k].real(), scale * spectrum[k].imag()};
   }
   spectrum[half] = sigma * (*amps)[half] * rng.normal();
 

@@ -22,7 +22,7 @@
 // each new sample as the next row; and writes only the new samples back
 // into each lane's ring. The kernel is compiled for AVX2 and for the
 // baseline ISA, and AVX2 is picked once per process where the host runs
-// it. Every lane performs exactly the width-1 products and Kahan steps in
+// it (common/isa.hpp). Every lane performs exactly the width-1 products and Kahan steps in
 // width-1 order, so a stream's samples depend neither on its group nor on
 // the ISA. next_block is the kernel at one lane, where the ring itself
 // serves as the window.
@@ -36,25 +36,17 @@
 #include <string>
 #include <vector>
 
+#include "vbr/common/isa.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/model/hosking.hpp"
 #include "vbr/service/streaming_source.hpp"
 
 namespace vbr::service {
 
-/// Instruction sets the lockstep kernel is compiled for.
-enum class KernelIsa : std::uint8_t { kBaseline, kAvx2 };
-
 /// Capacity of a lockstep group: the most lanes any ISA's kernel takes, for
 /// sizing arrays. How many lanes a group actually holds is lockstep_lanes().
 inline constexpr std::size_t kLockstepLanes = 16;
 
-/// "baseline" or "avx2".
-const char* kernel_isa_name(KernelIsa isa);
-/// True when this host can run `isa`'s kernel.
-bool kernel_isa_supported(KernelIsa isa);
-/// The kernel this process runs: AVX2 where the host has it, picked once.
-KernelIsa active_kernel_isa();
 /// Lanes G of `isa`'s kernel: 16 for AVX2 (four 4-double vectors per
 /// accumulator word), 8 for the baseline ISA, where 16 lanes no longer fit
 /// the accumulators in registers.

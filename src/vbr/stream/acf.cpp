@@ -15,8 +15,13 @@ namespace {
 // are read forwards. x[t] is the sample at stream index n_at_begin + t, and
 // x[t - k] must be readable for every lag it has, k <= min(L, n_at_begin + t),
 // so lag k is a plain read with no ring arithmetic.
-void accumulate(double* rev, std::size_t L, const double* x, std::size_t begin,
-                std::size_t end, std::size_t n_at_begin) {
+//
+// One body, compiled for each ISA of common/isa.hpp: the lags are
+// independent sums, so a wider vector adds more lags at once and each lag
+// still takes its products one rounded add at a time, in stream order.
+[[gnu::always_inline]] inline void accumulate(double* rev, std::size_t L, const double* x,
+                                              std::size_t begin, std::size_t end,
+                                              std::size_t n_at_begin) {
   std::size_t t = begin;
   // NOLINTBEGIN(vbr-naive-accumulation): the per-lag cross products are snapshot-serialized state with merge identities pinned bit-exact by tests; per-lag compensation would enter the on-disk format. The cancellation-prone term — the stream total — is Kahan-compensated in push().
   // The first L samples of the whole stream have fewer than L partners;
@@ -58,10 +63,35 @@ void accumulate(double* rev, std::size_t L, const double* x, std::size_t begin,
   // NOLINTEND(vbr-naive-accumulation)
 }
 
+using AccumulateFn = void (*)(double*, std::size_t, const double*, std::size_t, std::size_t,
+                              std::size_t);
+
+void accumulate_baseline(double* rev, std::size_t L, const double* x, std::size_t begin,
+                         std::size_t end, std::size_t n_at_begin) {
+  accumulate(rev, L, x, begin, end, n_at_begin);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void accumulate_avx2(double* rev, std::size_t L, const double* x,
+                                             std::size_t begin, std::size_t end,
+                                             std::size_t n_at_begin) {
+  accumulate(rev, L, x, begin, end, n_at_begin);
+}
+#endif
+
+AccumulateFn accumulate_for(KernelIsa isa) {
+#if defined(__x86_64__)
+  if (isa == KernelIsa::kAvx2) return accumulate_avx2;
+#endif
+  (void)isa;
+  return accumulate_baseline;
+}
+
 }  // namespace
 
-StreamingAcf::StreamingAcf(std::size_t max_lag) : max_lag_(max_lag) {
+StreamingAcf::StreamingAcf(std::size_t max_lag, KernelIsa isa) : max_lag_(max_lag), isa_(isa) {
   VBR_ENSURE(max_lag_ >= 1, "StreamingAcf needs max_lag >= 1");
+  VBR_ENSURE(kernel_isa_supported(isa_), "this host cannot run the requested kernel ISA");
   cross_.assign(max_lag_ + 1, 0.0);
   ring_.assign(max_lag_, 0.0);
   head_.reserve(max_lag_);
@@ -111,8 +141,9 @@ void StreamingAcf::push(std::span<const double> samples) {
   std::reverse_copy(cross_.begin(), cross_.end(), rev);
   copy_last(kept, window);
   std::copy_n(samples.begin(), lead, window + kept);
-  accumulate(rev, L, window + kept, 0, lead, n_);
-  accumulate(rev, L, samples.data(), lead, m, n_);
+  const AccumulateFn accumulate_isa = accumulate_for(isa_);
+  accumulate_isa(rev, L, window + kept, 0, lead, n_);
+  accumulate_isa(rev, L, samples.data(), lead, m, n_);
   std::reverse_copy(rev, rev + (L + 1), cross_.begin());
 
   if (n_ < L) {
@@ -179,7 +210,7 @@ void StreamingAcf::merge(const Sink& other) {
 }
 
 std::unique_ptr<Sink> StreamingAcf::clone_empty() const {
-  return std::make_unique<StreamingAcf>(max_lag_);
+  return std::make_unique<StreamingAcf>(max_lag_, isa_);
 }
 
 void StreamingAcf::save(std::ostream& out) const {

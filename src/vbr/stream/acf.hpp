@@ -18,9 +18,11 @@
 // push() reads lags from a contiguous window rather than the ring: the
 // ring's last max_lag samples are copied in front of the block's first
 // max_lag samples, and later samples find their partners in the block
-// itself. The lag loop runs over eight samples at a time. Every cross
-// product is still added in stream order, so the state (and save()) is
-// bit-identical for any split of the stream into pushes.
+// itself. The lag loop runs over eight samples at a time, vectorized across
+// lags, and is compiled for each ISA of common/isa.hpp (AVX2 where the host
+// runs it). Every cross product is still added in stream order, so the
+// state (and save()) is bit-identical for any split of the stream into
+// pushes and on every ISA.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +30,17 @@
 #include <span>
 #include <vector>
 
+#include "vbr/common/isa.hpp"
 #include "vbr/stream/sink.hpp"
 
 namespace vbr::stream {
 
 class StreamingAcf final : public Sink {
  public:
-  explicit StreamingAcf(std::size_t max_lag);
+  /// `isa` picks the lag loop's instance; every instance keeps the same
+  /// bits, so it is not part of the state. Throws vbr::InvalidArgument if
+  /// the host cannot run it.
+  explicit StreamingAcf(std::size_t max_lag, KernelIsa isa = active_kernel_isa());
 
   void push(std::span<const double> samples) override;
   void merge(const Sink& other) override;
@@ -57,6 +63,7 @@ class StreamingAcf final : public Sink {
   std::vector<double> last(std::size_t k) const;  ///< last k samples, oldest first
 
   std::size_t max_lag_ = 0;
+  KernelIsa isa_ = KernelIsa::kBaseline;  ///< the lag loop's instance; not state
   std::size_t n_ = 0;
   double sum_ = 0.0;
   double compensation_ = 0.0;          ///< Kahan carry for sum_

@@ -22,6 +22,7 @@
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
+#include "vbr/model/fgn_generator.hpp"
 #include "vbr/model/marginal_transform.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
@@ -380,6 +381,16 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
   // Tabulate the cells' marginal map before the first fork, so every worker
   // inherits the table copy-on-write instead of rebuilding it per cell.
   (void)model::shared_marginal_map(cell_marginal());
+  // Likewise the Davies-Harte eigenvalues and FFT unpack table of every
+  // (H, frames) shape the cells generate: one throwaway realization each.
+  {
+    model::Workspace workspace;
+    std::vector<double> warm(grid.frames_per_source);
+    Rng rng;
+    for (const double hurst : grid.hursts) {
+      model::generate_fgn(model::GeneratorBackend::kDaviesHarte, hurst, warm, rng, workspace);
+    }
+  }
 
   using Clock = std::chrono::steady_clock;
   struct Pending {

@@ -1,6 +1,7 @@
 // vbr-analyze-fixture: src/vbr/engine/fixture_isa_dispatch.cpp
-// Run-time instruction-set dispatch lives in the lockstep Hosking kernel
-// only; a second home would be a dispatch no test pins.
+// Run-time instruction-set selection lives in common/isa.cpp, and per-ISA
+// instances only in the kernels whose bits are pinned per ISA; a third
+// file would hold a dispatch no test pins.
 #include <cstddef>
 
 namespace vbr::engine {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -404,6 +405,23 @@ std::vector<std::size_t> bit_identity_lengths() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, FftBitIdentity, ::testing::ValuesIn(bit_identity_lengths()));
+
+// The radix-2 kernel changes structure at its cache block: below it every
+// stage reads the load-time table, above it the larger stages draw their
+// chains per call, and stages go in pairs with a lone last one when their
+// count is odd. The complex transforms reach the kernel at n and the real
+// ones at n / 2, so both must see block / 2, block and 2 block.
+TEST(FftBitIdentityLengths, CoverTheCacheBlockEdges) {
+  const auto lengths = bit_identity_lengths();
+  const auto covered = [&](std::size_t n) {
+    return std::find(lengths.begin(), lengths.end(), n) != lengths.end();
+  };
+  constexpr std::size_t block = detail::kFftBlock;
+  for (const std::size_t kernel : {block / 2, block, 2 * block}) {
+    EXPECT_TRUE(covered(kernel)) << "complex length " << kernel;
+    EXPECT_TRUE(covered(2 * kernel)) << "real length " << 2 * kernel;
+  }
+}
 
 TEST(RfftTest, SingleElementIsIdentity) {
   const std::vector<double> x{4.25};

@@ -6,14 +6,17 @@
 // eigenvalues, the Gamma/Pareto marginal map) must never change a bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "vbr/common/error.hpp"
+#include "vbr/common/fft.hpp"
 #include "vbr/common/math_util.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/model/davies_harte.hpp"
@@ -286,6 +289,46 @@ TEST(DaviesHarteTest, SingleAndSmallN) {
 bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The draw order is part of the pinned output: W_0, W_m, then per k one
+// pair whose first draw is Im W_k and whose second is Re W_k. The spectrum
+// is rebuilt here from one normal() call per statement, so no evaluation
+// order is left to the compiler, and the result must match bit for bit.
+TEST(DaviesHarteTest, SpectrumTakesEachPairsFirstDrawAsItsImaginaryPart) {
+  for (const CovarianceKind covariance : {CovarianceKind::kFgn, CovarianceKind::kFarima}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{8}, std::size_t{13}}) {
+      DaviesHarteOptions options;
+      options.hurst = 0.8;
+      options.variance = 2.5;
+      options.covariance = covariance;
+      const std::size_t m = next_power_of_two(n);
+      const auto rho = covariance == CovarianceKind::kFgn ? fgn_acf(options.hurst, m)
+                                                          : farima_acf(options.hurst, m);
+      std::vector<double> row(2 * m);
+      for (std::size_t j = 0; j <= m; ++j) row[j] = rho[j];
+      for (std::size_t j = 1; j < m; ++j) row[2 * m - j] = rho[j];
+      const auto eigen = rfft(row);
+      std::vector<double> sqrt_lambda(m + 1);
+      for (std::size_t k = 0; k <= m; ++k) sqrt_lambda[k] = std::sqrt(std::max(0.0, eigen[k].real()));
+
+      Rng rng(77 + n);
+      std::vector<std::complex<double>> w(m + 1);
+      w[0] = rng.normal() * sqrt_lambda[0];
+      w[m] = rng.normal() * sqrt_lambda[m];
+      const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
+      for (std::size_t k = 1; k < m; ++k) {
+        const double im = rng.normal() * inv_sqrt2;
+        const double re = rng.normal() * inv_sqrt2;
+        w[k] = std::complex<double>(re, im) * sqrt_lambda[k];
+      }
+      std::vector<double> expect(n);
+      irfft(w, 2 * m, expect, std::sqrt(static_cast<double>(2 * m) * options.variance));
+
+      Rng again(77 + n);
+      EXPECT_TRUE(same_bytes(davies_harte(n, options, again), expect)) << "n " << n;
+    }
+  }
 }
 
 /// The paper's Star Wars fit, a steeper tail, and a heavier, wider one.

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "vbr/common/error.hpp"
@@ -149,6 +153,36 @@ TEST_P(RngIndexSweep, MeanOfIndicesMatchesHalfRange) {
 
 INSTANTIATE_TEST_SUITE_P(Moduli, RngIndexSweep,
                          ::testing::Values(2, 3, 10, 100, 1000, 1u << 20));
+
+// fill_normal() must be successive normal() calls in another form: the same
+// values and the same stream state after, including a half-pair cached on
+// entry (consumed first) or left cached on exit (an odd remainder).
+class FillNormalTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FillNormalTest, EqualsSuccessiveNormalCallsAndLeavesTheSameState) {
+  const std::size_t count = GetParam();
+  for (const bool cached_on_entry : {false, true}) {
+    Rng reference(2024 + count);
+    if (cached_on_entry) (void)reference.normal();  // leaves half a pair cached
+    Rng filled = reference;
+    std::vector<double> expect(count);
+    for (auto& x : expect) x = reference.normal();
+    std::vector<double> got(count);
+    filled.fill_normal(got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin(), [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    })) << "count " << count << " cached on entry " << cached_on_entry;
+    std::string reference_state;
+    std::string filled_state;
+    reference.save(reference_state);
+    filled.save(filled_state);
+    EXPECT_EQ(filled_state, reference_state)
+        << "count " << count << " cached on entry " << cached_on_entry;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, FillNormalTest,
+                         ::testing::Values(0, 1, 2, 3, 1001, std::size_t{1} << 19));
 
 }  // namespace
 }  // namespace vbr

@@ -24,6 +24,7 @@
 
 #include "vbr/common/checksum.hpp"
 #include "vbr/common/error.hpp"
+#include "vbr/common/isa.hpp"
 #include "vbr/common/rng.hpp"
 #include "vbr/common/serialize.hpp"
 #include "vbr/engine/engine.hpp"
@@ -559,6 +560,47 @@ TEST(StreamingAcfTest, MergedWindowPushedHalvesMatchTheOracleMerge) {
     }
   }
 }
+
+// The lag loop forced to one ISA; an ISA this host lacks is skipped by name.
+class StreamingAcfIsaTest : public ::testing::TestWithParam<KernelIsa> {
+ protected:
+  void SetUp() override {
+    if (!kernel_isa_supported(GetParam())) {
+      GTEST_SKIP() << kernel_isa_name(GetParam()) << " lag loop: this host lacks the ISA";
+    }
+  }
+};
+
+TEST_P(StreamingAcfIsaTest, SavesTheBaselineBytesForEveryPushSplit) {
+  // One campaign source's length of model output, ACF(128) as in the tap.
+  static const std::vector<double> data = [] {
+    const model::VbrVideoSourceModel model(paper_params());
+    Rng rng(171);
+    return model.generate(171000, rng);
+  }();
+  const auto fnv_of = [](const Sink& sink) {
+    const std::string bytes = saved(sink);
+    Fnv1a fnv;
+    fnv.update(bytes.data(), bytes.size());
+    return fnv.digest();
+  };
+  StreamingAcf baseline(128, KernelIsa::kBaseline);
+  baseline.push(data);
+  const std::uint64_t expect = fnv_of(baseline);
+  for (const std::size_t block : {1u, 7u, 129u, 4096u, 171000u}) {
+    StreamingAcf acf(128, GetParam());
+    push_split(acf, data, 0, block);
+    EXPECT_EQ(fnv_of(acf), expect) << kernel_isa_name(GetParam()) << " block " << block;
+  }
+}
+
+std::string isa_test_name(const ::testing::TestParamInfo<KernelIsa>& param) {
+  return kernel_isa_name(param.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryIsa, StreamingAcfIsaTest,
+                         ::testing::Values(KernelIsa::kBaseline, KernelIsa::kAvx2),
+                         isa_test_name);
 
 // ---------------------------------------------------------------------------
 // Engine tap

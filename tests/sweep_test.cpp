@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "vbr/common/error.hpp"
+#include "vbr/common/fft.hpp"
+#include "vbr/model/davies_harte.hpp"
 #include "vbr/model/marginal_transform.hpp"
 #include "vbr/sweep/cell_eval.hpp"
 #include "vbr/sweep/result_log.hpp"
@@ -574,6 +576,7 @@ TEST(Supervisor, TabulatesTheMarginalBeforeForkingWorkers) {
   };
 
   model::marginal_map_cache_clear();
+  model::davies_harte_cache_clear();
   const std::vector<std::string> isolated = settle(true);
   // Forked workers cannot write to this process's cache, so an entry here
   // was tabulated by the parent before its first fork; looking the grid's
@@ -581,8 +584,13 @@ TEST(Supervisor, TabulatesTheMarginalBeforeForkingWorkers) {
   EXPECT_EQ(model::marginal_map_cache_size(), 1u);
   (void)model::shared_marginal_map(cell_marginal());
   EXPECT_EQ(model::marginal_map_cache_size(), 1u);
+  // Likewise the Davies-Harte eigenvalues of each H at the grid's length,
+  // and the unpack table of that length.
+  EXPECT_EQ(model::davies_harte_cache_size(), grid.hursts.size());
+  EXPECT_EQ(unpack_table_cache_size(), 1u);
 
   model::marginal_map_cache_clear();
+  model::davies_harte_cache_clear();
   const std::vector<std::string> in_process = settle(false);
   ASSERT_EQ(isolated.size(), cells.size());
   EXPECT_EQ(isolated, in_process);

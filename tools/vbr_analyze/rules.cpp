@@ -124,12 +124,17 @@ void rule_token_scans(const SourceFile& f, std::vector<Finding>& out) {
 // R7 isa-dispatch
 // ---------------------------------------------------------------------------
 
-/// Run-time ISA dispatch has one home: the lockstep Hosking kernel picks
-/// its instruction set once per process, and every per-ISA instance keeps
-/// the width-1 bits by construction. A second `__builtin_cpu_supports` or
-/// `target(...)` attribute elsewhere would be a second, unpinned dispatch.
+/// Run-time ISA selection has one home, src/vbr/common/isa.cpp: it asks
+/// the host once per process which instance every per-ISA kernel runs.
+/// The instances themselves, `target("avx2")` functions, live only in the
+/// two kernel files whose per-ISA bits are pinned by tests (the lockstep
+/// Hosking kernel and StreamingAcf's lag loop). A CPU query anywhere else
+/// is a second, unpinned dispatch; a target attribute anywhere else, or
+/// any target_clones, is an instance no test pins.
 void rule_isa_dispatch(const SourceFile& f, std::vector<Finding>& out) {
-  if (f.rel_path() == "src/vbr/service/streaming_hosking.cpp") return;
+  const bool query_home = f.rel_path() == "src/vbr/common/isa.cpp";
+  const bool kernel_home = f.rel_path() == "src/vbr/service/streaming_hosking.cpp" ||
+                           f.rel_path() == "src/vbr/stream/acf.cpp";
   const Toks& t = f.tokens();
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     const std::string_view s = t[i].text;
@@ -137,14 +142,17 @@ void rule_isa_dispatch(const SourceFile& f, std::vector<Finding>& out) {
     const bool cpu_query = s == "__builtin_cpu_supports" || s == "__builtin_cpu_is";
     // An attribute argument is a string literal: target("avx2"),
     // target_clones("default", "avx2").
-    const bool target_attr =
-        (s == "target" || s == "__target__" || s == "target_clones" ||
-         s == "__target_clones__") &&
-        is_punct(t[i + 1], "(") && t[i + 2].kind == TokKind::kString;
-    if (cpu_query || target_attr) {
+    const bool attr = is_punct(t[i + 1], "(") && t[i + 2].kind == TokKind::kString;
+    const bool target = attr && (s == "target" || s == "__target__");
+    const bool clones = attr && (s == "target_clones" || s == "__target_clones__");
+    if (cpu_query && !query_home) {
       report(out, f, t[i].line, "vbr-isa-dispatch",
-             "ISA dispatch outside src/vbr/service/streaming_hosking.cpp; run-time "
-             "instruction-set selection has one pinned home");
+             "CPU feature query outside src/vbr/common/isa.cpp; run-time "
+             "instruction-set selection has one home");
+    } else if (clones || (target && !(kernel_home && t[i + 2].text == "avx2"))) {
+      report(out, f, t[i].line, "vbr-isa-dispatch",
+             "ISA instance outside the pinned kernels; only target(\"avx2\") in "
+             "streaming_hosking.cpp and acf.cpp");
     }
   }
 }
@@ -1080,8 +1088,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"vbr-atomic-artifacts", "R6",
        "artifact writes go through vbr::write_file_atomic"},
       {"vbr-isa-dispatch", "R7",
-       "__builtin_cpu_supports and target()/target_clones attributes appear "
-       "only in src/vbr/service/streaming_hosking.cpp"},
+       "__builtin_cpu_supports appears only in src/vbr/common/isa.cpp, and "
+       "target(\"avx2\") only in src/vbr/service/streaming_hosking.cpp and "
+       "src/vbr/stream/acf.cpp"},
       {"vbr-durable-io", "R8",
        "fsync and fdatasync appear under src/ only in "
        "src/vbr/common/atomic_file.cpp"},
