@@ -11,6 +11,7 @@
 
 #include "vbr/common/rng.hpp"
 #include "vbr/model/davies_harte.hpp"
+#include "vbr/model/marginal_transform.hpp"
 #include "vbr/stats/autocorrelation.hpp"
 #include "vbr/stats/dfa.hpp"
 #include "vbr/stats/gamma_pareto.hpp"
@@ -21,6 +22,9 @@
 
 namespace {
 
+/// A paper-scale frame-size series: unit fGn (H = 0.8) mapped through the
+/// Gamma/Pareto marginal of Table 2, so every sample is a positive byte
+/// count, as the estimators (and Whittle's log) see a real trace.
 const std::vector<double>& lrd_series(std::size_t n) {
   static std::vector<double> cache;
   if (cache.size() != n) {
@@ -28,7 +32,9 @@ const std::vector<double>& lrd_series(std::size_t n) {
     vbr::model::DaviesHarteOptions opt;
     opt.hurst = 0.8;
     cache = vbr::model::davies_harte(n, opt, rng);
-    for (auto& v : cache) v = 27791.0 + 6254.0 * v;
+    const auto marginal = vbr::model::shared_marginal_map(
+        {.mu_gamma = 27791.0, .sigma_gamma = 6254.0, .tail_slope = 12.0});
+    marginal->map.apply(cache, cache);
   }
   return cache;
 }

@@ -9,10 +9,12 @@
 //   2. Steal latency — how long a survivor takes to claim a dead pool's
 //      stale lease and salvage its log prefix (claim_lease steal path +
 //      recover_result_log), measured over many iterations.
-//   3. Multi-pool throughput — a real in-process sweep via run_pools for
-//      each pool count, with the merged results hash doubling as the
-//      determinism witness (all pool counts must agree bit-for-bit with
-//      the single-pool run).
+//   3. Multi-pool throughput — a real sweep via run_pools for each pool
+//      count, once in-process (isolate = false) and once on the production
+//      path (isolate = true: one forked worker per shard), with the merged
+//      results hash doubling as the determinism witness (every row must
+//      agree bit-for-bit with the first). Each isolated row reports what
+//      isolation costs per cell against the in-process row before it.
 //
 // Usage:
 //   ./bench_sweep_shard [cells_list] [pool_list] [steal_iters]
@@ -228,40 +230,52 @@ int main(int argc, char** argv) {
   appendf(json, "  \"sweep_cells\": %zu,\n", vbr::sweep::cell_count(grid));
   appendf(json, "  \"pools\": [\n");
   std::uint64_t baseline_hash = 0;
-  double baseline_cps = 0.0;
+  double baseline_cps[2] = {0.0, 0.0};  // first row of each mode
   bool bit_identical = true;
   for (std::size_t i = 0; i < pool_list.size(); ++i) {
-    vbr::sweep::PoolOptions options;
-    options.sweep_dir = scratch / ("sweep_p" + std::to_string(pool_list[i]));
-    options.grid = grid;
-    options.shard_count = std::max<std::uint64_t>(1, pool_list[i] * 2);
-    options.lease.ttl_seconds = 5.0;
-    options.lease.heartbeat_seconds = 0.5;
-    options.limits.isolate = false;
+    double in_process_wall = 0.0;
+    for (const bool isolate : {false, true}) {
+      vbr::sweep::PoolOptions options;
+      options.sweep_dir = scratch / ("sweep_p" + std::to_string(pool_list[i]) +
+                                     (isolate ? "_isolated" : ""));
+      options.grid = grid;
+      options.shard_count = std::max<std::uint64_t>(1, pool_list[i] * 2);
+      options.lease.ttl_seconds = 5.0;
+      options.lease.heartbeat_seconds = 0.5;
+      options.limits.isolate = isolate;
 
-    const auto start = std::chrono::steady_clock::now();
-    const vbr::sweep::MultiPoolReport multi =
-        vbr::sweep::run_pools(options, pool_list[i]);
-    const double wall = seconds_since(start);
-    const vbr::sweep::SweepReport merged = vbr::sweep::collect_sweep(
-        options.sweep_dir, grid, options.shard_count);
-    const double cps =
-        wall > 0.0 ? static_cast<double>(merged.total_cells) / wall : 0.0;
-    if (i == 0) {
-      baseline_hash = merged.results_hash;
-      baseline_cps = cps;
-    } else if (merged.results_hash != baseline_hash) {
-      bit_identical = false;
+      const auto start = std::chrono::steady_clock::now();
+      const vbr::sweep::MultiPoolReport multi =
+          vbr::sweep::run_pools(options, pool_list[i]);
+      const double wall = seconds_since(start);
+      const vbr::sweep::SweepReport merged = vbr::sweep::collect_sweep(
+          options.sweep_dir, grid, options.shard_count);
+      const double cps =
+          wall > 0.0 ? static_cast<double>(merged.total_cells) / wall : 0.0;
+      if (i == 0) baseline_cps[isolate] = cps;
+      if (i == 0 && !isolate) {
+        baseline_hash = merged.results_hash;
+      } else if (merged.results_hash != baseline_hash) {
+        bit_identical = false;
+      }
+      std::string overhead;
+      if (isolate) {
+        appendf(overhead, ", \"isolation_overhead_ms_per_cell\": %.4f",
+                1e3 * (wall - in_process_wall) / static_cast<double>(merged.total_cells));
+      } else {
+        in_process_wall = wall;
+      }
+      appendf(json,
+              "    {\"pools\": %zu, \"isolate\": %s, \"shards\": %llu, "
+              "\"pools_failed\": %zu, \"wall_seconds\": %.6f, "
+              "\"cells_per_second\": %.1f, \"speedup_vs_first\": %.3f%s, "
+              "\"results_hash\": \"%016llx\"}%s\n",
+              pool_list[i], isolate ? "true" : "false",
+              static_cast<unsigned long long>(options.shard_count), multi.pools_failed,
+              wall, cps, baseline_cps[isolate] > 0.0 ? cps / baseline_cps[isolate] : 0.0,
+              overhead.c_str(), static_cast<unsigned long long>(merged.results_hash),
+              isolate && i + 1 == pool_list.size() ? "" : ",");
     }
-    appendf(json,
-            "    {\"pools\": %zu, \"shards\": %llu, \"pools_failed\": %zu, "
-            "\"wall_seconds\": %.6f, \"cells_per_second\": %.1f, "
-            "\"speedup_vs_first\": %.3f, \"results_hash\": \"%016llx\"}%s\n",
-            pool_list[i], static_cast<unsigned long long>(options.shard_count),
-            multi.pools_failed, wall, cps,
-            baseline_cps > 0.0 ? cps / baseline_cps : 0.0,
-            static_cast<unsigned long long>(merged.results_hash),
-            i + 1 < pool_list.size() ? "," : "");
   }
   appendf(json, "  ],\n");
   appendf(json, "  \"bit_identical_across_pool_counts\": %s\n",

@@ -4,7 +4,8 @@
 //
 // Single-pool mode drives vbr::sweep::run_sweep(): every cell of the
 // queue × Hurst × utilization × buffer × sources grid runs in a forked
-// worker under a watchdog deadline and setrlimit ceilings. Crashed, hung,
+// worker (one per sweep or shard, reused while cells succeed) under a
+// per-cell watchdog deadline and setrlimit ceilings. Crashed, hung,
 // and OOM-killed workers are retried from the cell's deterministic seed
 // (requeued with a due time — one flaky cell never stalls the rest);
 // cells that fail every attempt are quarantined with a structured failure
@@ -36,8 +37,8 @@
 //       --cpu-sec N          RLIMIT_CPU ceiling, 0 = off    (default 0)
 //       --attempts N         tries per cell                 (default 3)
 //       --backoff-ms N       base retry backoff             (default 0)
-//       --no-isolate         evaluate in-process (no fork per cell; fastest
-//                            at large scale, no crash containment)
+//       --no-isolate         evaluate in-process (no worker process;
+//                            no crash containment)
 //       --resume             continue from the log if present
 //       --durable            fsync log appends
 //       --hash-out FILE      write the results hash (hex) atomically

@@ -271,6 +271,12 @@ POOL_GATE_MIN_HARDWARE = 2
 POOL_GATE_MIN_SPEEDUP = 0.5
 
 
+# The sweep pin: the merged results hash of bench_sweep_shard's grid at its
+# recorded scale (512 cells, seed 1994). CI's 128-cell smoke has its own.
+SWEEP_PIN_CELLS = 512
+SWEEP_PIN_HASH = "4e04a0333ae3cd5b"
+
+
 def check_sweep_pool_scaling(doc, pools):
     if doc["sweep_cells"] < POOL_GATE_MIN_CELLS:
         return
@@ -321,21 +327,36 @@ def check_sweep_shard(doc):
     pools = doc.get("pools")
     require(isinstance(pools, list) and pools, "'pools' must be a non-empty list")
     hashes = set()
+    modes = set()
     for row in pools:
-        ctx = f"(pools {row.get('pools')})"
+        ctx = f"(pools {row.get('pools')}, isolate {row.get('isolate')})"
         p = check_number(row, "pools", lo=1, ctx=ctx)
+        require(isinstance(row.get("isolate"), bool), f"'isolate' not bool {ctx}")
+        modes.add((p, row["isolate"]))
         check_number(row, "shards", lo=p, ctx=ctx)
         check_number(row, "pools_failed", lo=0, hi=0, ctx=ctx)
         check_number(row, "wall_seconds", lo=0.0, ctx=ctx)
         check_number(row, "cells_per_second", lo=0.0, ctx=ctx)
         check_number(row, "speedup_vs_first", lo=0.0, ctx=ctx)
-        hashes.add(check_hash(row, "results_hash", ctx=ctx))
-    require(len(hashes) == 1, "results hashes differ across pool counts")
+        row_hash = check_hash(row, "results_hash", ctx=ctx)
+        hashes.add(row_hash)
+        if row["isolate"]:
+            check_number(row, "isolation_overhead_ms_per_cell", ctx=ctx)
+            # The production path at the recorded grid carries the sweep pin.
+            if doc["sweep_cells"] == SWEEP_PIN_CELLS:
+                require(row_hash == SWEEP_PIN_HASH,
+                        f"isolated results_hash {row_hash} is not the sweep pin "
+                        f"{SWEEP_PIN_HASH} {ctx}")
+    require({isolate for _, isolate in modes} == {False, True},
+            "'pools' needs in-process and isolated rows")
+    require(all((p, not isolate) in modes for p, isolate in modes),
+            "every pool count needs an in-process and an isolated row")
+    require(len(hashes) == 1, "results hashes differ across pool counts or modes")
     require(doc.get("bit_identical_across_pool_counts") is True,
             "recorded run was not bit-identical across pool counts")
     check_sweep_pool_scaling(doc, pools)
     print(f"schema check OK: {sys.argv[1]} ({len(io)} sweep sizes, "
-          f"{len(pools)} pool counts)")
+          f"{len(pools)} pool rows)")
 
 
 def check_stream(doc):

@@ -42,6 +42,23 @@
 # the result log without crashing the supervisor or blocking healthy cells.
 set -u
 
+# In the sweep and shard modes, no process of the soak — supervisor,
+# dispatcher, pool or worker; the forks share the command line, which names
+# the soak's $WORK — may outlive the phase that started it. Waits up to 5 s
+# for the kernel to finish killed process groups, then kills what is left
+# and fails the soak.
+assert_none_left() {
+  local left="" i
+  for i in $(seq 1 50); do
+    left=$(pgrep -f -- "$WORK/" | tr '\n' ' ')
+    [[ -z "$left" ]] && return 0
+    sleep 0.1
+  done
+  note "$1: processes left running: $left"
+  pkill -9 -f -- "$WORK/"
+  fail=1
+}
+
 if [[ "${1:-}" == "--sweep" ]]; then
   shift
   BIN=${1:?usage: crash_soak.sh --sweep <run_sweep-binary> [supervisor_kills]}
@@ -91,11 +108,12 @@ if [[ "${1:-}" == "--sweep" ]]; then
   fi
 
   # Phase 3: hang a worker from the outside. SIGSTOP the first live worker
-  # we can catch; the supervisor's watchdog must SIGKILL it and the retry
-  # must heal the cell. A worker lives about a millisecond, so a sweep can
-  # finish before the polling loop lands a SIGSTOP; such a run, if it
-  # succeeded, proves nothing and is started again from an empty log, up to
-  # five times.
+  # we can catch; the supervisor's watchdog must SIGKILL it and the cell
+  # must heal (rerun in a fresh worker, or retried). One worker serves the
+  # whole sweep, but the sweep takes only tens of milliseconds, so it can
+  # still finish before the polling loop lands a SIGSTOP; such a run, if
+  # it succeeded, proves nothing and is started again from an empty log, up
+  # to five times.
   stopped=""
   for attempt in 1 2 3 4 5; do
     rm -f "$WORK"/stopped.*
@@ -125,6 +143,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
     note "external SIGSTOP: HASH MISMATCH"
     fail=1
   fi
+  assert_none_left "phase 3"
 
   # Phase 4: SIGKILL the supervisor mid-sweep, resume, compare.
   for i in $(seq 1 "$KILLS"); do
@@ -151,6 +170,7 @@ if [[ "${1:-}" == "--sweep" ]]; then
       fail=1
     fi
   done
+  assert_none_left "phase 4"
 
   # Phase 5: poison cells fail deterministically every attempt; they must be
   # quarantined in the log while every healthy cell completes, and a
@@ -203,7 +223,7 @@ if [[ "${1:-}" == "--shard" ]]; then
   HURSTS=$(awk -v n="$HURST_STEPS" 'BEGIN {
     for (i = 0; i < n; i++) printf "%s%.6f", (i ? "," : ""), 0.55 + 0.4 * i / n }')
   GRID=(--queues fluid --hursts "$HURSTS" --utilizations 0.8,0.85,0.9,0.95
-        --buffers-ms 5,20 --sources 1,2 --frames 64 --seed 1994 --no-isolate)
+        --buffers-ms 5,20 --sources 1,2 --frames 64 --seed 1994)
   CELLS=$((HURST_STEPS * 16))
   SHARDED=(--shard-dir "$WORK/sweep" --shards "$SHARDS" --pools "$POOLS"
            --lease-ttl 2 --heartbeat 0.3)
@@ -241,6 +261,7 @@ if [[ "${1:-}" == "--shard" ]]; then
   window_ms=$(((t1 - t0) / 1000000))
   ((window_ms < 50)) && window_ms=50
   note "reference $(cat "$WORK/ref.hash") ($CELLS cells, ~${window_ms}ms)"
+  assert_none_left "phase 1"
 
   # Phase 2: injected pool faults — SIGKILL two pools mid-shard with torn
   # log tails, plus one duplicate claim — healed by stealing and replay to
@@ -252,6 +273,7 @@ if [[ "${1:-}" == "--shard" ]]; then
     note "pool faults: FAILED (rc or hash mismatch)"
     fail=1
   fi
+  assert_none_left "phase 2"
 
   # Phase 3: SIGKILL the whole dispatcher process group (dispatcher AND all
   # its pools — a machine death) at a random instant, then rerun the same
@@ -282,6 +304,7 @@ if [[ "${1:-}" == "--shard" ]]; then
       fail=1
     fi
   done
+  assert_none_left "phase 3"
 
   # Phase 4: a different grid against the same sweep directory must fail
   # fast, naming both fingerprints — never silently mix two sweeps.
@@ -293,6 +316,7 @@ if [[ "${1:-}" == "--shard" ]]; then
     note "mismatched grid NOT rejected (rc=$rc): $err"
     fail=1
   fi
+  assert_none_left "phase 4"
 
   if ((fail)); then
     note "FAILED (seed ${CRASH_SOAK_SEED:-1994})" >&2

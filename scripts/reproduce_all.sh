@@ -13,13 +13,23 @@ cmake -B "$BUILD_DIR" -G Ninja
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
+# Every bench runs even if one fails; the script fails at the end, naming
+# the ones that did.
 mkdir -p "$RESULTS_DIR"
+failed=()
 for bench in "$BUILD_DIR"/bench/bench_*; do
   [ -f "$bench" ] && [ -x "$bench" ] || continue
   name="$(basename "$bench")"
   echo "== $name"
-  "$bench" | tee "$RESULTS_DIR/$name.txt"
+  if ! "$bench" | tee "$RESULTS_DIR/$name.txt"; then
+    echo "== $name FAILED" >&2
+    failed+=("$name")
+  fi
 done
 
 echo
+if ((${#failed[@]} > 0)); then
+  echo "${#failed[@]} bench(es) failed: ${failed[*]}; outputs in $RESULTS_DIR/" >&2
+  exit 1
+fi
 echo "All exhibits reproduced; outputs in $RESULTS_DIR/"

@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include "vbr/common/error.hpp"
 #include "vbr/model/fgn_generator.hpp"
 #include "vbr/model/marginal_transform.hpp"
+#include "vbr/run/envelope.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
 
@@ -107,145 +109,34 @@ bool drain_stderr(int fd, std::string& tail) {
   }
 }
 
-/// Fork one worker for `spec`, supervise it to completion, classify.
-AttemptOutcome run_attempt(const CellSpec& spec, const WorkerLimits& limits,
-                           InjectedFault fault) {
-  int result_pipe[2] = {-1, -1};
-  int stderr_pipe[2] = {-1, -1};
-  if (::pipe(result_pipe) != 0) throw IoError("sweep: cannot create result pipe");
-  if (::pipe(stderr_pipe) != 0) {
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
-    throw IoError("sweep: cannot create stderr pipe");
-  }
+/// Record how a reaped worker ended.
+void record_status(AttemptOutcome& outcome, int status) {
+  outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 0;
+  outcome.term_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+}
 
-  // The child inherits stdio buffers; flush so it cannot replay them.
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    for (int fd : {result_pipe[0], result_pipe[1], stderr_pipe[0], stderr_pipe[1]}) {
-      ::close(fd);
-    }
-    throw IoError("sweep: fork failed: " + std::string(std::strerror(errno)));
-  }
-  if (pid == 0) {
-    ::close(result_pipe[0]);
-    ::close(stderr_pipe[0]);
-    (void)::dup2(stderr_pipe[1], STDERR_FILENO);
-    ::close(stderr_pipe[1]);
-    run_worker(result_pipe[1], spec, limits, fault);  // never returns
-  }
-  ::close(result_pipe[1]);
-  ::close(stderr_pipe[1]);
-  set_nonblocking(result_pipe[0]);
-  set_nonblocking(stderr_pipe[0]);
-
-  AttemptOutcome outcome;
-  std::string frame;
-  bool result_open = true;
-  bool stderr_open = true;
-  bool timed_out = false;
-  const auto start = std::chrono::steady_clock::now();
-
-  while (result_open || stderr_open) {
-    int timeout_ms = -1;
-    if (limits.deadline_seconds > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-      const double remaining = limits.deadline_seconds - elapsed;
-      if (remaining <= 0.0) {
-        timed_out = true;
-        break;
-      }
-      timeout_ms = static_cast<int>(std::ceil(remaining * 1000.0));
-    }
-
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    if (result_open) fds[nfds++] = {result_pipe[0], POLLIN, 0};
-    if (stderr_open) fds[nfds++] = {stderr_pipe[0], POLLIN, 0};
-    const int rc = ::poll(fds, nfds, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      timed_out = true;  // cannot supervise: treat as a hang and reap
-      break;
-    }
-    if (rc == 0) {
-      timed_out = true;
-      break;
-    }
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      if (fds[i].fd == result_pipe[0]) {
-        result_open = drain_fd(result_pipe[0], frame, kMaxWorkerFrame + 64);
-      } else {
-        stderr_open = drain_stderr(stderr_pipe[0], outcome.stderr_tail);
-      }
-    }
-  }
-
-  if (timed_out) (void)::kill(pid, SIGKILL);
-
-  int status = 0;
-  rusage usage{};
-  while (::wait4(pid, &status, 0, &usage) < 0 && errno == EINTR) {
-  }
-  // Pick up anything written between the last poll and exit.
-  if (result_open) drain_fd(result_pipe[0], frame, kMaxWorkerFrame + 64);
-  if (stderr_open) drain_stderr(stderr_pipe[0], outcome.stderr_tail);
-  ::close(result_pipe[0]);
-  ::close(stderr_pipe[0]);
-
-  outcome.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  outcome.max_rss_kib = static_cast<std::uint64_t>(
-      usage.ru_maxrss > 0 ? usage.ru_maxrss : 0);  // Linux: KiB
-
-  const bool exited = WIFEXITED(status);
+/// Classify a reaped worker from its exit status: the path for a worker
+/// that died, or hung, without a frame for the cell it was given.
+void classify_exit(AttemptOutcome& outcome, int status, bool timed_out) {
+  record_status(outcome, status);
   const bool signaled = WIFSIGNALED(status);
-  outcome.exit_code = exited ? WEXITSTATUS(status) : 0;
-  outcome.term_signal = signaled ? WTERMSIG(status) : 0;
-
-  // A structured frame beats exit-status archaeology when both are present.
-  if (!timed_out && !frame.empty()) {
-    try {
-      WorkerMessage message = parse_worker_message(frame);
-      if (message.is_result && exited && outcome.exit_code == 0) {
-        outcome.kind = AttemptOutcome::Kind::kDone;
-        outcome.result = message.result;
-        return outcome;
-      }
-      if (!message.is_result) {
-        outcome.kind = message.kind == FailureKind::kOom
-                           ? AttemptOutcome::Kind::kOom
-                           : AttemptOutcome::Kind::kPoison;
-        outcome.message = std::move(message.message);
-        return outcome;
-      }
-    } catch (const IoError&) {
-      // Torn frame: the worker died mid-write; fall through to the status.
-    }
-  }
-
   if (timed_out) {
     outcome.kind = AttemptOutcome::Kind::kHang;
     outcome.term_signal = SIGKILL;
     outcome.message = "watchdog deadline exceeded";
-    return outcome;
+    return;
   }
   if (signaled && outcome.term_signal == SIGXCPU) {
     outcome.kind = AttemptOutcome::Kind::kHang;
     outcome.message = "CPU ceiling exceeded (SIGXCPU)";
-    return outcome;
+    return;
   }
   if (signaled && outcome.term_signal == SIGKILL) {
     // The kernel OOM killer (or our RLIMIT_AS via a fatal path) SIGKILLs;
     // attribute it to memory when the worker died anywhere near the ceiling.
     outcome.kind = AttemptOutcome::Kind::kOom;
     outcome.message = "killed (peak RSS " + std::to_string(outcome.max_rss_kib) + " KiB)";
-    return outcome;
+    return;
   }
   outcome.kind = AttemptOutcome::Kind::kCrash;
   if (signaled) {
@@ -253,6 +144,228 @@ AttemptOutcome run_attempt(const CellSpec& spec, const WorkerLimits& limits,
   } else {
     outcome.message = "exit code " + std::to_string(outcome.exit_code);
   }
+}
+
+/// What a worker needs at its fork: the grid and seeds it resolves request
+/// indices against, and its ceilings.
+struct WorkerContext {
+  const SweepGrid& grid;
+  std::span<const std::uint64_t> seeds;
+  const WorkerLimits& limits;
+};
+
+/// One forked worker, serving cells over a socket until a cell fails or the
+/// owner lets it go. The destructor SIGKILLs and reaps a worker still
+/// running, so no exit path of settle_cells (a lost lease, a throwing
+/// callback) leaves one behind.
+class Worker {
+ public:
+  explicit Worker(const WorkerContext& context) : limits_(context.limits) {
+    int sock[2] = {-1, -1};
+    int err[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sock) != 0) {
+      throw IoError("sweep: cannot create worker socket");
+    }
+    if (::pipe(err) != 0) {
+      ::close(sock[0]);
+      ::close(sock[1]);
+      throw IoError("sweep: cannot create stderr pipe");
+    }
+    // The child inherits stdio buffers; flush so it cannot replay them.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t parent = ::getpid();
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      for (int fd : {sock[0], sock[1], err[0], err[1]}) ::close(fd);
+      throw IoError("sweep: fork failed: " + std::string(std::strerror(errno)));
+    }
+    if (pid == 0) {
+      ::close(sock[0]);
+      ::close(err[0]);
+      (void)::dup2(err[1], STDERR_FILENO);
+      ::close(err[1]);
+      run_worker_loop(sock[1], parent, context.grid, context.seeds, context.limits);
+    }
+    ::close(sock[1]);
+    ::close(err[1]);
+    pid_ = pid;
+    sock_ = sock[0];
+    stderr_ = err[0];
+    set_nonblocking(sock_);
+    set_nonblocking(stderr_);
+  }
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+  ~Worker() {
+    if (pid_ > 0) (void)::kill(pid_, SIGKILL);
+    (void)reap();
+  }
+
+  /// Cells this worker has answered with a result.
+  std::size_t cells_served() const { return served_; }
+  bool running() const { return pid_ > 0; }
+
+  /// Send one request and supervise it. The worker keeps running only
+  /// after a result frame; every other outcome leaves it reaped.
+  AttemptOutcome run(std::uint64_t cell, InjectedFault fault) {
+    AttemptOutcome outcome;
+    // Output from earlier cells is theirs: the tail holds this cell's only.
+    if (stderr_open_) stderr_open_ = drain_stderr(stderr_, outcome.stderr_tail);
+    outcome.stderr_tail.clear();
+
+    char request[kWorkerRequestBytes];
+    const auto kind = static_cast<std::uint32_t>(fault);
+    std::memcpy(request, &cell, sizeof cell);
+    std::memcpy(request + sizeof cell, &kind, sizeof kind);
+    const auto start = std::chrono::steady_clock::now();
+    // MSG_NOSIGNAL: a worker that died since its last cell must read as a
+    // crash here, not SIGPIPE the supervisor.
+    const bool sent = ::send(sock_, request, sizeof request, MSG_NOSIGNAL) ==
+                      static_cast<ssize_t>(sizeof request);
+
+    std::string frame;
+    std::size_t frame_bytes = 0;  ///< whole frame once its header is in
+    bool complete = false;
+    bool timed_out = false;
+    bool sock_open = sent;
+    while (sock_open && !complete) {
+      int timeout_ms = -1;
+      if (limits_.deadline_seconds > 0.0) {
+        const double remaining = limits_.deadline_seconds - seconds_since(start);
+        if (remaining <= 0.0) {
+          timed_out = true;
+          break;
+        }
+        timeout_ms = static_cast<int>(std::ceil(remaining * 1000.0));
+      }
+      pollfd fds[2];
+      nfds_t nfds = 0;
+      fds[nfds++] = {sock_, POLLIN, 0};
+      if (stderr_open_) fds[nfds++] = {stderr_, POLLIN, 0};
+      const int rc = ::poll(fds, nfds, timeout_ms);
+      if (rc < 0) {
+        if (errno == EINTR) continue;
+        timed_out = true;  // cannot supervise: treat as a hang and reap
+        break;
+      }
+      if (rc == 0) {
+        timed_out = true;
+        break;
+      }
+      if (nfds > 1 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        stderr_open_ = drain_stderr(stderr_, outcome.stderr_tail);
+      }
+      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      sock_open = drain_fd(sock_, frame, kMaxWorkerFrame + 64);
+      if (frame_bytes == 0 && frame.size() >= run::kEnvelopeHeaderBytes) {
+        std::uint64_t payload = 0;
+        std::memcpy(&payload, frame.data() + 12, sizeof payload);  // the size field
+        frame_bytes = payload <= kMaxWorkerFrame
+                          ? run::kEnvelopeHeaderBytes + static_cast<std::size_t>(payload)
+                          : kMaxWorkerFrame + 64;  // forged size: read on to EOF or a hang
+      }
+      complete = frame_bytes > 0 && frame.size() >= frame_bytes;
+    }
+
+    if (complete) {
+      std::optional<WorkerMessage> message;
+      try {
+        if (frame.size() == frame_bytes) message = parse_worker_message(frame);
+      } catch (const IoError&) {
+      }
+      if (message && message->is_result) {
+        outcome.kind = AttemptOutcome::Kind::kDone;
+        outcome.result = message->result;
+        outcome.wall_seconds = seconds_since(start);
+        served_ += 1;
+        return outcome;
+      }
+      if (message) {
+        // The worker _exits after a failure frame; the frame decides.
+        record_status(outcome, reap(&outcome));
+        outcome.kind = message->kind == FailureKind::kOom ? AttemptOutcome::Kind::kOom
+                                                          : AttemptOutcome::Kind::kPoison;
+        outcome.message = std::move(message->message);
+        outcome.wall_seconds = seconds_since(start);
+        return outcome;
+      }
+      // A whole frame that does not parse, or bytes past it: not our worker
+      // protocol any more. Kill it and call the attempt a crash.
+      (void)::kill(pid_, SIGKILL);
+      record_status(outcome, reap(&outcome));
+      outcome.kind = AttemptOutcome::Kind::kCrash;
+      outcome.message = "malformed worker frame";
+      outcome.wall_seconds = seconds_since(start);
+      return outcome;
+    }
+
+    // A worker that took no request is gone or unusable; reap it either way.
+    if (timed_out || !sent) (void)::kill(pid_, SIGKILL);
+    const int status = reap(&outcome);
+    outcome.wall_seconds = seconds_since(start);
+    classify_exit(outcome, status, timed_out);
+    return outcome;
+  }
+
+ private:
+  static double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+
+  /// Wait for the worker to exit (the caller has killed it, or it is
+  /// exiting), close its descriptors, and record its rusage and the last
+  /// of its stderr in `outcome`. Returns the wait status.
+  int reap(AttemptOutcome* outcome = nullptr) {
+    int status = 0;
+    if (pid_ > 0) {
+      rusage usage{};
+      while (::wait4(pid_, &status, 0, &usage) < 0 && errno == EINTR) {
+      }
+      pid_ = -1;
+      if (outcome != nullptr) {
+        outcome->max_rss_kib = static_cast<std::uint64_t>(
+            usage.ru_maxrss > 0 ? usage.ru_maxrss : 0);  // Linux: KiB
+        if (stderr_open_) drain_stderr(stderr_, outcome->stderr_tail);
+      }
+    }
+    for (int* fd : {&sock_, &stderr_}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    return status;
+  }
+
+  const WorkerLimits& limits_;
+  pid_t pid_ = -1;
+  int sock_ = -1;
+  int stderr_ = -1;
+  bool stderr_open_ = true;
+  std::size_t served_ = 0;
+};
+
+/// One isolated attempt, recorded as a worker forked for this cell alone
+/// would record it. An injected fault runs in a fresh worker, and a failure
+/// in a worker that has served a cell is run again, as the same attempt,
+/// in a fresh one: a record never depends on what its worker ran before.
+AttemptOutcome run_attempt(std::optional<Worker>& worker, const WorkerContext& context,
+                           std::uint64_t cell, InjectedFault fault, SettleStats* stats) {
+  const auto fork_worker = [&]() -> Worker& {
+    worker.reset();
+    Worker& forked = worker.emplace(context);
+    if (stats != nullptr) stats->workers_forked += 1;
+    return forked;
+  };
+  Worker* current = worker && (fault == InjectedFault::kNone || worker->cells_served() == 0)
+                        ? &*worker
+                        : &fork_worker();
+  const bool fresh = current->cells_served() == 0;
+  AttemptOutcome outcome = current->run(cell, fault);
+  if (outcome.kind != AttemptOutcome::Kind::kDone && !fresh) {
+    current = &fork_worker();
+    outcome = current->run(cell, fault);
+  }
+  if (!current->running()) worker.reset();
   return outcome;
 }
 
@@ -402,6 +515,11 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
     return a.due > b.due;
   };
 
+  // One worker serves cells until one fails; it is forked on the first
+  // isolated attempt, after the warm-up above, so it inherits the caches.
+  const WorkerContext context{grid, seeds, limits.worker};
+  std::optional<Worker> worker;
+
   // Two queues instead of one blocking loop: cells whose retry is backing
   // off wait in `delayed` (a min-heap on due time) while every other cell
   // keeps flowing through `ready` — one flaky cell never stalls the pool.
@@ -433,12 +551,15 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
     if (stats != nullptr && pending.attempt > 1) stats->retried_attempts += 1;
     if (tick) tick();
 
-    CellSpec spec = cell_at(grid, pending.cell);
-    spec.seed = seeds[pending.cell];
     const InjectedFault fault = fault_for_attempt(faults, pending.cell, pending.attempt);
-    AttemptOutcome outcome = limits.isolate
-                                 ? run_attempt(spec, limits.worker, fault)
-                                 : run_attempt_inprocess(spec, fault);
+    AttemptOutcome outcome;
+    if (limits.isolate) {
+      outcome = run_attempt(worker, context, pending.cell, fault, stats);
+    } else {
+      CellSpec spec = cell_at(grid, pending.cell);
+      spec.seed = seeds[pending.cell];
+      outcome = run_attempt_inprocess(spec, fault);
+    }
 
     // Done settles; a structured vbr::Error is deterministic (the same spec
     // throws the same way every retry) so it quarantines immediately; an

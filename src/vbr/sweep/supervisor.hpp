@@ -3,15 +3,24 @@
 // huge buffer, a numeric blow-up at H -> 1 — costs one quarantine record
 // instead of the whole campaign.
 //
-// Per cell, the supervisor forks a worker, watches its result pipe with a
-// poll()-based watchdog, and classifies the outcome:
+// One settle_cells call forks one worker after its cache warm-up, and the
+// worker serves cell after cell over a socket (worker.hpp) while they
+// succeed. Per cell, the supervisor sends a request, watches the socket
+// with a poll()-based watchdog whose deadline restarts with each request,
+// and classifies the outcome:
 //
-//   result frame + exit 0          -> done
+//   result frame                   -> done (the worker serves the next cell)
 //   structured vbr::Error frame    -> deterministic poison: quarantine now
 //   structured OOM frame           -> retry (the report is transient-shaped)
 //   watchdog deadline / SIGXCPU    -> hang: SIGKILL, retry
 //   SIGKILL near the memory ceiling-> OOM: retry
 //   any other signal/nonzero exit  -> crash: retry
+//
+// Every outcome but a result leaves the worker reaped, and the next cell
+// gets a fresh fork. A record must not depend on what its worker ran
+// before, so an attempt with an injected fault runs in a fresh worker, and
+// a failed attempt in a worker that had served cells runs again, as the
+// same attempt, in a fresh one before it is classified.
 //
 // Retries restart from the cell's deterministic split seed, so a retried
 // cell is bit-identical to one that succeeded first try; a cell that
@@ -28,8 +37,9 @@
 // so SIGKILLing the *supervisor* and rerunning with resume truncates any
 // torn tail, salvages every settled cell, and reproduces the uninterrupted
 // sweep's merged results bit-for-bit (scripts/crash_soak.sh sweep and
-// shard modes enforce exactly that). Multi-pool work-stealing dispatch
-// over sharded logs lives in dispatch.hpp and shares settle_cells().
+// shard modes enforce exactly that; the worker dies with its supervisor).
+// Multi-pool work-stealing dispatch over sharded logs lives in dispatch.hpp
+// and shares settle_cells().
 #pragma once
 
 #include <cstdint>
@@ -49,13 +59,13 @@ struct SweepLimits {
   WorkerLimits worker;          ///< deadline / memory / CPU per attempt
   std::size_t max_attempts = 3; ///< total tries per cell (>= 1)
   double backoff_seconds = 0.0; ///< retry k due backoff * 2^(k-1) after failure k
-  /// Fork one worker process per attempt (crash/hang/OOM containment).
-  /// false evaluates cells in-process — no isolation, but ~0.6 ms less
-  /// overhead per cell (0.4–1.0 ms on the §5 grid, of which a bare fork,
-  /// exit and wait is 0.2–0.4 ms, on a 4-vCPU host), the right trade at
-  /// 10^5+ cells of trusted specs;
-  /// a structured vbr::Error still quarantines, and crash/hang/OOM fault
-  /// injection is rejected (those need a worker process to kill).
+  /// Run cells in a forked worker (crash/hang/OOM containment): one per
+  /// settle_cells call while cells succeed. false evaluates cells
+  /// in-process — no isolation, for ~0.02 ms less overhead per cell and
+  /// one fork less per call (bench_sweep_shard's isolated rows, 512 cells,
+  /// on a 4-vCPU host); a structured vbr::Error still quarantines, and
+  /// crash/hang/OOM fault injection is rejected (those need a worker
+  /// process to kill).
   bool isolate = true;
 };
 
@@ -129,6 +139,9 @@ InjectedFault fault_for_attempt(const SweepFaultPlan& faults, std::uint64_t cell
 /// Statistics from one settle_cells call.
 struct SettleStats {
   std::size_t retried_attempts = 0;
+  /// Worker processes forked: one per call while cells succeed, plus one
+  /// after each failed isolated attempt and one per injected fault.
+  std::size_t workers_forked = 0;
 };
 
 /// Settle an arbitrary set of cells under the non-blocking retry scheduler
@@ -138,6 +151,8 @@ struct SettleStats {
 /// `on_settled` receives each record as it settles; returning false stops
 /// early (a pool abandons a lost lease this way). `tick` runs at least
 /// once per attempt and during idle waits — the lease-heartbeat seam.
+/// The worker is killed and reaped on every way out, an exception from
+/// either callback included.
 /// Throws vbr::InvalidArgument on a bad grid, an out-of-range cell index,
 /// or an unsafe fault plan (crash/hang/OOM injection without isolation,
 /// OOM without a memory ceiling, hang without a watchdog deadline).

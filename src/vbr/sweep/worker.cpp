@@ -1,9 +1,12 @@
 #include "vbr/sweep/worker.hpp"
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <exception>
 #include <new>
 #include <sstream>
@@ -61,12 +64,53 @@ void apply_rlimit(int resource, std::uint64_t value) {
   (void)::setrlimit(resource, &limit);
 }
 
+/// The ceilings that hold for the worker's whole life.
 void apply_limits(const WorkerLimits& limits) {
   apply_rlimit(RLIMIT_CORE, 0);  // a crashing worker must not litter cores
   if (limits.memory_bytes > 0 && !VBR_SWEEP_UNDER_ASAN) {
     apply_rlimit(RLIMIT_AS, limits.memory_bytes);
   }
-  if (limits.cpu_seconds > 0) apply_rlimit(RLIMIT_CPU, limits.cpu_seconds);
+}
+
+/// Give the next cell `cpu_seconds` of CPU, and less than a second more.
+/// RLIMIT_CPU counts the whole process in whole seconds, so the soft limit
+/// moves to the time used so far, rounded up, plus the budget; the hard
+/// limit stays where it is. A fresh worker has used almost nothing, so it
+/// gives a cell the most: a cell that dies here in a worker that served
+/// others reruns in a fresh one (supervisor.cpp) and gets that.
+void arm_cpu_ceiling(std::uint64_t cpu_seconds) {
+  if (cpu_seconds == 0) return;
+  rusage usage{};
+  rlimit limit{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0 || ::getrlimit(RLIMIT_CPU, &limit) != 0) return;
+  const std::uint64_t used_us =
+      static_cast<std::uint64_t>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1000000 +
+      static_cast<std::uint64_t>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
+  rlim_t soft = static_cast<rlim_t>((used_us + 999999) / 1000000 + cpu_seconds);
+  if (limit.rlim_max != RLIM_INFINITY && soft > limit.rlim_max) soft = limit.rlim_max;
+  limit.rlim_cur = soft;
+  (void)::setrlimit(RLIMIT_CPU, &limit);
+}
+
+/// Read one whole request; false on EOF or a broken socket.
+bool read_request(int fd, std::uint64_t& cell, InjectedFault& fault) {
+  char bytes[kWorkerRequestBytes];
+  std::size_t got = 0;
+  while (got < sizeof bytes) {
+    const ssize_t n = ::read(fd, bytes + got, sizeof bytes - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
+  }
+  std::uint32_t kind = 0;
+  std::memcpy(&cell, bytes, sizeof cell);
+  std::memcpy(&kind, bytes + sizeof cell, sizeof kind);
+  fault = static_cast<InjectedFault>(kind);
+  return true;
 }
 
 /// Genuine allocation pressure: grab 16 MiB chunks until the address-space
@@ -133,32 +177,45 @@ WorkerMessage parse_worker_message(std::string_view bytes) {
   return message;
 }
 
-void run_worker(int result_fd, const CellSpec& spec, const WorkerLimits& limits,
-                InjectedFault fault) {
+void run_worker_loop(int fd, pid_t parent, const SweepGrid& grid,
+                     std::span<const std::uint64_t> seeds, const WorkerLimits& limits) {
+  // Die with the supervisor, so a pool SIGKILLed while this worker hangs
+  // leaves nothing behind; if it died before the request took hold, the
+  // worker has already been re-parented.
+  (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) ::_exit(0);
   apply_limits(limits);
 
-  if (fault == InjectedFault::kCrash) std::abort();
-  if (fault == InjectedFault::kHang) {
-    for (;;) ::pause();  // the parent's watchdog must SIGKILL us
-  }
-
-  try {
-    if (fault == InjectedFault::kPoison) {
-      throw NumericalError("injected poison cell (deterministic failure)");
+  std::uint64_t cell = 0;
+  InjectedFault fault = InjectedFault::kNone;
+  while (read_request(fd, cell, fault)) {
+    if (cell >= seeds.size()) ::_exit(122);  // not a request this parent sends
+    arm_cpu_ceiling(limits.cpu_seconds);
+    if (fault == InjectedFault::kCrash) std::abort();
+    if (fault == InjectedFault::kHang) {
+      for (;;) ::pause();  // the parent's watchdog must SIGKILL us
     }
-    if (fault == InjectedFault::kOom) swallow_memory();
-    const CellResult result = evaluate_cell(spec);
-    write_all_or_die(result_fd, encode_worker_result(result));
-  } catch (const std::bad_alloc&) {
-    // The hoard (or the cell's own working set) hit the memory ceiling; the
-    // unwound stack freed it, so this small frame still fits.
-    write_all_or_die(result_fd,
-                     encode_worker_failure(FailureKind::kOom,
-                                           "allocation failed under the memory ceiling"));
-  } catch (const Error& e) {
-    write_all_or_die(result_fd, encode_worker_failure(FailureKind::kError, e.what()));
-  } catch (const std::exception& e) {
-    write_all_or_die(result_fd, encode_worker_failure(FailureKind::kError, e.what()));
+
+    try {
+      if (fault == InjectedFault::kPoison) {
+        throw NumericalError("injected poison cell (deterministic failure)");
+      }
+      if (fault == InjectedFault::kOom) swallow_memory();
+      CellSpec spec = cell_at(grid, static_cast<std::size_t>(cell));
+      spec.seed = seeds[cell];
+      write_all_or_die(fd, encode_worker_result(evaluate_cell(spec)));
+      continue;
+    } catch (const std::bad_alloc&) {
+      // The hoard (or the cell's own working set) hit the memory ceiling; the
+      // unwound stack freed it, so this small frame still fits.
+      write_all_or_die(fd, encode_worker_failure(FailureKind::kOom,
+                                                 "allocation failed under the memory ceiling"));
+    } catch (const Error& e) {
+      write_all_or_die(fd, encode_worker_failure(FailureKind::kError, e.what()));
+    } catch (const std::exception& e) {
+      write_all_or_die(fd, encode_worker_failure(FailureKind::kError, e.what()));
+    }
+    break;  // a worker that reported a failure serves nothing more
   }
   // _exit, not exit: the child shares the parent's stdio buffers and static
   // state; flushing or destroying them here would corrupt the supervisor.

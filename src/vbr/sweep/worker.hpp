@@ -1,12 +1,20 @@
 // The worker half of the process-isolated sweep: what runs inside the fork.
 //
-// The supervisor forks one worker per cell attempt; the child applies its
-// resource ceilings (setrlimit), evaluates the cell, and reports back over
-// a pipe with a single CRC-framed message, then _exit()s without touching
-// the parent's stdio buffers or static destructors. Anything else the
-// parent observes — a nonzero exit, a fatal signal, a torn frame, silence
-// past the watchdog deadline — is classified as crash/hang/OOM from the
-// exit status and rusage.
+// The supervisor forks one worker per settle_cells call and keeps it for as
+// long as its cells succeed. The worker applies its resource ceilings
+// (setrlimit), then loops: it reads a fixed-size request (cell index and
+// injected fault) from its socket, re-arms the CPU ceiling for that cell,
+// evaluates it, and answers with one CRC-framed message. It _exit()s on
+// EOF, after reporting a failure, or when its supervisor dies
+// (PR_SET_PDEATHSIG), never touching the parent's stdio buffers or static
+// destructors. Anything else the parent observes — a fatal signal, a torn
+// frame, silence past the watchdog deadline — is classified as
+// crash/hang/OOM from the exit status and rusage.
+//
+// Request (parent -> child), kWorkerRequestBytes in host byte order:
+//
+//   u64      cell index into the grid the worker was forked with
+//   u32      InjectedFault
 //
 // Frame format (child -> parent), the run/envelope seal:
 //
@@ -18,8 +26,10 @@
 //            result:  CellResult (8 raw f64 bit patterns)
 //            failure: u32 FailureKind + length-prefixed message
 //
-// The frame only crosses the pipe between a parent and its forked child of
-// the same binary; it is never persisted.
+// The parent reads a frame back by its own size field, since the worker
+// stays alive after writing it. Both messages only cross the socket
+// between a parent and its forked child of the same binary; they are never
+// persisted.
 //
 // A failure frame is the *structured* error path: the worker computed to a
 // deterministic vbr::Error (poison cell) or caught bad_alloc under its
@@ -32,12 +42,16 @@
 // allocation failure under RLIMIT_AS).
 #pragma once
 
+#include <sys/types.h>
+
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "vbr/sweep/cell_eval.hpp"
+#include "vbr/sweep/sweep_plan.hpp"
 
 namespace vbr::sweep {
 
@@ -49,8 +63,12 @@ inline constexpr std::size_t kMaxWorkerFrame = std::size_t{1} << 16;
 
 /// Per-attempt resource ceilings applied inside the child via setrlimit.
 /// Zero disables the respective ceiling. The watchdog deadline is enforced
-/// by the *parent* (poll timeout then SIGKILL); the CPU ceiling is the
-/// kernel-side backstop (SIGXCPU) for a worker that spins without blocking.
+/// by the *parent* (poll timeout then SIGKILL), restarting with each
+/// request; the CPU ceiling is the kernel-side backstop (SIGXCPU) for a
+/// worker that spins without blocking. RLIMIT_CPU counts the whole
+/// process in whole seconds, so before each cell the worker moves its soft
+/// limit to the CPU time it has used, rounded up, plus cpu_seconds: a cell
+/// gets at least cpu_seconds and less than one second more.
 struct WorkerLimits {
   double deadline_seconds = 60.0;
   std::uint64_t memory_bytes = 0;  ///< RLIMIT_AS
@@ -66,11 +84,17 @@ enum class InjectedFault : std::uint32_t {
   kPoison = 4,  ///< deterministic NumericalError (permanent, quarantines)
 };
 
-/// Child-side entry point: apply ceilings, honor the injected fault,
-/// evaluate the cell, write one frame to `result_fd`, and _exit. Never
-/// returns; never runs parent-owned destructors.
-[[noreturn]] void run_worker(int result_fd, const CellSpec& spec,
-                             const WorkerLimits& limits, InjectedFault fault);
+/// Bytes of one request: u64 cell index + u32 InjectedFault.
+inline constexpr std::size_t kWorkerRequestBytes = 8 + 4;
+
+/// Child-side entry point: die with `parent`, apply ceilings, then serve
+/// requests read from `fd` — honor the injected fault, evaluate cell
+/// `index` of `grid` with seed `seeds[index]`, write one frame to `fd` —
+/// until EOF or the first failure frame, and _exit. Never returns; never
+/// runs parent-owned destructors.
+[[noreturn]] void run_worker_loop(int fd, pid_t parent, const SweepGrid& grid,
+                                  std::span<const std::uint64_t> seeds,
+                                  const WorkerLimits& limits);
 
 /// Frame builders (also used by tests to forge protocol inputs).
 std::string encode_worker_result(const CellResult& result);

@@ -3,13 +3,20 @@
 // the worker frame protocol, deterministic fault injection, crash/hang/OOM
 // retry, poison quarantine, scheduling-independence of the results hash,
 // and kill/resume determinism against the VBRSWPL1 log (a resumed sweep's
-// results hash must equal an uninterrupted one's, bit for bit), and the
-// marginal-map fill that forked workers inherit.
+// results hash must equal an uninterrupted one's, bit for bit), the
+// marginal-map fill that forked workers inherit, and the reused worker:
+// records independent of what it ran before, a CPU ceiling re-armed per
+// cell, and no worker left running on any exit path.
 #include "vbr/sweep/supervisor.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -18,6 +25,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "vbr/common/error.hpp"
@@ -607,6 +616,266 @@ TEST(Supervisor, ResultsHashIgnoresNondeterministicDiagnostics) {
 
   b[1].status = CellStatus::kDone;
   EXPECT_NE(results_hash(a), results_hash(b));
+}
+
+// ---------------------------------------------------------------------------
+// The reused worker
+
+std::vector<std::uint64_t> all_cells(const SweepGrid& grid) {
+  std::vector<std::uint64_t> cells(cell_count(grid));
+  std::iota(cells.begin(), cells.end(), std::uint64_t{0});
+  return cells;
+}
+
+/// Settle `cells` in one call (one worker serves them all) or one call per
+/// cell (a freshly forked worker each), records in cell order.
+std::vector<CellRecord> settle_records(const SweepGrid& grid, const SweepLimits& limits,
+                                       const SweepFaultPlan& faults, bool one_call) {
+  std::vector<CellRecord> records;
+  const auto keep = [&](const CellRecord& record) {
+    records.push_back(record);
+    return true;
+  };
+  const std::vector<std::uint64_t> cells = all_cells(grid);
+  if (one_call) {
+    settle_cells(grid, cells, limits, faults, keep);
+  } else {
+    for (const std::uint64_t cell : cells) settle_cells(grid, {cell}, limits, faults, keep);
+  }
+  std::sort(records.begin(), records.end(), [](const CellRecord& a, const CellRecord& b) {
+    return a.cell_index < b.cell_index;
+  });
+  return records;
+}
+
+std::string record_bytes(const CellRecord& record) {
+  std::ostringstream out(std::ios::binary);
+  write_cell_record(out, record);
+  return out.str();
+}
+
+/// (cell, kind, attempts) of every quarantined record.
+std::set<std::tuple<std::uint64_t, FailureKind, std::size_t>> quarantined_set(
+    const std::vector<CellRecord>& records) {
+  std::set<std::tuple<std::uint64_t, FailureKind, std::size_t>> out;
+  for (const CellRecord& record : records) {
+    if (record.status == CellStatus::kQuarantined) {
+      out.emplace(record.cell_index, record.failure.kind, record.failure.attempts);
+    }
+  }
+  return out;
+}
+
+TEST(ReusedWorker, RecordsDoNotDependOnWhatTheWorkerRanBefore) {
+  SweepGrid grid = small_grid();
+  grid.utilizations = {0.8, 0.95};  // 8 cells
+  SweepLimits limits;
+  limits.worker.deadline_seconds = 30.0;
+
+  const std::vector<CellRecord> shared = settle_records(grid, limits, {}, true);
+  const std::vector<CellRecord> fresh = settle_records(grid, limits, {}, false);
+  ASSERT_EQ(shared.size(), cell_count(grid));
+  ASSERT_EQ(fresh.size(), shared.size());
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    EXPECT_EQ(record_bytes(shared[i]), record_bytes(fresh[i])) << "cell " << i;
+  }
+  EXPECT_EQ(results_hash(shared), results_hash(fresh));
+
+  // Faulted sweeps: one plan per injected kind, each faulting the first
+  // attempt of one cell after cell 0, so the shared worker has served a
+  // cell when the fault lands, and poison on cells 2 and 5. Only the hang
+  // plan has a short deadline: an injected OOM fills 512 MiB first.
+  struct Plan {
+    SweepFaultPlan faults;
+    double deadline_seconds = 10.0;
+  };
+  std::vector<Plan> plans;
+  for (const InjectedFault kind :
+       {InjectedFault::kCrash, InjectedFault::kHang, InjectedFault::kOom}) {
+    Plan plan;
+    plan.faults.rate = 0.1;
+    plan.faults.crash = kind == InjectedFault::kCrash;
+    plan.faults.hang = kind == InjectedFault::kHang;
+    plan.faults.oom = kind == InjectedFault::kOom;
+    if (kind == InjectedFault::kHang) plan.deadline_seconds = 0.5;
+    for (plan.faults.seed = 1;; ++plan.faults.seed) {
+      std::size_t faulted = 0;
+      for (std::uint64_t cell = 0; cell < cell_count(grid); ++cell) {
+        faulted += fault_for_attempt(plan.faults, cell, 1) != InjectedFault::kNone;
+      }
+      if (fault_for_attempt(plan.faults, 0, 1) == InjectedFault::kNone && faulted == 1) {
+        break;
+      }
+    }
+    plans.push_back(plan);
+  }
+  plans.push_back({});
+  plans.back().faults.poison = {2, 5};
+  limits.worker.memory_bytes = std::uint64_t{512} << 20;
+  for (const Plan& plan : plans) {
+    limits.worker.deadline_seconds = plan.deadline_seconds;
+    const bool poison = !plan.faults.poison.empty();
+    for (const std::size_t attempts : {std::size_t{1}, std::size_t{3}}) {
+      limits.max_attempts = attempts;
+      const std::vector<CellRecord> a = settle_records(grid, limits, plan.faults, true);
+      const std::vector<CellRecord> b = settle_records(grid, limits, plan.faults, false);
+      const auto quarantined = quarantined_set(a);
+      const std::string what = "fault seed " + std::to_string(plan.faults.seed) +
+                               (poison ? " (poison)" : "") + ", max_attempts " +
+                               std::to_string(attempts);
+      EXPECT_EQ(quarantined, quarantined_set(b)) << what;
+      EXPECT_EQ(results_hash(a), results_hash(b)) << what;
+      // One attempt quarantines the faulted cell; three heal it. Poison
+      // quarantines at any budget.
+      const std::size_t expected = poison ? 2 : attempts == 1 ? 1 : 0;
+      EXPECT_EQ(quarantined.size(), expected) << what;
+    }
+  }
+}
+
+TEST(ReusedWorker, CpuCeilingIsReArmedForEveryCell) {
+  // 48 cells of ~50 ms CPU each: together past a 1 s ceiling (and past
+  // the 2 s a ceiling set once, rounded up, would allow), each far inside
+  // it. A worker that set RLIMIT_CPU once would die of SIGXCPU part way,
+  // and its cell would need a second fork.
+  SweepGrid grid;
+  grid.queues = {QueueKind::kFluid};
+  grid.hursts = {0.7, 0.8, 0.9};
+  grid.utilizations = {0.8, 0.9};
+  grid.buffer_ms = {5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 120.0, 160.0};
+  grid.sources = {16};
+  grid.frames_per_source = std::size_t{1} << 16;
+  SweepLimits limits;
+  limits.worker.deadline_seconds = 30.0;
+  limits.worker.cpu_seconds = 1;
+  limits.max_attempts = 1;
+
+  std::size_t hangs = 0;
+  std::size_t done = 0;
+  SettleStats stats;
+  settle_cells(grid, all_cells(grid), limits, {},
+               [&](const CellRecord& record) {
+                 done += record.status == CellStatus::kDone;
+                 hangs += record.status == CellStatus::kQuarantined &&
+                          record.failure.kind == FailureKind::kHang;
+                 return true;
+               },
+               {}, &stats);
+  EXPECT_EQ(done, cell_count(grid));
+  EXPECT_EQ(hangs, 0u);
+  EXPECT_EQ(stats.workers_forked, 1u);
+}
+
+/// No child of this process is left, running or unreaped.
+bool no_children_left() {
+  int status = 0;
+  return ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(ReusedWorker, NoWorkerOutlivesSettleCells) {
+  SweepGrid grid = small_grid();
+  SweepLimits limits;
+  limits.worker.deadline_seconds = 30.0;
+  const std::vector<std::uint64_t> cells = all_cells(grid);
+
+  // A callback that throws (a result log that cannot append) after k cells.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    std::size_t settled = 0;
+    EXPECT_THROW(settle_cells(grid, cells, limits, {},
+                              [&](const CellRecord&) -> bool {
+                                if (++settled == k) throw IoError("append failed");
+                                return true;
+                              }),
+                 IoError);
+    EXPECT_TRUE(no_children_left()) << "after a throw at cell " << k;
+  }
+
+  // A callback that gives up (a lost lease).
+  std::size_t settled = 0;
+  settle_cells(grid, cells, limits, {}, [&](const CellRecord&) { return ++settled < 2; });
+  EXPECT_EQ(settled, 2u);
+  EXPECT_TRUE(no_children_left());
+
+  // The normal end, and the end after a failed cell.
+  SweepFaultPlan faults;
+  faults.poison = {3};
+  SettleStats stats;
+  settle_cells(grid, cells, limits, faults, [](const CellRecord&) { return true; }, {},
+               &stats);
+  EXPECT_EQ(stats.workers_forked, 2u);  // the poison cell ran in a worker of its own
+  EXPECT_TRUE(no_children_left());
+}
+
+/// The supervisor of WorkerDiesWithItsSupervisor: report that the first
+/// attempt is about to start, then settle one cell whose worker hangs.
+[[noreturn]] void hang_a_worker(int ready_fd) {
+  (void)::setpgid(0, 0);
+  SweepLimits limits;
+  limits.worker.deadline_seconds = 600.0;
+  SweepFaultPlan faults;
+  faults.rate = 1.0;
+  faults.crash = false;
+  faults.oom = false;
+  try {
+    settle_cells(small_grid(), {0}, limits, faults, [](const CellRecord&) { return true; },
+                 [&] { (void)::write(ready_fd, "r", 1); });
+  } catch (...) {
+  }
+  ::_exit(0);
+}
+
+TEST(ReusedWorker, WorkerDiesWithItsSupervisor) {
+  // Orphans re-parent to this process, so a worker that outlived its
+  // supervisor shows up here as a child that has not exited.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  // NOLINTNEXTLINE(vbr-fork-safety): the test stands in for a pool; gtest is single-threaded here and the child settles one cell, then _exits.
+  const pid_t supervisor = ::fork();
+  ASSERT_GE(supervisor, 0);
+  if (supervisor == 0) hang_a_worker(ready[1]);
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  ::close(ready[0]);
+  // The worker is forked right after the tick and hangs in pause(); wait
+  // until the supervisor has it as a child.
+  const std::string children = "/proc/" + std::to_string(supervisor) + "/task/" +
+                               std::to_string(supervisor) + "/children";
+  const auto forked_by = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (std::string pid; pid.empty() && std::chrono::steady_clock::now() < forked_by;) {
+    std::ifstream(children) >> pid;
+    if (pid.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // into pause()
+  ASSERT_EQ(::kill(supervisor, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(supervisor, &status, 0), supervisor);
+
+  bool worker_reaped = false;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
+    if (pid > 0) {
+      // SIGKILL from the death signal, or its own exit if the supervisor
+      // died before the death signal was set.
+      worker_reaped = true;
+      EXPECT_TRUE((WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) ||
+                  (WIFEXITED(status) && WEXITSTATUS(status) == 0));
+      continue;
+    }
+    if (pid < 0 && errno == ECHILD) break;
+    if (std::chrono::steady_clock::now() > give_up) {
+      (void)::kill(-supervisor, SIGKILL);  // the worker is in the supervisor's group
+      while (::waitpid(-1, &status, 0) > 0) {
+      }
+      ADD_FAILURE() << "the worker outlived its supervisor";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(worker_reaped);
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
 }
 
 }  // namespace
