@@ -5,7 +5,7 @@
 //
 //   * throughput — median-of-k cold-cache generation time for one 2^17-frame
 //     source (every process-wide cache — Davies-Harte eigenvalues, Paxson
-//     spectrum, fast-FFT twiddle plans — is dropped before each rep, and the
+//     spectrum, the FFT's unpack tables — is dropped before each rep, and the
 //     reps of all generators are interleaved so slow drift in a noisy
 //     container biases no one); warm-cache medians ride along
 //   * Hurst fidelity — Whittle H-hat at H in {0.6, 0.75, 0.9}, each judged
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "vbr/common/fft_fast.hpp"
 #include "vbr/model/davies_harte.hpp"
 #include "vbr/model/fgn_acf.hpp"
 #include "vbr/model/fgn_generator.hpp"
@@ -61,10 +60,11 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+// Each generator's clear also drops the FFT unpack tables, so every cold rep
+// rebuilds its own amplitudes or eigenvalues and its unpack table.
 void drop_all_caches() {
   vbr::model::davies_harte_cache_clear();
   vbr::model::paxson_spectrum_cache_clear();
-  vbr::fast_fft_plan_cache_clear();
 }
 
 struct FidelityRow {

@@ -71,8 +71,8 @@ if [[ $run_tsan -eq 1 ]]; then
   echo "=== tsan: engine + fft + generator + campaign tests, service scheduler + governor under -fsanitize=thread ==="
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j \
-    --target engine_test fft_test generators_test campaign_test streaming_test \
-    service_test governor_test >/dev/null
+    --target engine_test fft_test generators_test generator_zoo_test campaign_test \
+    streaming_test service_test governor_test >/dev/null
   ./build-tsan/tests/engine_test
   # The campaign's committer (tap merge, trace append, hash) beside the
   # generating workers, and the engine tap merged while a batch generates.
@@ -80,6 +80,9 @@ if [[ $run_tsan -eq 1 ]]; then
   ./build-tsan/tests/streaming_test --gtest_filter='EngineTapTest.*'
   ./build-tsan/tests/fft_test
   ./build-tsan/tests/generators_test
+  # Paxson and Davies-Harte share fft.cpp's unpack-table cache across the
+  # engine's workers.
+  ./build-tsan/tests/generator_zoo_test --gtest_filter='GeneratorZooEngineTest.*'
   # The round scheduler's chunk claims and merge, and the governed rounds: the
   # multi-threaded service cases, not the single-stream statistics.
   ./build-tsan/tests/service_test --gtest_filter='TrafficServiceTest.*:TrafficSchedulerTest.*'

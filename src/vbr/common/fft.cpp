@@ -346,6 +346,21 @@ UnpackTable unpack_table(std::size_t n) {
   return cache.entries.emplace(n, std::move(table)).first->second;
 }
 
+// Rewrite x[0..L) in place as x[k] <- f(x[k], x[L - k], k), reading both
+// members of each pair (k, L - k) before writing either; x[L] is read for
+// k = 0 and never written. The half-length real-FFT (un)packing steps are
+// all of this shape.
+template <typename F>
+void pack_pairs_in_place(std::span<Complex> x, std::size_t L, F f) {
+  x[0] = f(x[0], x[L], std::size_t{0});
+  for (std::size_t k = 1; 2 * k <= L; ++k) {
+    const Complex a = x[k];
+    const Complex b = x[L - k];
+    x[k] = f(a, b, k);
+    if (L - k != k) x[L - k] = f(b, a, L - k);
+  }
+}
+
 }  // namespace
 
 std::size_t unpack_table_cache_size() {
@@ -417,7 +432,7 @@ std::vector<Complex> rfft(const std::vector<double>& data) {
   };
   const Complex z0 = out[0];
   out[L] = z0;
-  detail::pack_pairs_in_place(out, L, unpack);
+  pack_pairs_in_place(out, L, unpack);
   out[L] = unpack(z0, z0, L);
   return out;
 }
@@ -458,7 +473,7 @@ void irfft(std::span<Complex> spectrum, std::size_t n, std::span<double> out, do
   const std::size_t L = n / 2;
   const auto table = unpack_table(n);
   const Complex* const w = table->data();
-  detail::pack_pairs_in_place(spectrum, L, [w](Complex xk, Complex xl, std::size_t k) {
+  pack_pairs_in_place(spectrum, L, [w](Complex xk, Complex xl, std::size_t k) {
     const Complex xc = std::conj(xl);
     const Complex even = 0.5 * (xk + xc);
     const Complex odd = w[k] * (0.5 * (xk - xc));  // W^-k (W^k O[k])

@@ -74,21 +74,6 @@ namespace detail {
 /// by block on data that stays in cache, reading twiddles tabulated at load.
 inline constexpr std::size_t kFftBlock = 4096;
 
-/// Rewrite x[0..L) in place as x[k] <- f(x[k], x[L - k], k), reading both
-/// members of each pair (k, L - k) before writing either; x[L] is read for
-/// k = 0 and never written. The half-length real-FFT (un)packing steps are
-/// all of this shape.
-template <typename F>
-void pack_pairs_in_place(std::span<std::complex<double>> x, std::size_t L, F f) {
-  x[0] = f(x[0], x[L], std::size_t{0});
-  for (std::size_t k = 1; 2 * k <= L; ++k) {
-    const std::complex<double> a = x[k];
-    const std::complex<double> b = x[L - k];
-    x[k] = f(a, b, k);
-    if (L - k != k) x[L - k] = f(b, a, L - k);
-  }
-}
-
 }  // namespace detail
 
 }  // namespace vbr

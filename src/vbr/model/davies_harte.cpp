@@ -135,10 +135,7 @@ void davies_harte(std::span<double> out, const DaviesHarteOptions& options, Rng&
   const std::size_t m = next_power_of_two(n);
   const std::size_t two_m = 2 * m;
 
-  const auto sqrt_lambda =
-      options.use_eigenvalue_cache
-          ? cached_sqrt_eigenvalues(options.hurst, m, options.covariance)
-          : compute_sqrt_eigenvalues(options.hurst, m, options.covariance);
+  const auto sqrt_lambda = cached_sqrt_eigenvalues(options.hurst, m, options.covariance);
 
   // Color complex white noise. The full spectrum has W_0, W_m real and
   // conjugate symmetry W_{2m-k} = conj(W_k), so only the non-redundant half

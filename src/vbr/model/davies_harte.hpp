@@ -32,13 +32,6 @@ struct DaviesHarteOptions {
   double hurst = 0.8;
   double variance = 1.0;
   CovarianceKind covariance = CovarianceKind::kFgn;
-  /// Reuse circulant eigenvalue vectors across calls with the same
-  /// (H, embedding length, covariance). Repeated same-length generations —
-  /// the N-source case — then skip the ACF evaluation and embedding FFT
-  /// entirely. The cache is process-wide and thread-safe, and caching never
-  /// changes the output (the eigenvalues are a deterministic function of
-  /// the key).
-  bool use_eigenvalue_cache = true;
 };
 
 /// Generate n points of the zero-mean Gaussian process. Throws
@@ -56,7 +49,8 @@ void davies_harte(std::span<double> out, const DaviesHarteOptions& options, Rng&
                   Workspace& workspace);
 
 /// Number of distinct (H, embedding length, covariance) eigenvalue vectors
-/// currently held by the process-wide cache.
+/// currently held by the process-wide, thread-safe cache. Caching never
+/// changes the output: the eigenvalues are a function of the key.
 std::size_t davies_harte_cache_size();
 
 /// Drop every cached eigenvalue vector and every cached FFT unpack table

@@ -10,7 +10,6 @@
 
 #include "vbr/common/error.hpp"
 #include "vbr/common/fft.hpp"
-#include "vbr/common/fft_fast.hpp"
 
 namespace vbr::model {
 namespace {
@@ -156,9 +155,12 @@ std::size_t paxson_spectrum_cache_size() {
 }
 
 void paxson_spectrum_cache_clear() {
-  auto& cache = spectrum_cache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.entries.clear();
+  {
+    auto& cache = spectrum_cache();
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    cache.entries.clear();
+  }
+  unpack_table_cache_clear();
 }
 
 std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng& rng) {
@@ -186,8 +188,7 @@ void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
   const std::size_t len = next_power_of_two(n);
   const std::size_t half = len / 2;
 
-  const auto amps = options.use_spectrum_cache ? cached_amplitudes(options.hurst, len)
-                                               : compute_amplitudes(options.hurst, len);
+  const auto amps = cached_amplitudes(options.hurst, len);
 
   // Sample the spectrum as complex Gaussian coefficients: S_k =
   // sigma a_k (Z1 + i Z2) / sqrt(2) with Z1, Z2 standard Normal. This is
@@ -209,11 +210,10 @@ void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
   }
   spectrum[half] = sigma * (*amps)[half] * rng.normal();
 
-  // fast_irfft_pow2() supplies the conjugate-mirrored upper half implicitly
-  // and normalizes by 1/len — the amplitude normalization above already
-  // accounts for it. The table-driven kernel is what buys the cold-cache
-  // speed advantage over the exact methods (fft_fast.hpp).
-  fast_irfft_pow2(spectrum, len, out, workspace.scratch);
+  // irfft() supplies the conjugate-mirrored upper half implicitly and
+  // normalizes by 1/len — the amplitude normalization above already
+  // accounts for it. It transforms in place in the workspace's spectrum.
+  irfft(spectrum, len, out);
   for (const double v : out) VBR_DCHECK(std::isfinite(v), "non-finite Paxson sample");
 }
 

@@ -9,17 +9,15 @@
 // complex Gaussian coefficient a_k (Z1 + i Z2) / sqrt(2) instead — the
 // squared modulus is the same exponential and the phase is the same uniform,
 // but it costs two Normal draws in place of a log plus a sin/cos pair — and
-// inverse-transforms with one half-length real FFT (the table-driven
-// fast_irfft_pow2, since this path carries no bit-compatibility burden).
-// The result is not sample-exact (the covariance is only met in
-// expectation, and adjacent output points share no circulant structure) but
-// it is statistically faithful: Whittle recovers H, the sample ACF tracks
-// the fGn target, and the marginal is exactly Gaussian (a linear map of
-// normals; S_0 = 0 additionally pins the sample mean). In exchange the
-// cost per cold realization is a fraction of Davies-Harte's (half the FFT
-// length, no eigenvalue embedding pass — >= 5x on a cold cache, enforced
-// by bench_generator_pareto), which is what the millions-of-sources fleet
-// needs. Draw order (k ascending, real before imaginary) is part of the
+// inverse-transforms with irfft at half Davies-Harte's FFT length. The
+// result is not sample-exact (the covariance is only met in expectation,
+// and adjacent output points share no circulant structure) but it is
+// statistically faithful: Whittle recovers H, the sample ACF tracks the fGn
+// target, and the marginal is exactly Gaussian (a linear map of normals;
+// S_0 = 0 additionally pins the sample mean). bench_generator_pareto
+// enforces a >= 5x cold-cache speedup over Davies-Harte at 2^17 frames as
+// the target; the committed artifact fails it at 2.39x (DESIGN §10).
+// Draw order (k ascending, real before imaginary) is part of the
 // determinism contract pinned by the zoo tests.
 //
 // The spectral density uses Paxson's closed-form B-tilde_3 approximation of
@@ -41,10 +39,6 @@ namespace vbr::model {
 struct PaxsonOptions {
   double hurst = 0.8;
   double variance = 1.0;
-  /// Reuse the per-(H, length) spectral amplitude vector across calls via a
-  /// process-wide, thread-safe cache (mirrors the Davies-Harte eigenvalue
-  /// cache). Caching never changes the output.
-  bool use_spectrum_cache = true;
 };
 
 /// Generate n points of zero-mean approximate fGn with the given H and
@@ -61,9 +55,9 @@ struct PaxsonOptions {
 std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng& rng);
 
 /// Generate out.size() points into `out`, bit-identical to the allocating
-/// form; the spectrum and the FFT's ping-pong buffer live in `workspace`, so
-/// with the amplitudes and FFT plan cached a second call of the same shape
-/// on the same workspace allocates nothing.
+/// form; the spectrum lives in `workspace` and the inverse FFT runs in place
+/// there, so with the amplitudes and the FFT unpack table cached a second
+/// call of the same shape on the same workspace allocates nothing.
 void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
                 Workspace& workspace);
 
@@ -75,10 +69,11 @@ void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
 double paxson_fgn_spectral_density(double lambda, double hurst);
 
 /// Number of distinct (H, synthesis length) amplitude vectors in the
-/// process-wide spectrum cache.
+/// process-wide, thread-safe spectrum cache; caching never changes the output.
 std::size_t paxson_spectrum_cache_size();
 
-/// Drop every cached amplitude vector.
+/// Drop every cached amplitude vector and every cached FFT unpack table
+/// (the next generation runs cold and recomputes both).
 void paxson_spectrum_cache_clear();
 
 }  // namespace vbr::model

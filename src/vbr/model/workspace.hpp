@@ -6,10 +6,10 @@
 
 namespace vbr::model {
 
-/// Buffers that davies_harte(), paxson_fgn() and
+/// The buffer that davies_harte(), paxson_fgn() and
 /// VbrVideoSourceModel::generate() reuse across calls instead of
-/// allocating per source. Each buffer grows to the largest shape it has
-/// served and never shrinks, so once a workspace has served one generation
+/// allocating per source. It grows to the largest shape it has served
+/// and never shrinks, so once a workspace has served one generation
 /// of a shape, the next one of that shape allocates nothing. Holds no state
 /// between calls (the output never depends on which workspace is used), but
 /// one call at a time: give each worker its own.
@@ -17,8 +17,6 @@ struct Workspace {
   /// The half-length spectrum; the real inverse FFT packs and transforms
   /// it in place.
   std::vector<std::complex<double>> spectrum;
-  /// Ping-pong buffer of fast_irfft_pow2()'s passes (Paxson only).
-  std::vector<std::complex<double>> scratch;
 };
 
 }  // namespace vbr::model

@@ -5,14 +5,10 @@
 #include <numbers>
 
 #include "vbr/common/error.hpp"
+#include "vbr/common/fft.hpp"
 #include "vbr/common/serialize.hpp"
 
 namespace vbr::service {
-namespace {
-
-bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
-}  // namespace
 
 StreamingPaxson::StreamingPaxson(const model::PaxsonOptions& options, std::size_t window,
                                  std::size_t overlap, Rng& parent)

@@ -17,6 +17,7 @@
 #include <deque>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <thread>
@@ -348,16 +349,16 @@ class Worker {
 /// would record it. An injected fault runs in a fresh worker, and a failure
 /// in a worker that has served a cell is run again, as the same attempt,
 /// in a fresh one: a record never depends on what its worker ran before.
-AttemptOutcome run_attempt(std::optional<Worker>& worker, const WorkerContext& context,
+AttemptOutcome run_attempt(std::unique_ptr<Worker>& worker, const WorkerContext& context,
                            std::uint64_t cell, InjectedFault fault, SettleStats* stats) {
   const auto fork_worker = [&]() -> Worker& {
     worker.reset();
-    Worker& forked = worker.emplace(context);
+    worker = std::make_unique<Worker>(context);
     if (stats != nullptr) stats->workers_forked += 1;
-    return forked;
+    return *worker;
   };
   Worker* current = worker && (fault == InjectedFault::kNone || worker->cells_served() == 0)
-                        ? &*worker
+                        ? worker.get()
                         : &fork_worker();
   const bool fresh = current->cells_served() == 0;
   AttemptOutcome outcome = current->run(cell, fault);
@@ -440,6 +441,15 @@ CellRecord settled_record(std::uint64_t cell_index, AttemptOutcome&& outcome,
 /// firing while every pending cell is backing off.
 constexpr auto kIdleTick = std::chrono::milliseconds(50);
 
+/// splitmix64's finaliser. Raw FNV-1a digests of one seed's cells 0..7
+/// differ by small multiples of one constant, so draws taken from them fall
+/// on a lattice (at rate 0.3 every seed would fault 2 or 3, never 0, 1, 4+).
+std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace
 
 InjectedFault fault_for_attempt(const SweepFaultPlan& faults, std::uint64_t cell_index,
@@ -453,7 +463,7 @@ InjectedFault fault_for_attempt(const SweepFaultPlan& faults, std::uint64_t cell
   Fnv1a h;
   h.update(&faults.seed, sizeof faults.seed);
   h.update(&cell_index, sizeof cell_index);
-  const std::uint64_t digest = h.digest();
+  const std::uint64_t digest = mix64(h.digest());
   const double u = static_cast<double>(digest >> 11) * 0x1.0p-53;
   if (u >= faults.rate) return InjectedFault::kNone;
 
@@ -518,7 +528,7 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
   // One worker serves cells until one fails; it is forked on the first
   // isolated attempt, after the warm-up above, so it inherits the caches.
   const WorkerContext context{grid, seeds, limits.worker};
-  std::optional<Worker> worker;
+  std::unique_ptr<Worker> worker;
 
   // Two queues instead of one blocking loop: cells whose retry is backing
   // off wait in `delayed` (a min-heap on due time) while every other cell

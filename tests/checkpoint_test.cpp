@@ -547,7 +547,7 @@ TEST(ServiceCheckpointBytesTest, EveryBackendAndVariantIsPinned) {
   const Case cases[] = {
       {model::ModelVariant::kIidGammaPareto, model::GeneratorBackend::kHosking, 0xa4997ba746adec90ULL},
       {model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kHosking, 0x25a298bd3ee84904ULL},
-      {model::ModelVariant::kFull, model::GeneratorBackend::kPaxson, 0xe2743ae31804976bULL},
+      {model::ModelVariant::kFull, model::GeneratorBackend::kPaxson, 0x233be12f5b8bd152ULL},
       {model::ModelVariant::kFull, model::GeneratorBackend::kAggregatedOnOff, 0x1a1407277b3d8291ULL},
   };
   for (const Case& c : cases) {

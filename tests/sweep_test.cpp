@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -293,6 +294,46 @@ TEST(FaultPlan, DecisionIsDeterministicAndSeedSensitive) {
     reseeded.push_back(fault_for_attempt(faults, cell, 1));
   }
   EXPECT_NE(first, reseeded);
+}
+
+TEST(FaultPlan, PerSeedFaultCountFollowsTheBinomial) {
+  // Each cell's first attempt faults independently with probability `rate`,
+  // so across seeds the number of faulted cells among 0..7 is
+  // Binomial(8, 0.3). Every bucket's share must sit within 0.02 of its
+  // binomial probability (over 6 standard errors at 20000 seeds); draws on
+  // a lattice leave whole buckets empty.
+  constexpr int kCells = 8;
+  constexpr int kSeeds = 20000;
+  constexpr double kRate = 0.3;
+  SweepFaultPlan faults;
+  faults.rate = kRate;
+  std::vector<int> seeds_with(kCells + 1, 0);
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    faults.seed = seed;
+    int faulted = 0;
+    for (std::uint64_t cell = 0; cell < kCells; ++cell) {
+      faulted += fault_for_attempt(faults, cell, 1) != InjectedFault::kNone;
+    }
+    ++seeds_with[faulted];
+  }
+  const auto binomial = [&](int k) {
+    double choose = 1.0;
+    for (int i = 0; i < k; ++i) choose = choose * (kCells - i) / (i + 1);
+    return choose * std::pow(kRate, k) * std::pow(1.0 - kRate, kCells - k);
+  };
+  double four_or_more = 0.0;
+  int seeds_four_or_more = 0;
+  for (int k = 0; k <= kCells; ++k) {
+    if (k >= 4) {
+      four_or_more += binomial(k);
+      seeds_four_or_more += seeds_with[k];
+      continue;
+    }
+    EXPECT_NEAR(static_cast<double>(seeds_with[k]) / kSeeds, binomial(k), 0.02)
+        << k << " faulted cells";
+  }
+  EXPECT_NEAR(static_cast<double>(seeds_four_or_more) / kSeeds, four_or_more, 0.02)
+      << ">= 4 faulted cells";
 }
 
 // ---------------------------------------------------------------------------

@@ -191,10 +191,10 @@ void rule_mutable_static(const SourceFile& f, std::vector<Finding>& out) {
   // tables shared across a million streams; the per-params marginal maps
   // serve batch generation and the service alike; fft.cpp holds the real
   // transforms' per-length unpack twiddles.
-  static constexpr std::array<std::string_view, 6> kAllow = {
+  static constexpr std::array<std::string_view, 5> kAllow = {
       "src/vbr/model/davies_harte.cpp", "src/vbr/model/paxson_fgn.cpp",
-      "src/vbr/model/marginal_transform.cpp", "src/vbr/common/fft_fast.cpp",
-      "src/vbr/common/fft.cpp", "src/vbr/service/streaming_hosking.cpp"};
+      "src/vbr/model/marginal_transform.cpp", "src/vbr/common/fft.cpp",
+      "src/vbr/service/streaming_hosking.cpp"};
   if (std::find(kAllow.begin(), kAllow.end(), p) != kAllow.end()) return;
 
   const Toks& t = f.tokens();
