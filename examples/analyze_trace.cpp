@@ -3,8 +3,10 @@
 //
 // Usage:
 //   ./analyze_trace                 analyze the built-in surrogate trace
-//   ./analyze_trace trace.txt      analyze an ASCII trace (one frame size
-//                                  per line; '#' headers optional)
+//   ./analyze_trace trace.txt      analyze a trace file: ASCII (one frame
+//                                  size per line; '#' headers optional) or
+//                                  the library's binary format (e.g. a
+//                                  run_campaign --trace output)
 //
 // The report covers: Table-2 summary statistics, candidate marginal fits
 // with tail comparison (Figs. 4-6), autocorrelation decay regimes (Fig. 7),
@@ -31,7 +33,7 @@ namespace {
 vbr::trace::TimeSeries load_trace(int argc, char** argv) {
   if (argc > 1) {
     std::printf("Loading trace from %s\n", argv[1]);
-    return vbr::trace::read_ascii(argv[1]);
+    return vbr::trace::read_trace(argv[1]);
   }
   std::printf("No trace file given; generating the built-in surrogate (65536 frames).\n");
   vbr::model::SurrogateOptions options;

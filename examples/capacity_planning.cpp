@@ -56,7 +56,7 @@ int run(int argc, char** argv) {
               target_loss);
 
   // Workload: the calibrated surrogate trace (swap in your own measured
-  // trace via vbr::trace::read_ascii and pass .samples()).
+  // trace via vbr::trace::read_trace and pass .samples()).
   vbr::model::SurrogateOptions trace_options;
   trace_options.frames = 65536;
   const auto surrogate = vbr::model::make_starwars_surrogate(trace_options);

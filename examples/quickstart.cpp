@@ -1,7 +1,7 @@
 // Quickstart: the complete model workflow in ~60 lines.
 //
 //   1. Obtain a VBR video trace (here: the built-in calibrated surrogate of
-//      the paper's 2-hour "Star Wars" trace; use vbr::trace::read_ascii to
+//      the paper's 2-hour "Star Wars" trace; use vbr::trace::read_trace to
 //      load your own).
 //   2. Fit the paper's 4-parameter source model (mu_Gamma, sigma_Gamma,
 //      m_T, H).

@@ -39,34 +39,6 @@ std::uint64_t FaultInjector::fired(const std::string& site) const {
   return it == fired_.end() ? 0 : it->second;
 }
 
-std::streamsize FaultyStreambuf::xsputn(const char* s, std::streamsize n) {
-  const auto fault = injector_->poll(site_);
-  if (!fault) return inner_->sputn(s, n);
-  switch (*fault) {
-    case FaultKind::kNoSpace:
-      return 0;  // ENOSPC on the first byte; ostream::write sets badbit
-    case FaultKind::kShortWrite:
-      return inner_->sputn(s, n / 2);  // honest shortfall, badbit follows
-    case FaultKind::kTornWrite:
-      inner_->sputn(s, n / 2);
-      return n;  // lies about success; only position/CRC checks can catch it
-    case FaultKind::kTransient:
-      throw TransientError("injected transient stream fault at site '" + site_ + "'");
-    case FaultKind::kPermanent:
-      throw std::runtime_error("injected permanent stream fault at site '" + site_ +
-                               "'");
-  }
-  return 0;
-}
-
-FaultyStreambuf::int_type FaultyStreambuf::overflow(int_type ch) {
-  if (traits_type::eq_int_type(ch, traits_type::eof())) return inner_->pubsync() == 0
-                                                                   ? traits_type::not_eof(ch)
-                                                                   : traits_type::eof();
-  const char c = traits_type::to_char_type(ch);
-  return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
-}
-
 void FaultySink::push(std::span<const double> samples) {
   injector_->maybe_throw(site_);
   inner_->push(samples);

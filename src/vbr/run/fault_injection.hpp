@@ -1,12 +1,13 @@
 // Deterministic fault injection for the crash-safety test matrix.
 //
-// A FaultPlan is an explicit schedule — "the 3rd write at site 'trace'
-// reports ENOSPC", "the first two pushes at site 'tap' throw a transient
-// error" — so every test failure replays exactly. The injector is consulted
-// from instrumented seams only: FaultyStreambuf sits under a trace or
-// checkpoint stream, FaultySink wraps a streaming-statistics tap, and the
-// campaign runner polls the "checkpoint" site before persisting. Production
-// code paths never link faults in; a null injector costs one branch.
+// A FaultPlan is an explicit schedule — "the 3rd checkpoint save throws a
+// transient error", "the first two pushes at site 'tap' fail for good" — so
+// every test failure replays exactly. The injector is consulted from
+// instrumented seams only: FaultySink wraps a streaming-statistics tap, and
+// the campaign runner polls the "checkpoint" site before persisting.
+// Production code paths never link faults in; a null injector costs one
+// branch. Disk faults are not simulated here: the tests raise them on real
+// descriptors (a full device, a file-size limit, a file cut short).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -22,16 +22,16 @@
 
 namespace vbr::run {
 
-/// What happens when a scheduled fault fires.
+/// What happens when a scheduled fault fires. The three stream-shaped kinds have no stream seam left to act on:
+/// maybe_throw() raises them as TransientError and the governor rejects
+/// them. They keep their numeric values, which the governor folds into its
+/// config digest.
 enum class FaultKind : std::uint8_t {
-  /// The stream absorbs only part of the block and reports the shortfall
-  /// (the honest full-disk behaviour: write() returns short, badbit).
+  /// A write that absorbs only part of the block.
   kShortWrite,
-  /// The stream absorbs nothing at all (ENOSPC on the first byte).
+  /// A write that absorbs nothing (ENOSPC on the first byte).
   kNoSpace,
-  /// The stream silently drops the tail of the block but *reports success* —
-  /// the torn final block a power cut leaves. Only finish()'s position check
-  /// or the checkpoint CRC can catch this one.
+  /// A write that drops the tail of the block but reports success.
   kTornWrite,
   /// Throw vbr::TransientError (a fault the FailurePolicy may retry).
   kTransient,
@@ -78,34 +78,6 @@ class FaultInjector {
   FaultPlan plan_;
   std::map<std::string, std::uint64_t> ops_;
   std::map<std::string, std::uint64_t> fired_;
-};
-
-/// A filtering streambuf that forwards to `inner` except when the injector
-/// schedules a fault for its site. Wrap an ostream's rdbuf to simulate disk
-/// faults under ChunkedTraceWriter or a checkpoint stream.
-class FaultyStreambuf final : public std::streambuf {
- public:
-  FaultyStreambuf(std::streambuf* inner, FaultInjector* injector, std::string site)
-      : inner_(inner), injector_(injector), site_(std::move(site)) {}
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override;
-  int_type overflow(int_type ch) override;
-  int sync() override { return inner_->pubsync(); }
-  /// Forward seeks/tells so ChunkedTraceWriter::finish()'s position check
-  /// sees the inner stream's true put position.
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode which) override {
-    return inner_->pubseekoff(off, dir, which);
-  }
-  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
-    return inner_->pubseekpos(pos, which);
-  }
-
- private:
-  std::streambuf* inner_;
-  FaultInjector* injector_;
-  std::string site_;
 };
 
 /// A Sink decorator whose push() consults the injector before forwarding —

@@ -1,16 +1,39 @@
 #include "vbr/trace/trace_stream.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <sstream>
 
 #include "vbr/common/atomic_file.hpp"
 #include "vbr/common/error.hpp"
-#include "vbr/trace/trace_format.hpp"
 
 namespace vbr::trace {
+namespace {
+
+/// Magic bytes opening a binary trace file.
+constexpr std::array<char, 8> kBinaryMagic = {'V', 'B', 'R', 'T', 'R', 'C', '0', '1'};
+
+/// dt assumed for bare ASCII traces (the paper's 24 frames/sec).
+constexpr double kDefaultFrameDt = 1.0 / 24.0;
+
+/// Longest unit string a binary header may claim.
+constexpr std::size_t kMaxUnitLength = 4096;
+
+// Frame/slice sizes are byte counts: finite and non-negative by definition.
+// Anything else in a trace file is corruption, not data.
+void validate_sample(double v, const std::string& name, std::uint64_t index) {
+  if (!std::isfinite(v)) {
+    throw IoError(name + ": non-finite frame size at sample " + std::to_string(index));
+  }
+  if (v < 0.0) {
+    throw IoError(name + ": negative frame size at sample " + std::to_string(index));
+  }
+}
+
+}  // namespace
 
 ChunkedTraceReader::ChunkedTraceReader(const std::filesystem::path& path)
     : file_(std::make_unique<std::ifstream>(path, std::ios::binary)),
@@ -26,7 +49,7 @@ ChunkedTraceReader::ChunkedTraceReader(std::istream& in, std::string name)
 }
 
 void ChunkedTraceReader::init() {
-  info_.dt_seconds = detail::kDefaultFrameDt;
+  info_.dt_seconds = kDefaultFrameDt;
   info_.unit = "bytes/frame";
 
   // Sniff the format: a binary trace opens with the 8 magic bytes.
@@ -34,13 +57,13 @@ void ChunkedTraceReader::init() {
   in_->read(head.data(), head.size());
   const auto got = in_->gcount();
   if (got == static_cast<std::streamsize>(head.size()) &&
-      std::memcmp(head.data(), detail::kBinaryMagic.data(), head.size()) == 0) {
+      std::memcmp(head.data(), kBinaryMagic.data(), head.size()) == 0) {
     info_.binary = true;
     double dt = 0.0;
     in_->read(reinterpret_cast<char*>(&dt), sizeof dt);
     std::uint32_t unit_len = 0;
     in_->read(reinterpret_cast<char*>(&unit_len), sizeof unit_len);
-    if (!*in_ || unit_len > detail::kMaxUnitLength) {
+    if (!*in_ || unit_len > kMaxUnitLength) {
       throw IoError(name_ + ": corrupt unit length");
     }
     std::string unit(unit_len, '\0');
@@ -102,7 +125,7 @@ std::size_t ChunkedTraceReader::read_binary_chunk(std::span<double> out) {
             static_cast<std::streamsize>(take * sizeof(double)));
   if (!*in_) throw IoError(name_ + ": truncated sample data");
   for (std::size_t i = 0; i < take; ++i) {
-    detail::validate_sample(out[i], name_, samples_read_ + i);
+    validate_sample(out[i], name_, samples_read_ + i);
   }
   remaining_ -= take;
   return take;
@@ -120,7 +143,7 @@ std::size_t ChunkedTraceReader::read_ascii_chunk(std::span<double> out) {
     if (!(row >> v)) {
       throw IoError(name_ + ":" + std::to_string(line_no_) + ": not a number: " + line);
     }
-    detail::validate_sample(v, name_, samples_read_ + filled);
+    validate_sample(v, name_, samples_read_ + filled);
     out[filled++] = v;
   }
   return filled;
@@ -136,26 +159,23 @@ std::size_t ChunkedTraceReader::read(std::span<double> out) {
 }
 
 void ChunkedTraceWriter::put(const void* data, std::size_t size) {
-  const auto n = static_cast<std::streamsize>(size);
-  if (sink().sputn(static_cast<const char*>(data), n) != n) {
-    throw IoError("write failed: " + path_);
-  }
+  file_.write({static_cast<const char*>(data), size});
 }
 
 void ChunkedTraceWriter::write_header(double dt_seconds, const std::string& unit) {
   if (!(dt_seconds > 0.0) || !std::isfinite(dt_seconds)) {
     throw IoError(path_ + ": refusing to write non-positive dt_seconds");
   }
-  if (unit.size() > detail::kMaxUnitLength) {
+  if (unit.size() > kMaxUnitLength) {
     throw IoError(path_ + ": unit string too long");
   }
   const auto unit_len = static_cast<std::uint32_t>(unit.size());
-  put(detail::kBinaryMagic.data(), detail::kBinaryMagic.size());
+  put(kBinaryMagic.data(), kBinaryMagic.size());
   put(&dt_seconds, sizeof dt_seconds);
   put(&unit_len, sizeof unit_len);
   put(unit.data(), unit_len);
   put(&declared_, sizeof declared_);
-  header_bytes_ = detail::kBinaryMagic.size() + sizeof dt_seconds + sizeof unit_len +
+  header_bytes_ = kBinaryMagic.size() + sizeof dt_seconds + sizeof unit_len +
                   unit.size() + sizeof declared_;
 }
 
@@ -172,13 +192,6 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::filesystem::path& path,
   if (options_.durable) fsync_parent_directory(path);
   write_header(dt_seconds, unit);
   next_sync_ = options_.sync_every_samples;
-}
-
-ChunkedTraceWriter::ChunkedTraceWriter(std::ostream& out, std::string name,
-                                       std::uint64_t total_samples, double dt_seconds,
-                                       const std::string& unit)
-    : out_(out.rdbuf()), path_(std::move(name)), declared_(total_samples) {
-  write_header(dt_seconds, unit);
 }
 
 ChunkedTraceWriter::ChunkedTraceWriter(ResumeTag, const std::filesystem::path& path,
@@ -238,7 +251,7 @@ void ChunkedTraceWriter::append(std::span<const double> samples) {
     throw IoError(path_ + ": more samples appended than the header declares");
   }
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    detail::validate_sample(samples[i], path_, written_ + i);
+    validate_sample(samples[i], path_, written_ + i);
   }
   put(samples.data(), samples.size() * sizeof(double));
   written_ += samples.size();
@@ -246,9 +259,8 @@ void ChunkedTraceWriter::append(std::span<const double> samples) {
 }
 
 void ChunkedTraceWriter::flush() {
-  if (finished_) return;
-  if (sink().pubsync() != 0) throw IoError("flush failed: " + path_);
-  if (options_.durable) file_.sync_file();
+  if (finished_ || !options_.durable) return;
+  file_.sync_file();
 }
 
 void ChunkedTraceWriter::finish() {
@@ -258,16 +270,16 @@ void ChunkedTraceWriter::finish() {
                   " of " + std::to_string(declared_) + " declared samples");
   }
   flush();
-  // A stream can report success while the sink absorbed fewer bytes than
-  // asked (full disk, faulty filter buffer). The put position is the ground
-  // truth for how much the stream actually holds.
-  const auto pos = sink().pubseekoff(0, std::ios_base::cur, std::ios_base::out);
+  // Every write was checked, so the offset always equals what this writer
+  // put there; the file's real size also catches a trace shortened (or
+  // appended to) behind the writer.
+  const auto size = file_.pubseekoff(0, std::ios_base::end, std::ios_base::out);
   const auto expected = static_cast<std::streamoff>(header_bytes_ + 8 * declared_);
-  if (pos >= 0 && pos != expected) {
-    throw IoError(path_ + ": short write: stream holds " + std::to_string(pos) +
+  if (size != expected) {
+    throw IoError(path_ + ": file holds " + std::to_string(size) +
                   " bytes, expected " + std::to_string(expected));
   }
-  file_.close();  // a no-op for a caller-owned stream
+  file_.close();
   finished_ = true;
 }
 

@@ -1,14 +1,12 @@
 // Chunked (streaming) trace I/O: read and write traces of unbounded length
 // in bounded memory.
 //
-// read_ascii()/read_binary() materialize the whole series; at 2^24+ frames
-// that alone exceeds the streaming subsystem's memory budget. The
-// ChunkedTraceReader yields the same validated sample stream block by block
-// (it sniffs the format from the leading bytes, so it opens anything the
-// batch readers can), and the ChunkedTraceWriter produces read_binary()-
-// compatible files incrementally. Both treat their input as untrusted, with
-// the same IoError contract as trace_io: truncated data, forged sample
-// counts, corrupt headers and negative/non-finite samples all throw.
+// ChunkedTraceReader is the library's one trace parser: it sniffs the
+// format from the leading bytes and yields the validated sample stream
+// block by block; read_trace() only drains it into a TimeSeries. The
+// ChunkedTraceWriter produces binary traces incrementally. Both treat their
+// input as untrusted: truncated data, forged sample counts, corrupt headers
+// and negative/non-finite samples all throw vbr::IoError.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +43,8 @@ class ChunkedTraceReader {
   /// Open a trace file; the format is sniffed from the magic bytes.
   explicit ChunkedTraceReader(const std::filesystem::path& path);
 
-  /// Parse from an open seekable stream (tests/fuzzers); `name` labels
-  /// errors. The stream must outlive the reader.
+  /// Parse from an open seekable stream; `name` labels errors. The stream
+  /// must outlive the reader.
   ChunkedTraceReader(std::istream& in, std::string name);
 
   const TraceStreamInfo& info() const { return info_; }
@@ -89,22 +87,16 @@ struct TraceWriterOptions {
 /// Incremental writer for the binary trace format. The header carries the
 /// total sample count, so the count must be declared up front; append() in
 /// any block sizes, then finish() (which verifies the declared count was
-/// delivered — including that the sink really absorbed every byte). A trace
+/// delivered — including that the file really holds every byte). A trace
 /// file is written through one vbr::OutputFile: each append is one
 /// unbuffered write, and fsync runs on that descriptor, so a full disk
 /// surfaces as IoError at the append that hit it. The result is
-/// read_binary()/ChunkedTraceReader-compatible.
+/// read_trace()/ChunkedTraceReader-compatible.
 class ChunkedTraceWriter {
  public:
   ChunkedTraceWriter(const std::filesystem::path& path, std::uint64_t total_samples,
                      double dt_seconds, const std::string& unit = "bytes/frame",
                      const TraceWriterOptions& options = {});
-
-  /// Write into a caller-owned stream's buffer (tests and fault injection);
-  /// `name` labels errors and the buffer must outlive the writer. There is
-  /// no file to fsync, so the writer is never durable.
-  ChunkedTraceWriter(std::ostream& out, std::string name, std::uint64_t total_samples,
-                     double dt_seconds, const std::string& unit = "bytes/frame");
 
   /// Reopen a partially written trace and continue after sample
   /// `samples_written`. Validates the existing header (declared count,
@@ -130,9 +122,9 @@ class ChunkedTraceWriter {
   void flush();
 
   /// Sync (when durable) and close; throws vbr::IoError if fewer samples
-  /// than declared were appended, the sync or close fails, or the put
-  /// position shows the sink holds less than the declared payload (short
-  /// write). Idempotent.
+  /// than declared were appended, the sync or close fails, or the file's
+  /// size differs from header plus declared payload (a trace shortened or
+  /// grown behind the writer). Idempotent.
   void finish();
 
   std::uint64_t written() const { return written_; }
@@ -146,10 +138,8 @@ class ChunkedTraceWriter {
   void write_header(double dt_seconds, const std::string& unit);
   void put(const void* data, std::size_t size);
   void maybe_sync();
-  std::streambuf& sink() { return out_ != nullptr ? *out_ : file_; }
 
-  OutputFile file_;                ///< the trace file when constructed from a path
-  std::streambuf* out_ = nullptr;  ///< the caller-owned stream's buffer otherwise
+  OutputFile file_;
   std::string path_;
   TraceWriterOptions options_;
   std::uint64_t declared_ = 0;

@@ -2,7 +2,8 @@
 // checkpoint/resume determinism (kill at a batch boundary, resume, compare
 // hashes and sink states bit-for-bit), graceful per-source degradation,
 // retry of transient faults, per-source deadlines, and the trace writer's
-// behaviour under injected disk faults (ENOSPC, short writes, torn blocks).
+// behaviour under real disk faults (ENOSPC, a file-size limit, a file cut
+// short behind the writer).
 #include "vbr/run/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "vbr/stream/moments.hpp"
 #include "vbr/stream/sink.hpp"
 #include "vbr/trace/trace_stream.hpp"
+#include "file_size_limit.hpp"
 
 namespace vbr::run {
 namespace {
@@ -384,65 +386,53 @@ TEST(CampaignTest, SourceDeadlineBoundsTheRetryLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace writer under injected disk faults (the writer half of the matrix).
-// The binary header is written as 5 stream operations; appends start at op 5.
+// Trace writer under real disk faults (the writer half of the matrix): each
+// fault is raised by the kernel on the writer's own descriptor.
 // ---------------------------------------------------------------------------
 
-TEST(TraceWriterFaultTest, EnospcSurfacesAsIoErrorOnAppend) {
-  FaultPlan plan;
-  plan.faults.push_back({"disk", 5, FaultKind::kNoSpace, 1});
-  FaultInjector faults(std::move(plan));
-  std::ostringstream backing(std::ios::binary);
-  FaultyStreambuf buf(backing.rdbuf(), &faults, "disk");
-  std::ostream out(&buf);
-  trace::ChunkedTraceWriter writer(out, "faulty", 8, 1.0 / 24.0);
-  const std::vector<double> samples(8, 100.0);
-  EXPECT_THROW(writer.append(samples), vbr::IoError);
+TEST(TraceWriterFaultTest, EnospcSurfacesAsIoErrorNamingThePath) {
+  // Every write to /dev/full fails with ENOSPC, so the header already does.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    trace::ChunkedTraceWriter writer("/dev/full", 8, 1.0 / 24.0);
+    FAIL() << "a write to /dev/full succeeded";
+  } catch (const vbr::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
 }
 
 TEST(TraceWriterFaultTest, ShortWriteSurfacesAsIoErrorOnAppend) {
-  FaultPlan plan;
-  plan.faults.push_back({"disk", 5, FaultKind::kShortWrite, 1});
-  FaultInjector faults(std::move(plan));
-  std::ostringstream backing(std::ios::binary);
-  FaultyStreambuf buf(backing.rdbuf(), &faults, "disk");
-  std::ostream out(&buf);
-  trace::ChunkedTraceWriter writer(out, "faulty", 8, 1.0 / 24.0);
+  // A file-size limit three samples past the header: the append's write
+  // comes back short, and the retry of the rest fails with EFBIG.
+  const auto path = std::filesystem::temp_directory_path() / "vbr_fault_fsize.trace";
+  trace::ChunkedTraceWriter writer(path, 8, 1.0 / 24.0);
   const std::vector<double> samples(8, 100.0);
-  EXPECT_THROW(writer.append(samples), vbr::IoError);
+  std::optional<std::string> error;
+  {
+    test::FileSizeLimit limit(writer.header_bytes() + 3 * sizeof(double));
+    try {
+      writer.append(samples);
+    } catch (const vbr::IoError& e) {
+      error = e.what();
+    }
+  }
+  ASSERT_TRUE(error.has_value()) << "append past the file-size limit succeeded";
+  EXPECT_NE(error->find(path.string()), std::string::npos) << *error;
+  EXPECT_NE(error->find("File too large"), std::string::npos) << *error;
+  // The short write landed; the retry of the rest is what failed.
+  EXPECT_EQ(std::filesystem::file_size(path), writer.header_bytes() + 3 * sizeof(double));
+  std::filesystem::remove(path);
 }
 
 TEST(TraceWriterFaultTest, TornFinalBlockIsCaughtByFinish) {
-  // The torn write lies: the stream reports success while half the block is
-  // gone. append() cannot see it — only finish()'s position check can.
-  FaultPlan plan;
-  plan.faults.push_back({"disk", 5, FaultKind::kTornWrite, 1});
-  FaultInjector faults(std::move(plan));
-  std::ostringstream backing(std::ios::binary);
-  FaultyStreambuf buf(backing.rdbuf(), &faults, "disk");
-  std::ostream out(&buf);
-  trace::ChunkedTraceWriter writer(out, "faulty", 8, 1.0 / 24.0);
-  const std::vector<double> samples(8, 100.0);
-  writer.append(samples);  // reports success
+  // Every append succeeded, then the file lost its last bytes behind the
+  // writer's back: only finish()'s size check can see it.
+  const auto path = std::filesystem::temp_directory_path() / "vbr_fault_torn.trace";
+  trace::ChunkedTraceWriter writer(path, 8, 1.0 / 24.0);
+  writer.append(std::vector<double>(8, 100.0));
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 4);
   EXPECT_THROW(writer.finish(), vbr::IoError);
-}
-
-TEST(TraceWriterFaultTest, FaultFreePathStaysByteIdentical) {
-  // The injection seam itself must be transparent when no fault fires.
-  FaultInjector faults(FaultPlan{});
-  std::ostringstream faulty_backing(std::ios::binary);
-  FaultyStreambuf buf(faulty_backing.rdbuf(), &faults, "disk");
-  std::ostream faulty_out(&buf);
-  std::ostringstream clean_backing(std::ios::binary);
-
-  const std::vector<double> samples{1.0, 2.5, 3.0, 4.25};
-  trace::ChunkedTraceWriter faulty_writer(faulty_out, "faulty", 4, 1.0 / 24.0);
-  faulty_writer.append(samples);
-  faulty_writer.finish();
-  trace::ChunkedTraceWriter clean_writer(clean_backing, "clean", 4, 1.0 / 24.0);
-  clean_writer.append(samples);
-  clean_writer.finish();
-  EXPECT_EQ(faulty_backing.str(), clean_backing.str());
+  std::filesystem::remove(path);
 }
 
 TEST(TraceWriterResumeTest, RejectsFilesShorterThanTheCheckpointClaims) {

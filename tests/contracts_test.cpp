@@ -156,13 +156,13 @@ TEST(InstrumentedBoundaries, FluidQueueRejectsBadConstruction) {
 
 TEST(TraceStreamParsing, AsciiRejectsNegativeAndNonFiniteSamples) {
   std::istringstream negative("# dt_seconds 0.04\n100\n-5\n");
-  EXPECT_THROW(vbr::trace::read_ascii(negative, "test"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(negative, "test"), vbr::IoError);
   std::istringstream nan("# dt_seconds 0.04\n100\nnan\n");
-  EXPECT_THROW(vbr::trace::read_ascii(nan, "test"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(nan, "test"), vbr::IoError);
   std::istringstream bad_dt("# dt_seconds banana\n100\n");
-  EXPECT_THROW(vbr::trace::read_ascii(bad_dt, "test"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(bad_dt, "test"), vbr::IoError);
   std::istringstream zero_dt("# dt_seconds 0\n100\n");
-  EXPECT_THROW(vbr::trace::read_ascii(zero_dt, "test"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(zero_dt, "test"), vbr::IoError);
 }
 
 TEST(TraceStreamParsing, BinaryRejectsForgedSampleCountWithoutAllocating) {
@@ -183,7 +183,7 @@ TEST(TraceStreamParsing, BinaryRejectsForgedSampleCountWithoutAllocating) {
 
   std::istringstream in(out.str());
   try {
-    vbr::trace::read_binary(in, "forged");
+    vbr::trace::read_trace(in, "forged");
     FAIL() << "forged sample count accepted";
   } catch (const vbr::IoError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
@@ -202,10 +202,10 @@ TEST(TraceStreamParsing, BinaryRejectsNegativeSampleAndBadMagic) {
   const double negative = -12.0;
   out.write(reinterpret_cast<const char*>(&negative), sizeof negative);
   std::istringstream in(out.str());
-  EXPECT_THROW(vbr::trace::read_binary(in, "neg"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(in, "neg"), vbr::IoError);
 
   std::istringstream garbage("GARBAGE!rest");
-  EXPECT_THROW(vbr::trace::read_binary(garbage, "magic"), vbr::IoError);
+  EXPECT_THROW(vbr::trace::read_trace(garbage, "magic"), vbr::IoError);
 }
 
 }  // namespace

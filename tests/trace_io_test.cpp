@@ -9,8 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "vbr/common/error.hpp"
+#include "file_size_limit.hpp"
 
 namespace vbr::trace {
 namespace {
@@ -34,7 +38,7 @@ TEST_F(TraceIoTest, AsciiRoundTrip) {
   TimeSeries original({27791.5, 8622.0, 78459.25}, 1.0 / 24.0, "bytes/frame");
   const auto path = temp_path("roundtrip.txt");
   write_ascii(original, path);
-  const auto loaded = read_ascii(path);
+  const auto loaded = read_trace(path);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_DOUBLE_EQ(loaded[i], original[i]);
@@ -50,7 +54,7 @@ TEST_F(TraceIoTest, BareNumbersGetPaperDefaults) {
     std::ofstream out(path);
     out << "27791\n8622\n# a comment\n78459\n\n";
   }
-  const auto loaded = read_ascii(path);
+  const auto loaded = read_trace(path);
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_DOUBLE_EQ(loaded[0], 27791.0);
   EXPECT_NEAR(loaded.dt_seconds(), 1.0 / 24.0, 1e-15);
@@ -63,12 +67,12 @@ TEST_F(TraceIoTest, AsciiRejectsGarbageLine) {
     std::ofstream out(path);
     out << "123\nnot-a-number\n";
   }
-  EXPECT_THROW(read_ascii(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(read_ascii(temp_path("does_not_exist.txt")), IoError);
-  EXPECT_THROW(read_binary(temp_path("does_not_exist.bin")), IoError);
+  EXPECT_THROW(read_trace(temp_path("does_not_exist.txt")), IoError);
+  EXPECT_THROW(read_trace(temp_path("does_not_exist.bin")), IoError);
 }
 
 TEST_F(TraceIoTest, BinaryRoundTripPreservesBitExactValues) {
@@ -77,7 +81,7 @@ TEST_F(TraceIoTest, BinaryRoundTripPreservesBitExactValues) {
   TimeSeries original(values, 1.389e-3, "bytes/slice");
   const auto path = temp_path("roundtrip.bin");
   write_binary(original, path);
-  const auto loaded = read_binary(path);
+  const auto loaded = read_trace(path);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded[i], original[i]);  // bit-exact
@@ -92,7 +96,7 @@ TEST_F(TraceIoTest, BinaryRejectsBadMagic) {
     std::ofstream out(path, std::ios::binary);
     out << "NOTATRACEFILE_____________";
   }
-  EXPECT_THROW(read_binary(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, BinaryRejectsTruncatedData) {
@@ -102,7 +106,7 @@ TEST_F(TraceIoTest, BinaryRejectsTruncatedData) {
   // Chop the file.
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(read_binary(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, AsciiRejectsNegativeFrameSize) {
@@ -111,7 +115,7 @@ TEST_F(TraceIoTest, AsciiRejectsNegativeFrameSize) {
     std::ofstream out(path);
     out << "123\n-456\n789\n";
   }
-  EXPECT_THROW(read_ascii(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, AsciiRejectsNonFiniteFrameSize) {
@@ -120,7 +124,7 @@ TEST_F(TraceIoTest, AsciiRejectsNonFiniteFrameSize) {
     std::ofstream out(path);
     out << "123\ninf\n";
   }
-  EXPECT_THROW(read_ascii(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, AsciiRejectsBadDtHeader) {
@@ -131,7 +135,7 @@ TEST_F(TraceIoTest, AsciiRejectsBadDtHeader) {
       std::ofstream out(path);
       out << header;
     }
-    EXPECT_THROW(read_ascii(path), IoError) << header;
+    EXPECT_THROW(read_trace(path), IoError) << header;
   }
 }
 
@@ -147,7 +151,7 @@ TEST_F(TraceIoTest, BinaryRejectsNegativeSample) {
     const double bad = -200.0;
     patch.write(reinterpret_cast<const char*>(&bad), sizeof bad);
   }
-  EXPECT_THROW(read_binary(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, BinaryRejectsOverflowingSampleCount) {
@@ -164,7 +168,7 @@ TEST_F(TraceIoTest, BinaryRejectsOverflowingSampleCount) {
     const std::uint64_t forged = std::uint64_t{1} << 62;
     patch.write(reinterpret_cast<const char*>(&forged), sizeof forged);
   }
-  EXPECT_THROW(read_binary(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
 }
 
 TEST_F(TraceIoTest, BinaryRejectsOversizedUnitLength) {
@@ -177,7 +181,35 @@ TEST_F(TraceIoTest, BinaryRejectsOversizedUnitLength) {
     const std::uint32_t unit_len = 1u << 20;  // claims a 1 MiB unit string
     out.write(reinterpret_cast<const char*>(&unit_len), sizeof unit_len);
   }
-  EXPECT_THROW(read_binary(path), IoError);
+  EXPECT_THROW(read_trace(path), IoError);
+}
+
+TEST_F(TraceIoTest, AsciiWriteFailureThrowsAndKeepsThePreviousFile) {
+  // A file-size limit far below the new trace's text: the write fails with
+  // EFBIG, which write_ascii must report, leaving no temp file and the
+  // previous trace intact.
+  const auto path = temp_path("limited.txt");
+  write_ascii(TimeSeries({1.0, 2.0}, 0.04, "bytes"), path);
+  const auto read_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const std::string before = read_bytes();
+  std::optional<std::string> error;
+  {
+    test::FileSizeLimit limit(256);
+    try {
+      write_ascii(TimeSeries(std::vector<double>(1000, 27791.5), 0.04, "bytes"), path);
+    } catch (const IoError& e) {
+      error = e.what();
+    }
+  }
+  ASSERT_TRUE(error.has_value()) << "write_ascii past the file-size limit succeeded";
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+  EXPECT_EQ(read_bytes(), before);
+  EXPECT_EQ(read_trace(path).values(), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST_F(TraceIoTest, EmptySeriesRoundTrips) {
@@ -186,8 +218,8 @@ TEST_F(TraceIoTest, EmptySeriesRoundTrips) {
   const auto bpath = temp_path("empty.bin");
   write_ascii(empty, apath);
   write_binary(empty, bpath);
-  EXPECT_EQ(read_ascii(apath).size(), 0u);
-  EXPECT_EQ(read_binary(bpath).size(), 0u);
+  EXPECT_EQ(read_trace(apath).size(), 0u);
+  EXPECT_EQ(read_trace(bpath).size(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the chunked (streaming) trace reader/writer: format sniffing,
-// equivalence with the batch readers, bounded-block reading at odd sizes,
+// equivalence with read_trace, bounded-block reading at odd sizes,
 // the writer's declared-count contract, and the IoError surface on
 // truncated or forged input.
 #include "vbr/trace/trace_stream.hpp"
@@ -87,6 +87,24 @@ TEST(ChunkedTraceReaderTest, HeaderlessAsciiGetsDefaults) {
   EXPECT_EQ(drain(reader, 2), (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
+TEST(ChunkedTraceReaderTest, HeaderKeysAfterDataAreCommentsForBothReaders) {
+  // Header keys count only in the leading '#' block; read_trace drains the
+  // same reader, so the two cannot disagree.
+  const std::string text = "1\n2\n# dt_seconds 0.5\n# unit cells\n3\n";
+  std::istringstream chunked_in(text);
+  ChunkedTraceReader reader(chunked_in, "late");
+  const std::vector<double> chunked = drain(reader, 2);
+  std::istringstream batch_in(text);
+  const TimeSeries series = read_trace(batch_in, "late");
+
+  EXPECT_EQ(chunked, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(series.values(), chunked);
+  EXPECT_NEAR(reader.info().dt_seconds, 1.0 / 24.0, 1e-15);
+  EXPECT_EQ(series.dt_seconds(), reader.info().dt_seconds);
+  EXPECT_EQ(reader.info().unit, "bytes/frame");
+  EXPECT_EQ(series.unit(), reader.info().unit);
+}
+
 TEST(ChunkedTraceReaderTest, WriterOutputMatchesBatchReader) {
   const auto path = temp_file("writer_roundtrip");
   const auto values = ramp(500);
@@ -98,7 +116,7 @@ TEST(ChunkedTraceReaderTest, WriterOutputMatchesBatchReader) {
     EXPECT_EQ(writer.written(), 500u);
     writer.finish();
   }
-  const auto series = read_binary(path);
+  const auto series = read_trace(path);
   EXPECT_EQ(series.values(), values);
   EXPECT_DOUBLE_EQ(series.dt_seconds(), 1.0 / 30.0);
   EXPECT_EQ(series.unit(), "bytes/frame");
@@ -123,7 +141,7 @@ TEST(ChunkedTraceWriterTest, EnforcesTheDeclaredCount) {
     writer.finish();  // idempotent
     EXPECT_THROW(writer.append(std::span<const double>(values.data(), 1)), IoError);
   }
-  EXPECT_EQ(read_binary(path).values(), values);
+  EXPECT_EQ(read_trace(path).values(), values);
   std::filesystem::remove(path);
 }
 

@@ -168,7 +168,11 @@ LexResult lex(std::string_view text) {
           open == std::string_view::npos ? std::string_view{}
                                          : text.substr(i + 2, open - i - 2);
       if (open != std::string_view::npos && delim.size() <= 16) {
-        std::string closer = ")" + std::string(delim) + "\"";
+        std::string closer;
+        closer.reserve(delim.size() + 2);
+        closer += ')';
+        closer += delim;
+        closer += '"';
         std::size_t end = text.find(closer, open + 1);
         end = end == std::string_view::npos ? n : end + closer.size();
         result.tokens.push_back(

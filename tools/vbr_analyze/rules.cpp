@@ -33,8 +33,7 @@ bool in_code_dirs(const std::string& p) {
 }
 
 bool in_artifact_dirs(const std::string& p) {
-  return under(p, "bench") || under(p, "examples") ||
-         under(p, "src/vbr/run") || under(p, "src/vbr/common");
+  return under(p, "bench") || under(p, "examples") || under(p, "src");
 }
 
 // ---------------------------------------------------------------------------
