@@ -10,6 +10,10 @@
 #   ./scripts/check.sh --analyze  # vbr_analyze over the full tree (build the
 #                                 # analyzer, zero findings required)
 #   ./scripts/check.sh --lint     # vbr_analyze + clang-tidy (if installed)
+#   ./scripts/check.sh --reach    # link-time audit: every library function is
+#                                 # reached by an example, bench driver,
+#                                 # vbr_analyze or perfbench_workload, or is
+#                                 # listed in scripts/reachability_allow.txt
 #   ./scripts/check.sh --fuzz     # fuzz harness smoke (~12k execs each)
 #   ./scripts/check.sh --stream   # stream_analyze on a 2^24-sample trace,
 #                                 # peak RSS checked against the 64 MiB bound
@@ -33,9 +37,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-run_tier1=0 run_asan=0 run_tsan=0 run_analyze=0 run_lint=0 run_fuzz=0 run_stream=0 run_crash=0 run_service=0
+run_tier1=0 run_asan=0 run_tsan=0 run_analyze=0 run_lint=0 run_reach=0 run_fuzz=0 run_stream=0 run_crash=0 run_service=0
 if [[ $# -eq 0 ]]; then
-  run_tier1=1 run_asan=1 run_tsan=1 run_analyze=1 run_lint=1 run_fuzz=1 run_stream=1 run_crash=1 run_service=1
+  run_tier1=1 run_asan=1 run_tsan=1 run_analyze=1 run_lint=1 run_reach=1 run_fuzz=1 run_stream=1 run_crash=1 run_service=1
 fi
 for arg in "$@"; do
   case "$arg" in
@@ -44,11 +48,12 @@ for arg in "$@"; do
     --tsan)    run_tsan=1 ;;
     --analyze) run_analyze=1 ;;
     --lint)    run_lint=1 ;;
+    --reach)   run_reach=1 ;;
     --fuzz)    run_fuzz=1 ;;
     --stream)  run_stream=1 ;;
     --crash)   run_crash=1 ;;
     --service) run_service=1 ;;
-    *) echo "unknown stage: $arg (expected --tier1/--asan/--tsan/--analyze/--lint/--fuzz/--stream/--crash/--service)" >&2
+    *) echo "unknown stage: $arg (expected --tier1/--asan/--tsan/--analyze/--lint/--reach/--fuzz/--stream/--crash/--service)" >&2
        exit 2 ;;
   esac
 done
@@ -106,14 +111,30 @@ if [[ $run_lint -eq 1 ]]; then
   ./scripts/tidy.sh
 fi
 
+if [[ $run_reach -eq 1 ]]; then
+  echo "=== reach: every library function has a production caller (or a listed reason) ==="
+  # -O0 keeps every call a call, and one section per function lets the linker
+  # drop each function no production binary reaches. Tests stay off: a
+  # function only they call is what the audit looks for. perfbench is built
+  # as its own package, as the benchmark builds it.
+  reach_flags=(-DCMAKE_BUILD_TYPE=Release "-DCMAKE_CXX_FLAGS_RELEASE=-O0 -DNDEBUG"
+               "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections"
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  cmake -B build-reach/tree -S . "${reach_flags[@]}" -DVBR_BUILD_TESTS=OFF >/dev/null
+  cmake --build build-reach/tree -j"$(nproc)" >/dev/null
+  cmake -B build-reach/perfbench -S perfbench "${reach_flags[@]}" >/dev/null
+  cmake --build build-reach/perfbench -j"$(nproc)" >/dev/null
+  python3 scripts/audit_reachability.py --allow scripts/reachability_allow.txt build-reach
+fi
+
 if [[ $run_fuzz -eq 1 ]]; then
   echo "=== fuzz: harness smoke (deterministic, ~12k execs each) ==="
   cmake --preset fuzz >/dev/null
   cmake --build --preset fuzz -j >/dev/null
   # -runs=/-seed= is libFuzzer's flag spelling; the GCC standalone driver
   # accepts the same flags, so this line works with either toolchain.
-  for pair in huffman_decode:huffman rle_decode:rle trace_io:trace_io \
-              stream_reader:stream_reader checkpoint:checkpoint \
+  for pair in huffman_decode:huffman rle_decode:rle stream_reader:stream_reader \
+              checkpoint:checkpoint \
               sweep_result_log:sweep_result_log \
               generation_plan:generation_plan \
               service_checkpoint:service_checkpoint; do

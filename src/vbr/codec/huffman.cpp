@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <queue>
 
 #include "vbr/common/error.hpp"
@@ -194,18 +193,6 @@ std::size_t HuffmanCode::decode(BitReader& in) const {
     }
   }
   throw Error("invalid Huffman code in bit stream");
-}
-
-double HuffmanCode::expected_length(std::span<const std::uint64_t> frequencies) const {
-  VBR_ENSURE(frequencies.size() == lengths_.size(), "frequency table size mismatch");
-  const double total = static_cast<double>(
-      std::accumulate(frequencies.begin(), frequencies.end(), std::uint64_t{0}));
-  VBR_ENSURE(total > 0.0, "no symbols");
-  double bits = 0.0;
-  for (std::size_t s = 0; s < frequencies.size(); ++s) {
-    bits += static_cast<double>(frequencies[s]) * static_cast<double>(lengths_[s]);
-  }
-  return bits / total;
 }
 
 }  // namespace vbr::codec

@@ -68,10 +68,6 @@ class HuffmanCode {
   void encode(BitWriter& out, std::size_t symbol) const;
   std::size_t decode(BitReader& in) const;
 
-  /// Mean code length in bits under the given frequencies (for optimality
-  /// tests against the source entropy).
-  double expected_length(std::span<const std::uint64_t> frequencies) const;
-
  private:
   std::vector<unsigned> lengths_;
   std::vector<std::uint32_t> codes_;

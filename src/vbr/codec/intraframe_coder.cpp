@@ -75,13 +75,6 @@ std::size_t EncodedFrame::total_bytes() const {
   return total;
 }
 
-std::vector<double> EncodedFrame::slice_bytes() const {
-  std::vector<double> out;
-  out.reserve(slices.size());
-  for (const auto& s : slices) out.push_back(static_cast<double>(s.bytes.size()));
-  return out;
-}
-
 IntraframeCoder::IntraframeCoder(const CoderConfig& config)
     : config_(config),
       quantizer_(config.quantizer_step),

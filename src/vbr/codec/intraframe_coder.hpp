@@ -37,8 +37,6 @@ struct EncodedFrame {
   std::vector<EncodedSlice> slices;
 
   std::size_t total_bytes() const;
-  /// Per-slice byte counts as doubles (trace samples).
-  std::vector<double> slice_bytes() const;
 };
 
 class IntraframeCoder {

@@ -391,12 +391,6 @@ void ifft(std::vector<Complex>& data) {
   for (auto& v : data) v *= scale;
 }
 
-std::vector<Complex> fft_real(const std::vector<double>& data) {
-  std::vector<Complex> out(data.begin(), data.end());
-  fft(out);
-  return out;
-}
-
 std::vector<Complex> rfft(const std::vector<double>& data) {
   const std::size_t n = data.size();
   VBR_ENSURE(n >= 1, "rfft requires a non-empty sequence");

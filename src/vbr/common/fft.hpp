@@ -26,9 +26,6 @@ void fft(std::vector<std::complex<double>>& data);
 /// In-place inverse DFT, normalized by 1/n: exact inverse of fft().
 void ifft(std::vector<std::complex<double>>& data);
 
-/// Forward DFT of a real sequence; returns all n complex coefficients.
-std::vector<std::complex<double>> fft_real(const std::vector<double>& data);
-
 /// Forward DFT of a real sequence, returning only the n/2 + 1 non-redundant
 /// coefficients X[0..n/2] (the rest follow from X[n-k] = conj(X[k])). Even
 /// lengths use the half-length complex trick — one complex FFT of length

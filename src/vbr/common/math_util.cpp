@@ -87,12 +87,6 @@ std::vector<double> block_means(std::span<const double> values, std::size_t m) {
   return out;
 }
 
-std::vector<double> block_sums(std::span<const double> values, std::size_t m) {
-  auto means = block_means(values, m);
-  for (auto& v : means) v *= static_cast<double>(m);
-  return means;
-}
-
 double sample_mean(std::span<const double> values) {
   VBR_ENSURE(!values.empty(), "mean requires a non-empty range");
   return kahan_total(values) / static_cast<double>(values.size());

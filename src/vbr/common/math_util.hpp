@@ -77,9 +77,6 @@ double percentile(std::span<const double> values, double q);
 /// discarded. The aggregated-process operator X^(m) of the paper.
 std::vector<double> block_means(std::span<const double> values, std::size_t m);
 
-/// Sums over non-overlapping blocks of size m.
-std::vector<double> block_sums(std::span<const double> values, std::size_t m);
-
 /// Sample mean.
 double sample_mean(std::span<const double> values);
 

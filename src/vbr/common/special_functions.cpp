@@ -28,11 +28,6 @@ double log_gamma(double x) {
   return lgamma_safe(x);
 }
 
-double log_beta(double a, double b) {
-  VBR_ENSURE(a > 0.0 && b > 0.0, "log_beta requires positive arguments");
-  return lgamma_safe(a) + lgamma_safe(b) - lgamma_safe(a + b);
-}
-
 namespace {
 
 constexpr int kMaxIterations = 500;
@@ -56,7 +51,7 @@ double gamma_p_series(double s, double x) {
 }
 
 // Upper incomplete gamma by Lentz continued fraction: Q(s,x) for x >= s+1.
-double gamma_q_cf(double s, double x) {
+double upper_gamma_cf(double s, double x) {
   double b = x + 1.0 - s;
   double c = 1.0 / kTiny;
   double d = 1.0 / b;
@@ -75,7 +70,7 @@ double gamma_q_cf(double s, double x) {
       return h * std::exp(-x + s * std::log(x) - lgamma_safe(s));
     }
   }
-  throw NumericalError("gamma_q continued fraction failed to converge");
+  throw NumericalError("upper incomplete gamma continued fraction failed to converge");
 }
 
 }  // namespace
@@ -85,15 +80,7 @@ double gamma_p(double s, double x) {
   VBR_ENSURE(x >= 0.0, "gamma_p requires x >= 0");
   if (x == 0.0) return 0.0;
   if (x < s + 1.0) return gamma_p_series(s, x);
-  return 1.0 - gamma_q_cf(s, x);
-}
-
-double gamma_q(double s, double x) {
-  VBR_ENSURE(s > 0.0, "gamma_q requires s > 0");
-  VBR_ENSURE(x >= 0.0, "gamma_q requires x >= 0");
-  if (x == 0.0) return 1.0;
-  if (x < s + 1.0) return 1.0 - gamma_p_series(s, x);
-  return gamma_q_cf(s, x);
+  return 1.0 - upper_gamma_cf(s, x);
 }
 
 double gamma_p_inverse(double s, double p) {

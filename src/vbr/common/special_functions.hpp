@@ -14,9 +14,6 @@ double log_gamma(double x);
 /// otherwise; absolute accuracy ~1e-14.
 double gamma_p(double s, double x);
 
-/// Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x).
-double gamma_q(double s, double x);
-
 /// Inverse of gamma_p in x: returns x such that P(s, x) = p, for p in [0, 1).
 /// Halley-refined initial guess (Abramowitz & Stegun 26.4.17 style).
 double gamma_p_inverse(double s, double p);
@@ -27,8 +24,5 @@ double normal_cdf(double x);
 /// Inverse standard Normal CDF (quantile), p in (0, 1).
 /// Wichura's AS241 algorithm; relative accuracy ~1e-15.
 double normal_quantile(double p);
-
-/// Natural log of the Beta function B(a, b).
-double log_beta(double a, double b);
 
 }  // namespace vbr

@@ -35,23 +35,6 @@ MapCache& map_cache() {
 
 }  // namespace
 
-std::vector<double> transform_marginal(std::span<const double> gaussian,
-                                       const stats::Distribution& target, double mu,
-                                       double sigma) {
-  VBR_ENSURE(sigma > 0.0, "Gaussian sigma must be positive");
-  VBR_CHECK_FINITE(mu, "Gaussian mean");
-  VBR_CHECK_FINITE(sigma, "Gaussian sigma");
-  std::vector<double> out;
-  out.reserve(gaussian.size());
-  for (double x : gaussian) {
-    const double p = clamp_probability(normal_cdf((x - mu) / sigma));
-    const double y = target.quantile(p);
-    VBR_DCHECK(std::isfinite(y), "non-finite marginal-transform output");
-    out.push_back(y);
-  }
-  return out;
-}
-
 TabulatedMarginalMap::TabulatedMarginalMap(const stats::Distribution& target,
                                            std::size_t table_points)
     : target_(target) {

@@ -17,17 +17,11 @@
 
 namespace vbr::model {
 
-/// Transform standard-Gaussian samples (mean mu, stddev sigma describe the
-/// actual Gaussian the samples came from) into samples of `target`.
-std::vector<double> transform_marginal(std::span<const double> gaussian,
-                                       const stats::Distribution& target, double mu = 0.0,
-                                       double sigma = 1.0);
-
-/// Table-driven variant: precomputes the composite map on a uniform grid of
+/// The map, table-driven: precomputes the composite map on a uniform grid of
 /// `table_points` Gaussian quantiles and interpolates. This is the paper's
-/// implementation device (a 10,000-point table) and is much faster when
-/// transforming long realizations; the tails beyond the table are evaluated
-/// exactly. The paper notes (Section 5.2) that the tabulated map can clip
+/// implementation device (a 10,000-point table) and is much faster than
+/// evaluating F^{-1}(Phi(z)) per sample; the tails beyond the table are
+/// evaluated exactly. The paper notes (Section 5.2) that the tabulated map can clip
 /// the extreme Pareto tail — measured in bench_model_validation.
 class TabulatedMarginalMap {
  public:

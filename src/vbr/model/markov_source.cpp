@@ -27,11 +27,6 @@ MarkovChainSource::MarkovChainSource(std::vector<double> levels,
   }
 }
 
-double MarkovChainSource::transition(std::size_t from, std::size_t to) const {
-  VBR_ENSURE(from < states() && to < states(), "state index out of range");
-  return transition_[from * states() + to];
-}
-
 MarkovChainSource MarkovChainSource::fit(std::span<const double> frame_bytes,
                                          std::size_t states) {
   VBR_ENSURE(states >= 2, "need at least two states");

@@ -42,7 +42,6 @@ class MarkovChainSource {
 
   std::size_t states() const { return levels_.size(); }
   const std::vector<double>& levels() const { return levels_; }
-  double transition(std::size_t from, std::size_t to) const;
 
   /// Stationary distribution (power iteration).
   std::vector<double> stationary() const;

@@ -34,11 +34,15 @@ SpectrumCache& spectrum_cache() {
   return cache;
 }
 
-// The aliasing correction B~3(lambda; H) with the full per-frequency cost:
-// eleven pow() calls. It is smooth and slowly varying on [0, pi] (only the
-// lambda^d term of the density is singular), so compute_amplitudes()
-// evaluates it on a coarse grid and interpolates linearly; see kBtildeGrid.
-double b3_tilde(double lambda, double hurst) {
+}  // namespace
+
+// Eleven pow() calls per frequency. B~3 is smooth and slowly varying on
+// [0, pi] (only the lambda^d term of the density is singular), so
+// compute_amplitudes() evaluates it on a coarse grid and interpolates
+// linearly; see kBtildeGrid.
+double paxson_b3_tilde(double lambda, double hurst) {
+  VBR_ENSURE(lambda >= 0.0 && lambda <= std::numbers::pi, "frequency must be in [0, pi]");
+  VBR_ENSURE(hurst > 0.0 && hurst < 1.0, "H must be in (0, 1)");
   const double d = -2.0 * hurst - 1.0;
   const double dprime = -2.0 * hurst;
   const double two_pi = 2.0 * std::numbers::pi;
@@ -51,6 +55,8 @@ double b3_tilde(double lambda, double hurst) {
         (8.0 * hurst * std::numbers::pi);
   return (1.0002 - 0.000134 * lambda) * (b3 - std::pow(2.0, -7.65 * hurst - 7.4));
 }
+
+namespace {
 
 // Grid resolution for the B~3 interpolation. With 2048 intervals over
 // [0, pi] the linear-interpolation error is bounded by (pi/2048)^2 / 8 times
@@ -76,9 +82,8 @@ Amplitudes compute_amplitudes(double hurst, std::size_t len) {
 
   std::vector<double> grid(kBtildeGrid + 1);
   for (std::size_t g = 0; g <= kBtildeGrid; ++g) {
-    grid[g] = b3_tilde(std::numbers::pi * static_cast<double>(g) /
-                           static_cast<double>(kBtildeGrid),
-                       hurst);
+    grid[g] = paxson_b3_tilde(
+        std::numbers::pi * static_cast<double>(g) / static_cast<double>(kBtildeGrid), hurst);
   }
 
   const double d = -2.0 * hurst - 1.0;
@@ -136,17 +141,6 @@ Amplitudes cached_amplitudes(double hurst, std::size_t len) {
 }
 
 }  // namespace
-
-double paxson_fgn_spectral_density(double lambda, double hurst) {
-  VBR_ENSURE(lambda > 0.0 && lambda <= std::numbers::pi, "frequency must be in (0, pi]");
-  VBR_ENSURE(hurst > 0.0 && hurst < 1.0, "H must be in (0, 1)");
-  // B_3: three exact aliasing terms plus a trapezoid tail correction
-  // (Paxson Eq. 5), then the empirical polish of Eq. 6.
-  const double d = -2.0 * hurst - 1.0;
-  const double a = 2.0 * std::sin(std::numbers::pi * hurst) * std::tgamma(2.0 * hurst + 1.0) *
-                   (1.0 - std::cos(lambda));
-  return a * (std::pow(lambda, d) + b3_tilde(lambda, hurst));
-}
 
 std::size_t paxson_spectrum_cache_size() {
   auto& cache = spectrum_cache();

@@ -61,12 +61,12 @@ std::vector<double> paxson_fgn(std::size_t n, const PaxsonOptions& options, Rng&
 void paxson_fgn(std::span<double> out, const PaxsonOptions& options, Rng& rng,
                 Workspace& workspace);
 
-/// Paxson's approximate fGn spectral density at angular frequency
-/// lambda in (0, pi], unit scale (absolute normalization does not matter
-/// for synthesis — the amplitude vector is renormalized to the target
-/// variance). Exposed for the accuracy cross-check against
-/// stats::fgn_spectral_shape.
-double paxson_fgn_spectral_density(double lambda, double hurst);
+/// Paxson's aliasing correction B~3(lambda; H), lambda in [0, pi]: three
+/// exact aliasing terms plus a trapezoid tail correction (Paxson Eq. 5),
+/// then the empirical polish of Eq. 6. The synthesis spectrum is
+/// 2 sin(pi H) Gamma(2H + 1) (1 - cos lambda) (lambda^(-2H-1) + B~3), with
+/// B~3 interpolated from a grid of these values.
+double paxson_b3_tilde(double lambda, double hurst);
 
 /// Number of distinct (H, synthesis length) amplitude vectors in the
 /// process-wide, thread-safe spectrum cache; caching never changes the output.

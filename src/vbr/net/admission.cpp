@@ -36,15 +36,6 @@ double BufferlessAdmission::loss_fraction(std::size_t sources,
   return fraction;
 }
 
-double BufferlessAdmission::overload_probability(std::size_t sources,
-                                                 double total_capacity_bps) const {
-  VBR_ENSURE(total_capacity_bps > 0.0, "capacity must be positive");
-  const double capacity_bytes = total_capacity_bps / 8.0 * dt_seconds_;
-  const double probability = 1.0 - convolved(sources).cdf(capacity_bytes);
-  VBR_CHECK_PROB(probability, "overload probability");
-  return probability;
-}
-
 double BufferlessAdmission::required_capacity_bps(std::size_t sources,
                                                   double target_loss) const {
   VBR_ENSURE(target_loss > 0.0 && target_loss < 1.0, "target loss must be in (0, 1)");

@@ -31,9 +31,6 @@ class BufferlessAdmission {
   /// E[(S_N - c)^+] / E[S_N] with c = capacity per interval.
   double loss_fraction(std::size_t sources, double total_capacity_bps) const;
 
-  /// Tail probability P(aggregate rate > capacity).
-  double overload_probability(std::size_t sources, double total_capacity_bps) const;
-
   /// Smallest total capacity (bits/s) with loss_fraction <= target.
   double required_capacity_bps(std::size_t sources, double target_loss) const;
 

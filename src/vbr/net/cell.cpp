@@ -11,8 +11,4 @@ std::size_t bytes_to_cells(double bytes) {
   return static_cast<std::size_t>(std::ceil(bytes / kCellPayloadBytes));
 }
 
-double cell_padded_bytes(double bytes) {
-  return static_cast<double>(bytes_to_cells(bytes)) * kCellPayloadBytes;
-}
-
 }  // namespace vbr::net

@@ -16,7 +16,4 @@ inline constexpr double kCellPayloadBytes = 48.0;
 /// Number of cells needed for a byte count (ceiling).
 std::size_t bytes_to_cells(double bytes);
 
-/// Payload-rounded byte count (cells * 48).
-double cell_padded_bytes(double bytes);
-
 }  // namespace vbr::net

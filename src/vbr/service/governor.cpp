@@ -39,7 +39,6 @@ const char* admission_outcome_name(AdmissionOutcome outcome) {
     case AdmissionOutcome::kRejectedMemory: return "rejected-memory";
     case AdmissionOutcome::kRejectedCpu: return "rejected-cpu";
     case AdmissionOutcome::kRejectedLoss: return "rejected-loss";
-    case AdmissionOutcome::kRejectedDegraded: return "rejected-degraded";
   }
   return "unknown";
 }
@@ -70,10 +69,10 @@ std::uint64_t stream_state_bytes(model::GeneratorBackend backend, const Streamin
   throw InvalidArgument("stream_state_bytes: backend has no streaming cost model");
 }
 
-namespace {
-
-AdmissionDecision decide(const ServiceConfig& config, const ResourceBudget& budget,
-                         std::size_t fleet_streams) {
+AdmissionDecision admit_fleet(const ServiceConfig& config, const ResourceBudget& budget) {
+  VBR_ENSURE(config.num_streams >= 1, "admission needs at least one requested stream");
+  VBR_ENSURE(config.frame_seconds > 0.0, "admission needs a positive frame interval");
+  const std::size_t fleet_streams = config.num_streams;
   AdmissionDecision decision;
   decision.requested_streams = fleet_streams;
   decision.projected_memory_bytes =
@@ -118,14 +117,6 @@ AdmissionDecision decide(const ServiceConfig& config, const ResourceBudget& budg
   return decision;
 }
 
-}  // namespace
-
-AdmissionDecision admit_fleet(const ServiceConfig& config, const ResourceBudget& budget) {
-  VBR_ENSURE(config.num_streams >= 1, "admission needs at least one requested stream");
-  VBR_ENSURE(config.frame_seconds > 0.0, "admission needs a positive frame interval");
-  return decide(config, budget, config.num_streams);
-}
-
 OverloadGovernor::OverloadGovernor(TrafficService& service, GovernorConfig config)
     : service_(service), config_(std::move(config)) {
   VBR_ENSURE(config_.policy.max_attempts >= 1, "retry policy needs at least one attempt");
@@ -137,9 +128,6 @@ OverloadGovernor::OverloadGovernor(TrafficService& service, GovernorConfig confi
   for (std::size_t i = 0; i < config_.stream_faults.size(); ++i) {
     const ScheduledStreamFault& fault = config_.stream_faults[i];
     VBR_ENSURE(fault.stream < num_streams, "scheduled fault names a stream out of range");
-    VBR_ENSURE(fault.kind == run::FaultKind::kTransient || fault.kind == run::FaultKind::kPermanent,
-               "stream faults must be transient or permanent (stream-shaped kinds have no "
-               "meaning at a generation site)");
     VBR_ENSURE(fault.times >= 1, "a scheduled fault must fire at least once");
     fault_states_[fault.stream].entries.push_back(
         FaultEntry{fault.at_sample, fault.kind, fault.times, i});
@@ -154,26 +142,12 @@ OverloadGovernor::OverloadGovernor(TrafficService& service, GovernorConfig confi
   bool first = true;
   for (const PressureEvent& event : config_.pressure_schedule) {
     VBR_ENSURE(event.level >= 0 && event.level <= kMaxLevel,
-               "pressure levels run 0 (nominal) to 3 (refuse)");
+               "pressure levels run 0 (nominal) to 3 (checkpoint)");
     VBR_ENSURE(first || event.at_epoch > last_epoch,
                "pressure schedule epochs must be strictly increasing");
     last_epoch = event.at_epoch;
     first = false;
   }
-}
-
-AdmissionDecision OverloadGovernor::admit(std::size_t additional_streams) const {
-  const std::size_t fleet = service_.config().num_streams + additional_streams;
-  if (level_ >= kMaxLevel) {
-    AdmissionDecision decision;
-    decision.outcome = AdmissionOutcome::kRejectedDegraded;
-    decision.requested_streams = fleet;
-    decision.memory_budget_bytes = config_.budget.memory_bytes;
-    decision.cpu_budget_samples_per_second = config_.budget.cpu_samples_per_second;
-    decision.reason = "governor is at degradation level 3 (refusing admissions)";
-    return decision;
-  }
-  return decide(service_.config(), config_.budget, fleet);
 }
 
 void OverloadGovernor::advance_round(std::size_t block) {

@@ -41,9 +41,8 @@
 //        level 2  shrink: cap the per-round block so scratch memory and
 //                 checkpoint latency fall (output-neutral by the service's
 //                 block-size invariance).
-//        level 3  refuse: reject new admissions and request a checkpoint
-//                 so the supervisor can restart-with-resume instead of
-//                 losing work.
+//        level 3  checkpoint: request a checkpoint so the supervisor can
+//                 restart-with-resume instead of losing work.
 //
 // Determinism contract (pinned by tests/governor_test.cpp and the
 // crash_soak --service --overload phase): for a fixed GovernorConfig with
@@ -78,7 +77,6 @@ enum class AdmissionOutcome : std::uint8_t {
   kRejectedMemory = 1,    ///< projected stream state exceeds the memory budget
   kRejectedCpu = 2,       ///< projected sample rate exceeds the CPU budget
   kRejectedLoss = 3,      ///< analytic queue loss would exceed the target
-  kRejectedDegraded = 4,  ///< the governor is at ladder level 3 (refuse)
 };
 
 const char* admission_outcome_name(AdmissionOutcome outcome);
@@ -199,13 +197,9 @@ struct GovernorConfig {
 /// implements the service's StreamGovernor generation hook.
 class OverloadGovernor final : public StreamGovernor {
  public:
-  /// Validates the config (fault kinds, schedule ordering, fractions) and
+  /// Validates the config (fault streams, schedule ordering, fractions) and
   /// indexes the fault schedule by stream. Throws vbr::InvalidArgument.
   OverloadGovernor(TrafficService& service, GovernorConfig config);
-
-  /// Would the governor admit `additional_streams` more streams of the
-  /// service's own shape right now? Level 3 refuses regardless of budget.
-  AdmissionDecision admit(std::size_t additional_streams) const;
 
   /// Advance the fleet by `block` governed samples, splitting the round at
   /// scheduled pressure epochs so every transition lands at an exact
@@ -213,7 +207,7 @@ class OverloadGovernor final : public StreamGovernor {
   /// caller slices rounds).
   void advance_round(std::size_t block);
 
-  /// Current ladder level (0 = nominal .. 3 = refusing admissions).
+  /// Current ladder level (0 = nominal .. 3 = checkpoint requested).
   int level() const { return level_; }
   /// Governed samples each full-speed stream has emitted.
   std::uint64_t epoch() const { return epoch_; }

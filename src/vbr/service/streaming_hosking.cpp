@@ -119,12 +119,6 @@ StreamingHosking::StreamingHosking(const model::HoskingOptions& options, std::si
   ring_.assign(horizon_, 0.0);
 }
 
-double StreamingHosking::innovation_variance() const {
-  const std::size_t order =
-      static_cast<std::size_t>(std::min<std::uint64_t>(position_, horizon_));
-  return coeffs_->v[order];
-}
-
 namespace {
 
 /// W doubles as one GCC/Clang vector; one lane needs no vector.
@@ -294,16 +288,9 @@ struct StreamingHosking::Kernel {
 void StreamingHosking::next_block_lanes(std::span<StreamingHosking* const> lanes,
                                         std::size_t n,
                                         std::span<std::vector<double>* const> outs,
-                                        std::vector<double>& window) {
-  Kernel::pick(active_kernel_isa(), lanes.size())(lanes, n, outs, window);
-}
-
-void StreamingHosking::next_block_lanes_at(KernelIsa isa,
-                                           std::span<StreamingHosking* const> lanes,
-                                           std::size_t n,
-                                           std::span<std::vector<double>* const> outs,
-                                           std::vector<double>& window) {
-  VBR_ENSURE(kernel_isa_supported(isa), "this host cannot run the requested kernel ISA");
+                                        std::vector<double>& window, KernelIsa isa) {
+  VBR_ENSURE(isa == active_kernel_isa() || kernel_isa_supported(isa),
+             "this host cannot run the requested kernel ISA");
   VBR_ENSURE(lanes.size() <= lockstep_lanes(isa), "more lanes than the kernel ISA takes");
   Kernel::pick(isa, lanes.size())(lanes, n, outs, window);
 }

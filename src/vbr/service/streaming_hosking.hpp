@@ -81,16 +81,13 @@ class StreamingHosking final : public StreamingSource {
   /// doubles, which a lone lane leaves untouched; reuse one across calls.
   /// Every allocation precedes the first draw and only a failed contract
   /// check can throw after it, so on a Release build a call that throws has
-  /// advanced no lane.
+  /// advanced no lane. `isa` picks the kernel's instance (tests pin every
+  /// ISA the host runs); throws vbr::InvalidArgument if the host lacks it or
+  /// the lanes exceed lockstep_lanes(isa).
   static void next_block_lanes(std::span<StreamingHosking* const> lanes, std::size_t n,
                                std::span<std::vector<double>* const> outs,
-                               std::vector<double>& window);
-  /// next_block_lanes on `isa`'s kernel instead of the process's, so tests
-  /// can pin every ISA the host runs. Throws vbr::InvalidArgument if the
-  /// host lacks `isa` or the lanes exceed lockstep_lanes(isa).
-  static void next_block_lanes_at(KernelIsa isa, std::span<StreamingHosking* const> lanes,
-                                  std::size_t n, std::span<std::vector<double>* const> outs,
-                                  std::vector<double>& window);
+                               std::vector<double>& window,
+                               KernelIsa isa = active_kernel_isa());
 
   /// Prefetch the ring ahead of a kernel call.
   void prefetch_ring() const;
@@ -105,9 +102,6 @@ class StreamingHosking final : public StreamingSource {
   }
 
   std::size_t horizon() const { return horizon_; }
-  /// Innovation variance of the *next* draw (equals the batch generator's
-  /// innovation_variance() while position <= horizon).
-  double innovation_variance() const;
 
   /// Process-wide coefficient-table cache introspection (mirrors the
   /// Davies-Harte / Paxson cache helpers; caching never changes output).

@@ -127,16 +127,4 @@ std::unique_ptr<StreamingSource> make_streaming_core(model::GeneratorBackend bac
                                                      const StreamingTuning& tuning,
                                                      Rng& parent);
 
-/// Construct a complete streaming VBR source: the paper's model variants
-/// over a streaming core (kFull pushes the core through the shared
-/// Gamma/Pareto marginal map; kIidGammaPareto needs no core at all).
-/// Consumes `parent` exactly as the batch VbrVideoSourceModel::generate
-/// consumes its Rng, so full-horizon hosking streams and iid streams are
-/// bit-identical to their batch counterparts.
-std::unique_ptr<StreamingSource> make_streaming_source(const model::VbrModelParams& params,
-                                                       model::ModelVariant variant,
-                                                       model::GeneratorBackend backend,
-                                                       const StreamingTuning& tuning,
-                                                       Rng& parent);
-
 }  // namespace vbr::service

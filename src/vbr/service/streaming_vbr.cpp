@@ -174,12 +174,4 @@ std::unique_ptr<StreamingSource> make_streaming_core(model::GeneratorBackend bac
   throw InvalidArgument("unknown generator backend");
 }
 
-std::unique_ptr<StreamingSource> make_streaming_source(const model::VbrModelParams& params,
-                                                       model::ModelVariant variant,
-                                                       model::GeneratorBackend backend,
-                                                       const StreamingTuning& tuning,
-                                                       Rng& parent) {
-  return std::make_unique<StreamingVbrSource>(params, variant, backend, tuning, parent);
-}
-
 }  // namespace vbr::service

@@ -35,6 +35,11 @@ class StreamingHosking;
 
 class StreamingVbrSource final : public StreamingSource {
  public:
+  /// The paper's model variants over a streaming core (kFull pushes the
+  /// core through the shared Gamma/Pareto marginal map; kIidGammaPareto
+  /// needs no core at all). Consumes `parent` exactly as the batch
+  /// VbrVideoSourceModel::generate consumes its Rng, so full-horizon hosking
+  /// streams and iid streams are bit-identical to their batch counterparts.
   /// Throws vbr::InvalidArgument for invalid model parameters or a backend
   /// with no streaming form (davies-harte).
   StreamingVbrSource(const model::VbrModelParams& params, model::ModelVariant variant,

@@ -36,29 +36,6 @@ std::vector<double> autocorrelation(std::span<const double> data, std::size_t ma
   return r;
 }
 
-std::vector<double> autocorrelation_direct(std::span<const double> data, std::size_t max_lag) {
-  const std::size_t n = data.size();
-  VBR_ENSURE(n >= 2, "autocorrelation requires at least two samples");
-  VBR_ENSURE(max_lag < n, "max_lag must be smaller than the sample size");
-  const double mean = kahan_total(data) / static_cast<double>(n);
-
-  std::vector<double> r(max_lag + 1, 0.0);
-  KahanSum c0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = data[i] - mean;
-    c0.add(d * d);
-  }
-  VBR_ENSURE(c0.value() > 0.0, "autocorrelation of a constant series is undefined");
-  for (std::size_t k = 0; k <= max_lag; ++k) {
-    KahanSum ck;
-    for (std::size_t i = 0; i + k < n; ++i) {
-      ck.add((data[i] - mean) * (data[i + k] - mean));
-    }
-    r[k] = ck.value() / c0.value();
-  }
-  return r;
-}
-
 namespace {
 
 // Collect (x, log r) pairs over a lag window, skipping non-positive r values

@@ -2,8 +2,7 @@
 //
 // The default estimator is the standard biased ACF (autocovariance divided
 // by n and normalized by the lag-0 value), computed via FFT so that the
-// paper's 10,000-lag curve over 171,000 frames is cheap. A direct O(n*lags)
-// variant is kept for validation.
+// paper's 10,000-lag curve over 171,000 frames is cheap.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +13,6 @@ namespace vbr::stats {
 
 /// r(0..max_lag) via FFT; r[0] == 1. Requires max_lag < data.size().
 std::vector<double> autocorrelation(std::span<const double> data, std::size_t max_lag);
-
-/// Direct-summation reference implementation (for tests / small inputs).
-std::vector<double> autocorrelation_direct(std::span<const double> data, std::size_t max_lag);
 
 /// Fit lag range [lag_lo, lag_hi] of an ACF to r(n) ~ C * rho^n (log-linear
 /// regression); returns rho. Used to show the exponential fit holds only for

@@ -70,15 +70,6 @@ Histogram make_histogram(std::span<const double> data, std::size_t bins, double 
   return h;
 }
 
-Histogram make_histogram(std::span<const double> data, std::size_t bins) {
-  VBR_ENSURE(!data.empty(), "histogram requires data");
-  const auto [lo_it, hi_it] = std::minmax_element(data.begin(), data.end());
-  double lo = *lo_it;
-  double hi = *hi_it;
-  if (lo == hi) hi = lo + 1.0;  // degenerate data: one-unit-wide bin
-  return make_histogram(data, bins, lo, hi);
-}
-
 Ecdf::Ecdf(std::span<const double> data) : sorted_(data.begin(), data.end()) {
   VBR_ENSURE(!sorted_.empty(), "Ecdf requires a non-empty sample");
   std::sort(sorted_.begin(), sorted_.end());
@@ -90,37 +81,5 @@ double Ecdf::cdf(double x) const {
 }
 
 double Ecdf::quantile(double q) const { return percentile(sorted_, q); }
-
-Ecdf::Curve Ecdf::ccdf_curve(std::size_t count) const {
-  VBR_ENSURE(count >= 2, "curve requires at least two points");
-  Curve curve;
-  const double lo = std::max(sorted_.front(), 1e-12);
-  const double hi = sorted_.back();
-  if (hi <= lo) return curve;
-  for (double x : log_spaced(lo, hi, count)) {
-    const double p = ccdf(x);
-    if (p > 0.0) {
-      curve.x.push_back(x);
-      curve.p.push_back(p);
-    }
-  }
-  return curve;
-}
-
-Ecdf::Curve Ecdf::cdf_curve(std::size_t count) const {
-  VBR_ENSURE(count >= 2, "curve requires at least two points");
-  Curve curve;
-  const double lo = std::max(sorted_.front(), 1e-12);
-  const double hi = sorted_.back();
-  if (hi <= lo) return curve;
-  for (double x : log_spaced(lo, hi, count)) {
-    const double p = cdf(x);
-    if (p > 0.0) {
-      curve.x.push_back(x);
-      curve.p.push_back(p);
-    }
-  }
-  return curve;
-}
 
 }  // namespace vbr::stats

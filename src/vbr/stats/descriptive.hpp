@@ -48,9 +48,6 @@ struct Histogram {
 /// Values outside the range are counted in the first/last bin.
 Histogram make_histogram(std::span<const double> data, std::size_t bins, double lo, double hi);
 
-/// Build a histogram spanning the data range.
-Histogram make_histogram(std::span<const double> data, std::size_t bins);
-
 /// Empirical distribution of a sample; keeps a sorted copy.
 class Ecdf {
  public:
@@ -65,17 +62,6 @@ class Ecdf {
   double ccdf(double x) const { return 1.0 - cdf(x); }
   /// Order-statistic quantile with linear interpolation, q in [0, 1].
   double quantile(double q) const;
-
-  /// Evaluation points for a log-log CCDF plot: `count` x-values log-spaced
-  /// across the positive part of the sample range, paired with P(X > x).
-  /// Points with empirical CCDF exactly 0 are dropped (log-plot friendly).
-  struct Curve {
-    std::vector<double> x;
-    std::vector<double> p;
-  };
-  Curve ccdf_curve(std::size_t count) const;
-  /// Same for the left tail: P(X <= x) over log-spaced x (Fig. 5).
-  Curve cdf_curve(std::size_t count) const;
 
  private:
   std::vector<double> sorted_;

@@ -154,21 +154,14 @@ TabulatedDistribution::TabulatedDistribution(const Distribution& dist, double lo
     pmf_.front() += dist.cdf(lo);
     pmf_.back() += 1.0 - dist.cdf(hi);
   }
-  rebuild_cdf();
+  normalize();
 }
 
-void TabulatedDistribution::rebuild_cdf() {
-  cdf_.resize(pmf_.size());
-  KahanSum sum;
-  for (std::size_t i = 0; i < pmf_.size(); ++i) {
-    sum.add(pmf_[i]);
-    cdf_[i] = sum.value();
-  }
+void TabulatedDistribution::normalize() {
   // Normalize away accumulated numerical drift.
-  const double total = cdf_.back();
+  const double total = kahan_total(pmf_);
   VBR_ENSURE(total > 0.0, "tabulated distribution has no mass");
   for (auto& v : pmf_) v /= total;
-  for (auto& v : cdf_) v /= total;
 }
 
 TabulatedDistribution TabulatedDistribution::convolve_power(std::size_t n) const {
@@ -191,35 +184,8 @@ TabulatedDistribution TabulatedDistribution::convolve_power(std::size_t n) const
   out.hi_ = out.lo_ + static_cast<double>(out_len) * step_;
   out.pmf_.resize(out_len);
   for (std::size_t i = 0; i < out_len; ++i) out.pmf_[i] = std::max(0.0, spec[i].real());
-  out.rebuild_cdf();
+  out.normalize();
   return out;
-}
-
-double TabulatedDistribution::pdf(double x) const {
-  if (x < lo_ || x >= hi_) return 0.0;
-  const auto idx = static_cast<std::size_t>((x - lo_) / step_);
-  return pmf_[std::min(idx, pmf_.size() - 1)] / step_;
-}
-
-double TabulatedDistribution::cdf(double x) const {
-  if (x < lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  const double pos = (x - lo_) / step_;
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  const double left = (idx == 0) ? 0.0 : cdf_[idx - 1];
-  return left + frac * (cdf_[std::min(idx, cdf_.size() - 1)] - left);
-}
-
-double TabulatedDistribution::quantile(double p) const {
-  VBR_ENSURE(p >= 0.0 && p <= 1.0, "quantile requires p in [0, 1]");
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), p);
-  if (it == cdf_.end()) return hi_;
-  const auto idx = static_cast<std::size_t>(it - cdf_.begin());
-  const double right = cdf_[idx];
-  const double left = (idx == 0) ? 0.0 : cdf_[idx - 1];
-  const double frac = (right > left) ? (p - left) / (right - left) : 0.0;
-  return lo_ + (static_cast<double>(idx) + frac) * step_;
 }
 
 double TabulatedDistribution::mean() const {

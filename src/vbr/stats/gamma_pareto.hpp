@@ -80,10 +80,6 @@ class TabulatedDistribution {
   double hi() const { return hi_; }
   double step() const { return step_; }
 
-  double pdf(double x) const;
-  double cdf(double x) const;
-  /// Quantile by inverse interpolation of the tabulated CDF.
-  double quantile(double p) const;
   double mean() const;
   /// Stop-loss transform E[(X - threshold)^+] (used by the bufferless
   /// admission analysis).
@@ -92,13 +88,12 @@ class TabulatedDistribution {
  private:
   TabulatedDistribution() = default;
 
-  std::vector<double> pmf_;  ///< probability mass per grid cell (sums to ~1)
-  std::vector<double> cdf_;  ///< cumulative mass at cell right edges
+  std::vector<double> pmf_;  ///< probability mass per grid cell (sums to 1)
   double lo_ = 0.0;
   double hi_ = 0.0;
   double step_ = 0.0;
 
-  void rebuild_cdf();
+  void normalize();
 };
 
 }  // namespace vbr::stats

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "vbr/common/error.hpp"
-#include "vbr/common/math_util.hpp"
-#include "vbr/common/special_functions.hpp"
 
 namespace vbr::stats {
 
@@ -41,58 +40,6 @@ KsResult ks_test(std::span<const double> data, const Distribution& model) {
   const double t = (std::sqrt(n) + 0.12 + 0.11 / std::sqrt(n)) * result.statistic;
   result.p_value = kolmogorov_survival(t);
   return result;
-}
-
-ChiSquareResult chi_square_test(std::span<const double> data, const Distribution& model,
-                                std::size_t bins, std::size_t fitted_params) {
-  VBR_ENSURE(bins >= 3, "chi-square needs at least three bins");
-  VBR_ENSURE(data.size() >= bins * 5, "expected counts below 5; use fewer bins");
-  VBR_ENSURE(bins > fitted_params + 1, "not enough bins for the fitted parameters");
-
-  // Equal-probability bin edges from the model's quantiles.
-  std::vector<std::size_t> counts(bins, 0);
-  std::vector<double> edges(bins - 1);
-  for (std::size_t b = 1; b < bins; ++b) {
-    edges[b - 1] = model.quantile(static_cast<double>(b) / static_cast<double>(bins));
-  }
-  for (double v : data) {
-    const auto it = std::upper_bound(edges.begin(), edges.end(), v);
-    ++counts[static_cast<std::size_t>(it - edges.begin())];
-  }
-
-  ChiSquareResult result;
-  result.bins = bins;
-  result.degrees_of_freedom = bins - 1 - fitted_params;
-  const double expected = static_cast<double>(data.size()) / static_cast<double>(bins);
-  KahanSum stat;
-  for (std::size_t b = 0; b < bins; ++b) {
-    const double d = static_cast<double>(counts[b]) - expected;
-    stat.add(d * d / expected);
-  }
-  result.statistic = stat.value();
-  // Upper tail of chi^2_k: Q(k/2, x/2).
-  result.p_value =
-      gamma_q(static_cast<double>(result.degrees_of_freedom) / 2.0, result.statistic / 2.0);
-  return result;
-}
-
-QqPlot qq_plot(std::span<const double> data, const Distribution& model, std::size_t count) {
-  VBR_ENSURE(count >= 2, "Q-Q plot needs at least two points");
-  std::vector<double> sorted(data.begin(), data.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  QqPlot plot;
-  plot.probability.reserve(count);
-  plot.model_quantile.reserve(count);
-  plot.empirical_quantile.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    // Probability grid avoiding 0 and 1.
-    const double p = (static_cast<double>(i) + 0.5) / static_cast<double>(count);
-    plot.probability.push_back(p);
-    plot.model_quantile.push_back(model.quantile(p));
-    plot.empirical_quantile.push_back(percentile(sorted, p));
-  }
-  return plot;
 }
 
 }  // namespace vbr::stats

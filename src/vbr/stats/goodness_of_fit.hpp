@@ -1,12 +1,10 @@
 // Goodness-of-fit statistics for the marginal-distribution comparisons of
-// Section 3.1 (Figs. 4-6): Kolmogorov-Smirnov distance, chi-square on
-// equal-probability bins, and Q-Q data. These turn the paper's visual
-// "which curve tracks the data" argument into numbers.
+// Section 3.1 (Figs. 4-6): the Kolmogorov-Smirnov distance turns the
+// paper's visual "which curve tracks the data" argument into a number.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "vbr/stats/distributions.hpp"
 
@@ -23,28 +21,6 @@ struct KsResult {
 
 /// Kolmogorov-Smirnov test of `data` against a fitted distribution.
 KsResult ks_test(std::span<const double> data, const Distribution& model);
-
-struct ChiSquareResult {
-  double statistic = 0.0;
-  std::size_t bins = 0;
-  std::size_t degrees_of_freedom = 0;  ///< bins - 1 - fitted_params
-  double p_value = 0.0;                ///< upper tail of chi^2_{dof}
-};
-
-/// Chi-square GOF on equal-probability bins (expected count = n / bins).
-/// fitted_params is subtracted from the degrees of freedom.
-ChiSquareResult chi_square_test(std::span<const double> data, const Distribution& model,
-                                std::size_t bins, std::size_t fitted_params);
-
-/// Q-Q data: for `count` probability levels, the (model quantile,
-/// empirical quantile) pairs. A good fit lies on the diagonal; a too-light
-/// model tail bends the upper points above it (the Fig. 4 story).
-struct QqPlot {
-  std::vector<double> probability;
-  std::vector<double> model_quantile;
-  std::vector<double> empirical_quantile;
-};
-QqPlot qq_plot(std::span<const double> data, const Distribution& model, std::size_t count);
 
 /// Kolmogorov distribution's survival function Q(t) = P(K > t)
 /// (series expansion; used for the KS p-value).

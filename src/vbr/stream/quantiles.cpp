@@ -151,14 +151,4 @@ StreamingQuantiles::Curve StreamingQuantiles::ccdf_curve(std::size_t points) con
   return curve;
 }
 
-double StreamingQuantiles::min() const {
-  VBR_ENSURE(count_ >= 1, "min of an empty sketch");
-  return min_;
-}
-
-double StreamingQuantiles::max() const {
-  VBR_ENSURE(count_ >= 1, "max of an empty sketch");
-  return max_;
-}
-
 }  // namespace vbr::stream

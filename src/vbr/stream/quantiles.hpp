@@ -67,9 +67,6 @@ class StreamingQuantiles final : public Sink {
   };
   Curve ccdf_curve(std::size_t points) const;
 
-  double min() const;
-  double max() const;
-
  private:
   std::size_t bucket_index(double v) const;
   double bucket_value(std::size_t i) const;

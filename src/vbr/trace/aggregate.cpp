@@ -9,16 +9,6 @@
 
 namespace vbr::trace {
 
-TimeSeries aggregate_mean(const TimeSeries& series, std::size_t m) {
-  return TimeSeries(block_means(series.samples(), m),
-                    series.dt_seconds() * static_cast<double>(m), series.unit());
-}
-
-TimeSeries aggregate_sum(const TimeSeries& series, std::size_t m) {
-  return TimeSeries(block_sums(series.samples(), m),
-                    series.dt_seconds() * static_cast<double>(m), series.unit());
-}
-
 std::vector<double> moving_average(std::span<const double> values, std::size_t window) {
   VBR_ENSURE(window >= 1, "moving_average window must be >= 1");
   const std::size_t n = values.size();

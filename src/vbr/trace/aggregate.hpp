@@ -1,9 +1,7 @@
 // Aggregation and filtering operators on time series.
 //
-// The paper's self-similarity analysis is phrased in terms of the aggregated
-// processes X^(m) obtained by averaging over non-overlapping blocks of size m
-// (Section 3.2.2), the moving-average low-pass view of Fig. 2, and the
-// frame <-> slice relationship of Table 1 (30 slices per frame).
+// The moving-average low-pass view of Fig. 2 and the frame <-> slice
+// relationship of Table 1 (30 slices per frame).
 #pragma once
 
 #include <cstddef>
@@ -13,14 +11,6 @@
 #include "vbr/trace/time_series.hpp"
 
 namespace vbr::trace {
-
-/// Aggregated process X^(m): means over non-overlapping blocks of size m.
-/// The trailing partial block (if any) is discarded. The sampling interval of
-/// the result is m * dt.
-TimeSeries aggregate_mean(const TimeSeries& series, std::size_t m);
-
-/// Block sums over non-overlapping blocks of size m (e.g. slice -> frame).
-TimeSeries aggregate_sum(const TimeSeries& series, std::size_t m);
 
 /// Centered moving average with the given window (Fig. 2 uses 20,000 frames).
 /// Output has the same length as the input; windows are truncated at the

@@ -89,14 +89,4 @@ std::vector<Scene> SceneModel::generate(std::size_t total_frames, Rng& rng) cons
   return scenes;
 }
 
-std::vector<double> scene_level_track(const std::vector<Scene>& scenes,
-                                      std::size_t total_frames) {
-  std::vector<double> track(total_frames, 1.0);
-  for (const Scene& s : scenes) {
-    const std::size_t end = std::min(total_frames, s.start_frame + s.length);
-    for (std::size_t f = s.start_frame; f < end; ++f) track[f] = s.complexity;
-  }
-  return track;
-}
-
 }  // namespace vbr::trace

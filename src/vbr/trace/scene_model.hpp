@@ -73,8 +73,4 @@ class SceneModel {
   SceneModelParams params_;
 };
 
-/// Expand scenes to a per-frame complexity level (piecewise constant).
-std::vector<double> scene_level_track(const std::vector<Scene>& scenes,
-                                      std::size_t total_frames);
-
 }  // namespace vbr::trace

@@ -14,10 +14,6 @@ TimeSeries::TimeSeries(std::vector<double> values, double dt_seconds, std::strin
   VBR_ENSURE(dt_seconds_ > 0.0, "TimeSeries requires a positive sampling interval");
 }
 
-double TimeSeries::duration_seconds() const {
-  return static_cast<double>(values_.size()) * dt_seconds_;
-}
-
 double TimeSeries::mean_rate_bps() const {
   if (values_.empty()) return 0.0;
   const double mean_bytes = kahan_total(values_) / static_cast<double>(values_.size());

@@ -46,9 +46,6 @@ class TimeSeries {
   bool empty() const { return values_.empty(); }
   double operator[](std::size_t i) const { return values_[i]; }
 
-  /// Total duration in seconds.
-  double duration_seconds() const;
-
   /// Mean bandwidth in bits per second (samples are byte counts per dt).
   double mean_rate_bps() const;
 

@@ -37,19 +37,8 @@ void write_ascii(const TimeSeries& series, const std::filesystem::path& path) {
   write_file_atomic(path, out.str());
 }
 
-void write_binary(const TimeSeries& series, const std::filesystem::path& path) {
-  ChunkedTraceWriter writer(path, series.size(), series.dt_seconds(), series.unit());
-  writer.append(series.values());
-  writer.finish();
-}
-
 TimeSeries read_trace(const std::filesystem::path& path) {
   ChunkedTraceReader reader(path);
-  return drain(reader);
-}
-
-TimeSeries read_trace(std::istream& in, const std::string& name) {
-  ChunkedTraceReader reader(in, name);
   return drain(reader);
 }
 

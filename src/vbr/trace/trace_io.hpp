@@ -2,8 +2,8 @@
 //
 // The paper's dataset was distributed as an ASCII file with one per-frame
 // byte count per line (the classic "Star Wars trace" format from
-// thumper.bellcore.com). We read and write that format, plus a compact
-// binary format for large intermediate traces.
+// thumper.bellcore.com). We read and write that format; the compact binary
+// format for large traces is written by ChunkedTraceWriter and read here.
 //
 // read_trace() is ChunkedTraceReader drained into a TimeSeries: one parser
 // per format, the format sniffed from the leading bytes. It treats its
@@ -13,8 +13,6 @@
 #pragma once
 
 #include <filesystem>
-#include <iosfwd>
-#include <string>
 
 #include "vbr/trace/time_series.hpp"
 
@@ -26,10 +24,6 @@ namespace vbr::trace {
 /// any previous file at `path` untouched.
 void write_ascii(const TimeSeries& series, const std::filesystem::path& path);
 
-/// Write a trace in the library's binary format through ChunkedTraceWriter,
-/// which throws vbr::IoError on samples a reader would reject.
-void write_binary(const TimeSeries& series, const std::filesystem::path& path);
-
 /// Read a binary trace (the file opens with the binary magic) or an ASCII
 /// one: a trace written by write_ascii(), or a bare list of numbers, one
 /// per line. ASCII header keys (`# dt_seconds <s>`, `# unit <u>`) are read
@@ -40,8 +34,5 @@ void write_binary(const TimeSeries& series, const std::filesystem::path& path);
 /// sizes, non-positive dt, a bad binary header or a sample count the data
 /// cannot back).
 TimeSeries read_trace(const std::filesystem::path& path);
-
-/// Parse a trace from an open seekable stream; `name` labels error messages.
-TimeSeries read_trace(std::istream& in, const std::string& name);
 
 }  // namespace vbr::trace

@@ -34,17 +34,6 @@ TEST(AdmissionTest, LossMonotoneInCapacity) {
   }
 }
 
-TEST(AdmissionTest, OverloadProbabilityBoundsBehaveSanely) {
-  const BufferlessAdmission admission(paper_marginal(), kDt, 4096);
-  // At the mean rate, a single source overloads about half the time.
-  const double mean_bps = paper_marginal().mean() * 8.0 / kDt;
-  const double p = admission.overload_probability(1, mean_bps);
-  EXPECT_GT(p, 0.3);
-  EXPECT_LT(p, 0.7);
-  // Far above the peak region, overload vanishes.
-  EXPECT_LT(admission.overload_probability(1, mean_bps * 4.0), 1e-6);
-}
-
 TEST(AdmissionTest, RequiredCapacityInvertsLossFraction) {
   const BufferlessAdmission admission(paper_marginal(), kDt, 4096);
   for (double target : {1e-3, 1e-5}) {

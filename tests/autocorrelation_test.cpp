@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "vbr/common/error.hpp"
+#include "vbr/common/math_util.hpp"
 #include "vbr/common/rng.hpp"
 
 namespace vbr::stats {
@@ -19,6 +20,27 @@ std::vector<double> ar1_series(std::size_t n, double rho, std::uint64_t seed) {
   const double noise_sd = std::sqrt(1.0 - rho * rho);
   for (std::size_t i = 1; i < n; ++i) x[i] = rho * x[i - 1] + noise_sd * rng.normal();
   return x;
+}
+
+/// Direct-summation O(n * lags) reference for the FFT estimator.
+std::vector<double> autocorrelation_direct(std::span<const double> data, std::size_t max_lag) {
+  const std::size_t n = data.size();
+  const double mean = kahan_total(data) / static_cast<double>(n);
+
+  std::vector<double> r(max_lag + 1, 0.0);
+  KahanSum c0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = data[i] - mean;
+    c0.add(d * d);
+  }
+  for (std::size_t k = 0; k <= max_lag; ++k) {
+    KahanSum ck;
+    for (std::size_t i = 0; i + k < n; ++i) {
+      ck.add((data[i] - mean) * (data[i + k] - mean));
+    }
+    r[k] = ck.value() / c0.value();
+  }
+  return r;
 }
 
 TEST(AutocorrelationTest, LagZeroIsOne) {

@@ -30,6 +30,41 @@
 namespace vbr::run {
 namespace {
 
+/// A Sink decorator whose push() consults the injector before forwarding:
+/// transient/permanent faults inside engine worker tasks (the engine pushes
+/// each source's samples through a clone of the tap on whichever worker
+/// generated it). Clones share the injector, so a plan like "op 5 at site
+/// 'tap' is transient" fires on the 6th push across the whole run
+/// regardless of which source performs it. merge() polls its own site,
+/// `<site>.merge`: merges run in source order on the committing thread, so
+/// "op 4 at site 'tap.merge'" always hits the fifth source's merge.
+class FaultySink final : public stream::Sink {
+ public:
+  FaultySink(std::unique_ptr<Sink> inner, FaultInjector* injector, std::string site)
+      : inner_(std::move(inner)), injector_(injector), site_(std::move(site)) {}
+
+  void push(std::span<const double> samples) override {
+    injector_->maybe_throw(site_);
+    inner_->push(samples);
+  }
+  void merge(const Sink& other) override {
+    injector_->maybe_throw(site_ + ".merge");
+    inner_->merge(*stream::detail::merge_peer<FaultySink>(other, kind()).inner_);
+  }
+  std::unique_ptr<Sink> clone_empty() const override {
+    return std::make_unique<FaultySink>(inner_->clone_empty(), injector_, site_);
+  }
+  void save(std::ostream& out) const override { inner_->save(out); }
+  void restore(std::istream& in) override { inner_->restore(in); }
+  std::size_t count() const override { return inner_->count(); }
+  const char* kind() const override { return inner_->kind(); }
+
+ private:
+  std::unique_ptr<Sink> inner_;
+  FaultInjector* injector_;
+  std::string site_;
+};
+
 /// Fresh file names under the test temp dir, removed on destruction.
 class TempCampaignFiles {
  public:
@@ -125,7 +160,6 @@ TEST(CampaignTest, AbortedRunResumesBitIdentically) {
       TapPair tap;
       EXPECT_THROW(run_campaign(options, tap.tap.get()), vbr::TransientError);
     }
-    EXPECT_EQ(faults.fired("checkpoint"), 1u);
     // The previous checkpoint survived the aborted save (atomic replace).
     const CheckpointData ckpt = load_checkpoint(files.checkpoint());
     EXPECT_EQ(ckpt.next_source, 4u);
@@ -289,7 +323,6 @@ void expect_fault_then_bit_identical_resume(CampaignOptions options, FaultPlan p
           << e.what();
     }
   }
-  EXPECT_EQ(faults.fired(site), 1u);
   EXPECT_EQ(load_checkpoint(options.checkpoint_path).next_source,
             options.checkpoint_every_sources);
   if (committed) {

@@ -26,7 +26,6 @@ TEST(CellMathTest, BytesToCells) {
   EXPECT_EQ(bytes_to_cells(48.0), 1u);
   EXPECT_EQ(bytes_to_cells(49.0), 2u);
   EXPECT_EQ(bytes_to_cells(480.0), 10u);
-  EXPECT_DOUBLE_EQ(cell_padded_bytes(49.0), 96.0);
   EXPECT_THROW(bytes_to_cells(-1.0), vbr::InvalidArgument);
 }
 

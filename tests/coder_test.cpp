@@ -76,13 +76,12 @@ TEST(CoderTest, SliceCountAndPartition) {
   const Frame f = noise_frame(Frame::kDefaultWidth, Frame::kDefaultHeight, 20.0, 9);
   const auto encoded = coder.encode(f);
   EXPECT_EQ(encoded.slices.size(), 30u);  // 60 block rows / 30 slices = 2 rows each
-  const auto sizes = encoded.slice_bytes();
-  double total = 0.0;
-  for (double s : sizes) {
-    EXPECT_GT(s, 0.0);
-    total += s;
+  std::size_t total = 0;
+  for (const auto& slice : encoded.slices) {
+    EXPECT_GT(slice.bytes.size(), 0u);
+    total += slice.bytes.size();
   }
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(encoded.total_bytes()));
+  EXPECT_EQ(total, encoded.total_bytes());
 }
 
 TEST(CoderTest, MoreDetailMeansMoreBytes) {

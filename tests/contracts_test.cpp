@@ -14,7 +14,7 @@
 #include "vbr/model/davies_harte.hpp"
 #include "vbr/net/fluid_queue.hpp"
 #include "vbr/stats/whittle.hpp"
-#include "vbr/trace/trace_io.hpp"
+#include "vbr/trace/trace_stream.hpp"
 
 namespace {
 
@@ -152,17 +152,25 @@ TEST(InstrumentedBoundaries, FluidQueueRejectsBadConstruction) {
   EXPECT_THROW(queue.offer(10.0, 0.0), vbr::InvalidArgument);
 }
 
-// --- hardened trace parsing (stream overloads, no filesystem needed) ---
+// --- hardened trace parsing (the reader over an in-memory stream) ---
+
+/// Parses all of `in` as the trace reader does a file.
+void parse_trace(std::istream& in, const std::string& name) {
+  vbr::trace::ChunkedTraceReader reader(in, name);
+  std::vector<double> chunk(64);
+  while (reader.read(chunk) != 0) {
+  }
+}
 
 TEST(TraceStreamParsing, AsciiRejectsNegativeAndNonFiniteSamples) {
   std::istringstream negative("# dt_seconds 0.04\n100\n-5\n");
-  EXPECT_THROW(vbr::trace::read_trace(negative, "test"), vbr::IoError);
+  EXPECT_THROW(parse_trace(negative, "test"), vbr::IoError);
   std::istringstream nan("# dt_seconds 0.04\n100\nnan\n");
-  EXPECT_THROW(vbr::trace::read_trace(nan, "test"), vbr::IoError);
+  EXPECT_THROW(parse_trace(nan, "test"), vbr::IoError);
   std::istringstream bad_dt("# dt_seconds banana\n100\n");
-  EXPECT_THROW(vbr::trace::read_trace(bad_dt, "test"), vbr::IoError);
+  EXPECT_THROW(parse_trace(bad_dt, "test"), vbr::IoError);
   std::istringstream zero_dt("# dt_seconds 0\n100\n");
-  EXPECT_THROW(vbr::trace::read_trace(zero_dt, "test"), vbr::IoError);
+  EXPECT_THROW(parse_trace(zero_dt, "test"), vbr::IoError);
 }
 
 TEST(TraceStreamParsing, BinaryRejectsForgedSampleCountWithoutAllocating) {
@@ -183,7 +191,7 @@ TEST(TraceStreamParsing, BinaryRejectsForgedSampleCountWithoutAllocating) {
 
   std::istringstream in(out.str());
   try {
-    vbr::trace::read_trace(in, "forged");
+    parse_trace(in, "forged");
     FAIL() << "forged sample count accepted";
   } catch (const vbr::IoError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
@@ -202,10 +210,10 @@ TEST(TraceStreamParsing, BinaryRejectsNegativeSampleAndBadMagic) {
   const double negative = -12.0;
   out.write(reinterpret_cast<const char*>(&negative), sizeof negative);
   std::istringstream in(out.str());
-  EXPECT_THROW(vbr::trace::read_trace(in, "neg"), vbr::IoError);
+  EXPECT_THROW(parse_trace(in, "neg"), vbr::IoError);
 
   std::istringstream garbage("GARBAGE!rest");
-  EXPECT_THROW(vbr::trace::read_trace(garbage, "magic"), vbr::IoError);
+  EXPECT_THROW(parse_trace(garbage, "magic"), vbr::IoError);
 }
 
 }  // namespace

@@ -22,6 +22,13 @@ namespace {
 
 using Complex = std::complex<double>;
 
+/// Forward DFT of a real sequence; returns all n complex coefficients.
+std::vector<Complex> fft_real(const std::vector<double>& data) {
+  std::vector<Complex> out(data.begin(), data.end());
+  fft(out);
+  return out;
+}
+
 std::vector<Complex> naive_dft(const std::vector<Complex>& x) {
   const std::size_t n = x.size();
   std::vector<Complex> out(n);

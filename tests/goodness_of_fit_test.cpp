@@ -1,4 +1,4 @@
-// Tests for the goodness-of-fit toolkit (KS, chi-square, Q-Q).
+// Tests for the Kolmogorov-Smirnov goodness-of-fit test.
 #include "vbr/stats/goodness_of_fit.hpp"
 
 #include <gtest/gtest.h>
@@ -58,62 +58,6 @@ TEST(KsTest, RanksTailModelsLikeFigFour) {
   const double d_normal = ks_test(data, NormalDistribution::fit(data)).statistic;
   EXPECT_LT(d_hybrid, d_gamma);
   EXPECT_LT(d_gamma, d_normal);
-}
-
-TEST(ChiSquareTest, CorrectModelAcceptable) {
-  Rng rng(4);
-  GammaDistribution model(5.0, 0.01);
-  std::vector<double> data(10000);
-  for (auto& v : data) v = model.sample(rng);
-  const auto result = chi_square_test(data, model, 20, 2);
-  EXPECT_EQ(result.degrees_of_freedom, 17u);
-  // Statistic should be near its dof; p-value comfortably non-tiny.
-  EXPECT_LT(result.statistic, 40.0);
-  EXPECT_GT(result.p_value, 1e-3);
-}
-
-TEST(ChiSquareTest, WrongModelBlowsUp) {
-  Rng rng(5);
-  GammaDistribution truth(5.0, 0.01);
-  NormalDistribution wrong(truth.mean(), std::sqrt(truth.variance()));
-  std::vector<double> data(10000);
-  for (auto& v : data) v = truth.sample(rng);
-  const auto result = chi_square_test(data, wrong, 20, 2);
-  EXPECT_GT(result.statistic, 100.0);
-  EXPECT_LT(result.p_value, 1e-10);
-}
-
-TEST(ChiSquareTest, Preconditions) {
-  std::vector<double> data(100, 1.0);
-  NormalDistribution model(0.0, 1.0);
-  EXPECT_THROW(chi_square_test(data, model, 2, 0), vbr::InvalidArgument);
-  EXPECT_THROW(chi_square_test(data, model, 30, 0), vbr::InvalidArgument);
-  EXPECT_THROW(chi_square_test(data, model, 10, 9), vbr::InvalidArgument);
-}
-
-TEST(QqPlotTest, PerfectFitLiesOnDiagonal) {
-  Rng rng(6);
-  NormalDistribution model(5.0, 1.0);
-  std::vector<double> data(50000);
-  for (auto& v : data) v = model.sample(rng);
-  const auto plot = qq_plot(data, model, 20);
-  ASSERT_EQ(plot.probability.size(), 20u);
-  for (std::size_t i = 2; i + 2 < plot.probability.size(); ++i) {  // skip extremes
-    EXPECT_NEAR(plot.empirical_quantile[i], plot.model_quantile[i], 0.05)
-        << "p=" << plot.probability[i];
-  }
-}
-
-TEST(QqPlotTest, LightTailedModelBendsUpperPoints) {
-  // Heavy-tailed data vs a Normal fit: the top empirical quantiles exceed
-  // the model quantiles — the Fig. 4 divergence in Q-Q form.
-  Rng rng(7);
-  ParetoDistribution truth(1000.0, 3.0);
-  std::vector<double> data(50000);
-  for (auto& v : data) v = truth.sample(rng);
-  const auto normal = NormalDistribution::fit(data);
-  const auto plot = qq_plot(data, normal, 100);
-  EXPECT_GT(plot.empirical_quantile.back(), 1.5 * plot.model_quantile.back());
 }
 
 }  // namespace

@@ -94,14 +94,6 @@ TEST(BlockMeansTest, ExactBlocksAndTruncation) {
   EXPECT_DOUBLE_EQ(means[2], 5.5);
 }
 
-TEST(BlockSumsTest, SumsAreMeansTimesM) {
-  std::vector<double> xs{1, 2, 3, 4};
-  const auto sums = block_sums(xs, 2);
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_DOUBLE_EQ(sums[0], 3.0);
-  EXPECT_DOUBLE_EQ(sums[1], 7.0);
-}
-
 TEST(BlockMeansTest, IdentityAtMEqualsOne) {
   std::vector<double> xs{3.0, 1.0, 4.0};
   EXPECT_EQ(block_means(xs, 1), xs);

@@ -96,21 +96,6 @@ TEST(SceneModelTest, ComplexityFollowsActEnvelope) {
   EXPECT_LT(hi / lo, 4.0);
 }
 
-TEST(SceneModelTest, LevelTrackIsPiecewiseConstant) {
-  SceneModel model;
-  vbr::Rng rng(5);
-  const std::size_t total = 10000;
-  const auto scenes = model.generate(total, rng);
-  const auto track = scene_level_track(scenes, total);
-  ASSERT_EQ(track.size(), total);
-  for (const auto& s : scenes) {
-    const std::size_t end = std::min(total, s.start_frame + s.length);
-    for (std::size_t f = s.start_frame; f < end; ++f) {
-      EXPECT_DOUBLE_EQ(track[f], s.complexity);
-    }
-  }
-}
-
 TEST(SceneModelTest, DeterministicGivenSeed) {
   SceneModel model;
   vbr::Rng rng1(9);

@@ -191,8 +191,8 @@ TEST(StreamingVbrTest, FullAndGaussianVariantsBitEqualBatchModelAtFullHorizon) {
     const auto batch =
         batch_model.generate(kFrames, batch_rng, variant, model::GeneratorBackend::kHosking);
     Rng parent(11);
-    auto streaming = make_streaming_source(params, variant,
-                                           model::GeneratorBackend::kHosking, tuning, parent);
+    auto streaming = std::make_unique<StreamingVbrSource>(
+        params, variant, model::GeneratorBackend::kHosking, tuning, parent);
     expect_bit_equal(drain(*streaming, kFrames, 64), batch);
   }
 }
@@ -210,14 +210,15 @@ TEST(StreamingSourceTest, SaveRestoreRoundTripsAtZeroUlpMidNormalPair) {
          {model::ModelVariant::kFull, model::ModelVariant::kGaussianFarima,
           model::ModelVariant::kIidGammaPareto}) {
       Rng parent(91);
-      auto original = make_streaming_source(params, variant, backend, tuning, parent);
+      auto original = std::make_unique<StreamingVbrSource>(params, variant, backend, tuning, parent);
       (void)drain(*original, 137, 137);
       std::ostringstream state(std::ios::binary);
       original->save(state);
       const auto tail = drain(*original, 300, 77);
 
       Rng fresh_parent(91);
-      auto restored = make_streaming_source(params, variant, backend, tuning, fresh_parent);
+      auto restored =
+          std::make_unique<StreamingVbrSource>(params, variant, backend, tuning, fresh_parent);
       std::istringstream in(state.str(), std::ios::binary);
       restored->restore(in);
       EXPECT_EQ(restored->position(), 137u);
@@ -230,8 +231,8 @@ TEST(StreamingSourceTest, RestoreRejectsMismatchedConfigUnchanged) {
   const auto params = paper_params();
   const StreamingTuning tuning;
   Rng parent(5);
-  auto source = make_streaming_source(params, model::ModelVariant::kGaussianFarima,
-                                      model::GeneratorBackend::kHosking, tuning, parent);
+  auto source = std::make_unique<StreamingVbrSource>(
+      params, model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kHosking, tuning, parent);
   (void)drain(*source, 64, 64);
   std::ostringstream state(std::ios::binary);
   source->save(state);
@@ -239,8 +240,10 @@ TEST(StreamingSourceTest, RestoreRejectsMismatchedConfigUnchanged) {
   auto other_params = params;
   other_params.hurst = 0.7;
   Rng other_parent(5);
-  auto other = make_streaming_source(other_params, model::ModelVariant::kGaussianFarima,
-                                     model::GeneratorBackend::kHosking, tuning, other_parent);
+  auto other = std::make_unique<StreamingVbrSource>(other_params,
+                                                   model::ModelVariant::kGaussianFarima,
+                                                   model::GeneratorBackend::kHosking, tuning,
+                                                   other_parent);
   std::istringstream in(state.str(), std::ios::binary);
   EXPECT_THROW(other->restore(in), IoError);
   EXPECT_EQ(other->position(), 0u);  // rejected before any state was committed
@@ -310,7 +313,7 @@ void lockstep_step(KernelIsa isa, const std::vector<std::unique_ptr<StreamingHos
     ptrs.push_back(lanes[i].get());
     dst.push_back(&outs[i]);
   }
-  StreamingHosking::next_block_lanes_at(isa, ptrs, n, dst, window);
+  StreamingHosking::next_block_lanes(ptrs, n, dst, window, isa);
 }
 
 /// 0, 1, ..., count - 1.

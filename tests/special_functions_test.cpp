@@ -19,14 +19,8 @@ TEST(SpecialFunctionsTest, LogGammaKnownValues) {
   EXPECT_THROW(log_gamma(0.0), InvalidArgument);
 }
 
-TEST(SpecialFunctionsTest, LogBetaSymmetryAndValue) {
-  EXPECT_NEAR(log_beta(2.0, 3.0), std::log(1.0 / 12.0), 1e-12);
-  EXPECT_NEAR(log_beta(4.5, 1.5), log_beta(1.5, 4.5), 1e-14);
-}
-
 TEST(SpecialFunctionsTest, GammaPBoundaries) {
   EXPECT_DOUBLE_EQ(gamma_p(2.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(gamma_q(2.0, 0.0), 1.0);
   EXPECT_NEAR(gamma_p(3.0, 1e8), 1.0, 1e-12);
 }
 
@@ -41,14 +35,6 @@ TEST(SpecialFunctionsTest, GammaPMatchesErlangClosedForm) {
   // P(2, x) = 1 - e^{-x}(1 + x).
   for (double x : {0.2, 1.0, 3.0, 8.0}) {
     EXPECT_NEAR(gamma_p(2.0, x), 1.0 - std::exp(-x) * (1.0 + x), 1e-13) << "x=" << x;
-  }
-}
-
-TEST(SpecialFunctionsTest, GammaPPlusQIsOne) {
-  for (double s : {0.3, 1.0, 2.5, 19.75}) {
-    for (double x : {0.01, 0.5, 2.0, 20.0, 80.0}) {
-      EXPECT_NEAR(gamma_p(s, x) + gamma_q(s, x), 1.0, 1e-12) << "s=" << s << " x=" << x;
-    }
   }
 }
 

@@ -153,8 +153,6 @@ TEST(StreamingQuantilesTest, MatchesEcdfWithinSketchError) {
     const double exact = ecdf.quantile(q);
     EXPECT_NEAR(sketch.quantile(q), exact, 0.03 * exact) << "q = " << q;
   }
-  EXPECT_EQ(sketch.min(), ecdf.sorted().front());
-  EXPECT_EQ(sketch.max(), ecdf.sorted().back());
 
   for (const double x : {20000.0, 30000.0, 45000.0}) {
     EXPECT_NEAR(sketch.ccdf(x), ecdf.ccdf(x), 0.02) << "x = " << x;

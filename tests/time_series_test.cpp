@@ -17,7 +17,6 @@ TEST(TimeSeriesTest, ConstructionAndAccessors) {
   EXPECT_DOUBLE_EQ(ts.dt_seconds(), 0.5);
   EXPECT_EQ(ts.unit(), "bytes/frame");
   EXPECT_DOUBLE_EQ(ts[1], 2.0);
-  EXPECT_DOUBLE_EQ(ts.duration_seconds(), 1.5);
 }
 
 TEST(TimeSeriesTest, RejectsNonPositiveDt) {

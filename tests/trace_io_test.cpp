@@ -14,10 +14,18 @@
 #include <string>
 
 #include "vbr/common/error.hpp"
+#include "vbr/trace/trace_stream.hpp"
 #include "file_size_limit.hpp"
 
 namespace vbr::trace {
 namespace {
+
+/// A trace in the library's binary format, written by its one binary writer.
+void write_chunked(const TimeSeries& series, const std::filesystem::path& path) {
+  ChunkedTraceWriter writer(path, series.size(), series.dt_seconds(), series.unit());
+  writer.append(series.values());
+  writer.finish();
+}
 
 class TraceIoTest : public ::testing::Test {
  protected:
@@ -80,7 +88,7 @@ TEST_F(TraceIoTest, BinaryRoundTripPreservesBitExactValues) {
   for (int i = 0; i < 1000; ++i) values.push_back(27791.0 + 0.1 * i * i - 3.0 / (i + 1));
   TimeSeries original(values, 1.389e-3, "bytes/slice");
   const auto path = temp_path("roundtrip.bin");
-  write_binary(original, path);
+  write_chunked(original, path);
   const auto loaded = read_trace(path);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -102,7 +110,7 @@ TEST_F(TraceIoTest, BinaryRejectsBadMagic) {
 TEST_F(TraceIoTest, BinaryRejectsTruncatedData) {
   TimeSeries original(std::vector<double>(100, 1.0), 1.0);
   const auto path = temp_path("trunc.bin");
-  write_binary(original, path);
+  write_chunked(original, path);
   // Chop the file.
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
@@ -144,7 +152,7 @@ TEST_F(TraceIoTest, BinaryRejectsNegativeSample) {
   // never emits one), so the reader must refuse it.
   TimeSeries original({100.0, 200.0}, 1.0);
   const auto path = temp_path("neg_sample.bin");
-  write_binary(original, path);
+  write_chunked(original, path);
   {
     std::fstream patch(path, std::ios::binary | std::ios::in | std::ios::out);
     patch.seekp(-2 * static_cast<std::streamoff>(sizeof(double)), std::ios::end);
@@ -159,7 +167,7 @@ TEST_F(TraceIoTest, BinaryRejectsOverflowingSampleCount) {
   // short read rather than trying to allocate 32 EiB.
   TimeSeries original({100.0, 200.0, 300.0}, 1.0);
   const auto path = temp_path("forged_n.bin");
-  write_binary(original, path);
+  write_chunked(original, path);
   {
     std::fstream patch(path, std::ios::binary | std::ios::in | std::ios::out);
     patch.seekp(-3 * static_cast<std::streamoff>(sizeof(double)) -
@@ -217,7 +225,7 @@ TEST_F(TraceIoTest, EmptySeriesRoundTrips) {
   const auto apath = temp_path("empty.txt");
   const auto bpath = temp_path("empty.bin");
   write_ascii(empty, apath);
-  write_binary(empty, bpath);
+  write_chunked(empty, bpath);
   EXPECT_EQ(read_trace(apath).size(), 0u);
   EXPECT_EQ(read_trace(bpath).size(), 0u);
 }

@@ -42,6 +42,13 @@ std::vector<double> drain(ChunkedTraceReader& reader, std::size_t block) {
   return out;
 }
 
+/// A trace in the library's binary format, written by its one binary writer.
+void write_chunked(const TimeSeries& series, const std::filesystem::path& path) {
+  ChunkedTraceWriter writer(path, series.size(), series.dt_seconds(), series.unit());
+  writer.append(series.values());
+  writer.finish();
+}
+
 std::string file_bytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;
@@ -52,7 +59,7 @@ std::string file_bytes(const std::filesystem::path& path) {
 TEST(ChunkedTraceReaderTest, ReadsBinaryTracesWrittenByBatchWriter) {
   const auto path = temp_file("bin_roundtrip");
   const TimeSeries series(ramp(1000), 0.04, "cells");
-  write_binary(series, path);
+  write_chunked(series, path);
 
   for (const std::size_t block : {1u, 7u, 64u, 1000u, 4096u}) {
     ChunkedTraceReader reader(path);
@@ -94,8 +101,10 @@ TEST(ChunkedTraceReaderTest, HeaderKeysAfterDataAreCommentsForBothReaders) {
   std::istringstream chunked_in(text);
   ChunkedTraceReader reader(chunked_in, "late");
   const std::vector<double> chunked = drain(reader, 2);
-  std::istringstream batch_in(text);
-  const TimeSeries series = read_trace(batch_in, "late");
+  const auto path = temp_file("late_header");
+  std::ofstream(path) << text;
+  const TimeSeries series = read_trace(path);
+  std::filesystem::remove(path);
 
   EXPECT_EQ(chunked, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(series.values(), chunked);
@@ -160,7 +169,7 @@ TEST(ChunkedTraceWriterTest, RejectsInvalidSamplesAndHeader) {
 TEST(ChunkedTraceReaderTest, TruncatedBinaryThrowsIoError) {
   const auto path = temp_file("truncated");
   const TimeSeries series(ramp(100), 1.0, "bytes");
-  write_binary(series, path);
+  write_chunked(series, path);
   std::string bytes = file_bytes(path);
   bytes.resize(bytes.size() - 160);  // lose the last 20 samples
 
