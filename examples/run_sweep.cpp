@@ -1,30 +1,27 @@
 // run_sweep: process-isolated §5 evaluation sweep with watchdogs, resource
-// ceilings, retry/quarantine, an append-only result log, and sharded
+// ceilings, retry/quarantine, append-only result logs, and sharded
 // multi-pool work-stealing dispatch.
 //
-// Single-pool mode drives vbr::sweep::run_sweep(): every cell of the
-// queue × Hurst × utilization × buffer × sources grid runs in a forked
-// worker (one per sweep or shard, reused while cells succeed) under a
-// per-cell watchdog deadline and setrlimit ceilings. Crashed, hung,
-// and OOM-killed workers are retried from the cell's deterministic seed
-// (requeued with a due time — one flaky cell never stalls the rest);
-// cells that fail every attempt are quarantined with a structured failure
-// record. Progress appends to the VBRSWPL1 result log after every settled
-// cell — O(1) per cell — so SIGKILLing this process and rerunning the same
-// command with --resume truncates any torn tail, salvages all settled
-// cells, and finishes with a results hash bit-identical to an
-// uninterrupted run. The crash-soak harness (scripts/crash_soak.sh sweep)
-// does exactly that in a loop.
+// The queue × Hurst × utilization × buffer × sources grid is split into
+// shards in a sweep directory, and N pool processes claim them through file
+// leases (vbr::sweep::run_pools). Every cell runs in a forked worker (one
+// per shard, reused while cells succeed) under a per-cell watchdog deadline
+// and setrlimit ceilings. Crashed, hung, and OOM-killed workers are retried
+// from the cell's deterministic seed (requeued with a due time — one flaky
+// cell never stalls the rest); cells that fail every attempt are
+// quarantined with a structured failure record. Progress appends to the
+// shard's VBRSWPL1 result log after every settled cell — O(1) per cell.
 //
-// Sharded mode (--shard-dir) forks N work-stealing pools over a shared
-// directory of per-shard logs claimed through file leases; a killed pool's
-// lease expires and a survivor steals and replays its shard from the log
-// prefix. Rerunning the same command resumes the whole sweep; --merge-only
-// collects without computing. scripts/crash_soak.sh --shard soaks this.
+// Rerunning the same command resumes: torn tails are truncated, settled
+// cells salvaged, and the results hash is bit-identical to an uninterrupted
+// run's. A pool killed mid-shard leaves its lease behind; a survivor, or the
+// rerun, steals it once it is older than --lease-ttl and replays the shard
+// from its log prefix. --merge-only collects without computing.
+// scripts/crash_soak.sh --sweep and --shard soak all of this.
 //
 // Usage:
-//   ./run_sweep --log FILE | --shard-dir DIR [options]
-//       --log FILE           single-pool result log
+//   ./run_sweep --shard-dir DIR [options]
+//       --shard-dir DIR      sweep directory (created; rerun to resume)
 //       --queues LIST        comma list of fluid,cell,fbm   (default fluid)
 //       --hursts LIST        comma list of H values         (default 0.8)
 //       --utilizations LIST  comma list in (0,1]            (default 0.9)
@@ -37,14 +34,9 @@
 //       --cpu-sec N          RLIMIT_CPU ceiling, 0 = off    (default 0)
 //       --attempts N         tries per cell                 (default 3)
 //       --backoff-ms N       base retry backoff             (default 0)
-//       --no-isolate         evaluate in-process (no worker process;
-//                            no crash containment)
-//       --resume             continue from the log if present
-//       --durable            fsync log appends
+//       --durable            fsync log appends and markers
 //       --hash-out FILE      write the results hash (hex) atomically
 //       --quiet              suppress per-cell progress lines
-//   Sharded dispatch:
-//       --shard-dir DIR      shared sweep directory (enables sharded mode)
 //       --shards N           shard count                    (default 8)
 //       --pools N            work-stealing pool processes   (default 4)
 //       --lease-ttl X        steal leases staler than X sec (default 10)
@@ -71,7 +63,6 @@
 #include "vbr/common/atomic_file.hpp"
 #include "vbr/common/error.hpp"
 #include "vbr/sweep/dispatch.hpp"
-#include "vbr/sweep/supervisor.hpp"
 
 namespace {
 
@@ -144,13 +135,12 @@ std::map<std::size_t, std::uint64_t> parse_kill_plan(const char* text) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: run_sweep --log FILE | --shard-dir DIR [--queues LIST]\n"
+               "usage: run_sweep --shard-dir DIR [--queues LIST]\n"
                "                 [--hursts LIST] [--utilizations LIST]\n"
                "                 [--buffers-ms LIST] [--sources LIST] [--frames N]\n"
                "                 [--seed S] [--deadline-sec X] [--mem-mib N]\n"
                "                 [--cpu-sec N] [--attempts N] [--backoff-ms N]\n"
-               "                 [--no-isolate] [--resume] [--durable]\n"
-               "                 [--hash-out FILE] [--quiet]\n"
+               "                 [--durable] [--hash-out FILE] [--quiet]\n"
                "                 [--shards N] [--pools N] [--lease-ttl X]\n"
                "                 [--heartbeat X] [--merge-only]\n"
                "                 [--fault-rate P] [--fault-seed S]\n"
@@ -171,8 +161,6 @@ void print_report(const vbr::sweep::SweepReport& report) {
   std::printf("cells        %zu\n", report.total_cells);
   std::printf("completed    %zu\n", report.completed);
   std::printf("quarantined  %zu\n", report.quarantined);
-  std::printf("resumed      %zu\n", report.resumed_cells);
-  std::printf("retries      %zu\n", report.retried_attempts);
   std::printf("results_hash %016" PRIx64 "\n", report.results_hash);
   for (const vbr::sweep::CellRecord& record : report.records) {
     if (record.status != vbr::sweep::CellStatus::kQuarantined) continue;
@@ -188,15 +176,13 @@ void print_report(const vbr::sweep::SweepReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  vbr::sweep::SweepOptions options;
+  vbr::sweep::PoolOptions options;
+  options.shard_count = 8;
+  options.lease = {10.0, 1.0};
   options.faults.seed = 7;
+  std::size_t pools = 4;
   std::string hash_out;
   bool quiet = false;
-
-  std::string shard_dir;
-  std::uint64_t shards = 8;
-  std::size_t pools = 4;
-  vbr::sweep::LeaseConfig lease{10.0, 1.0};
   bool merge_only = false;
   std::map<std::size_t, std::uint64_t> kill_plan;
   bool torn_tail = false;
@@ -211,9 +197,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--log") {
-      options.log_path = next();
-    } else if (arg == "--queues") {
+    if (arg == "--queues") {
       options.grid.queues.clear();
       for (const std::string& name : split_csv(next())) {
         try {
@@ -251,10 +235,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--backoff-ms") {
       options.limits.backoff_seconds =
           static_cast<double>(parse_u64(next(), "--backoff-ms")) / 1000.0;
-    } else if (arg == "--no-isolate") {
-      options.limits.isolate = false;
-    } else if (arg == "--resume") {
-      options.resume = true;
     } else if (arg == "--durable") {
       options.durable = true;
     } else if (arg == "--hash-out") {
@@ -262,15 +242,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--shard-dir") {
-      shard_dir = next();
+      options.sweep_dir = next();
     } else if (arg == "--shards") {
-      shards = parse_u64(next(), "--shards");
+      options.shard_count = parse_u64(next(), "--shards");
     } else if (arg == "--pools") {
       pools = static_cast<std::size_t>(parse_u64(next(), "--pools"));
     } else if (arg == "--lease-ttl") {
-      lease.ttl_seconds = parse_f64(next(), "--lease-ttl");
+      options.lease.ttl_seconds = parse_f64(next(), "--lease-ttl");
     } else if (arg == "--heartbeat") {
-      lease.heartbeat_seconds = parse_f64(next(), "--heartbeat");
+      options.lease.heartbeat_seconds = parse_f64(next(), "--heartbeat");
     } else if (arg == "--merge-only") {
       merge_only = true;
     } else if (arg == "--fault-rate") {
@@ -303,8 +283,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  const bool sharded = !shard_dir.empty();
-  if (sharded == !options.log_path.empty()) return usage();  // exactly one mode
+  if (options.sweep_dir.empty()) return usage();
 
   if (!quiet) {
     options.on_cell_settled = [](const vbr::sweep::CellRecord& record) {
@@ -321,26 +300,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!sharded) {
-      const vbr::sweep::SweepReport report = vbr::sweep::run_sweep(options);
-      print_report(report);
-      write_hash_out(hash_out, report.results_hash);
-      return 0;
-    }
-
-    vbr::sweep::PoolOptions pool_options;
-    pool_options.sweep_dir = shard_dir;
-    pool_options.grid = options.grid;
-    pool_options.shard_count = shards;
-    pool_options.lease = lease;
-    pool_options.limits = options.limits;
-    pool_options.faults = options.faults;
-    pool_options.durable = options.durable;
-    pool_options.on_cell_settled = options.on_cell_settled;
-
     if (!merge_only) {
       const vbr::sweep::MultiPoolReport multi = vbr::sweep::run_pools(
-          pool_options, pools, [&](std::size_t pool) {
+          options, pools, [&](std::size_t pool) {
             vbr::sweep::PoolFaultPlan plan;
             if (const auto it = kill_plan.find(pool); it != kill_plan.end()) {
               plan.kill_after_records = it->second;
@@ -364,7 +326,7 @@ int main(int argc, char** argv) {
     }
 
     const vbr::sweep::SweepReport report =
-        vbr::sweep::collect_sweep(shard_dir, options.grid, shards,
+        vbr::sweep::collect_sweep(options.sweep_dir, options.grid, options.shard_count,
                                   /*require_complete=*/true);
     print_report(report);
     write_hash_out(hash_out, report.results_hash);

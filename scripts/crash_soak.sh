@@ -32,14 +32,17 @@
 # injected mid-run sink I/O fault must checkpoint-then-exit-4; every resume
 # must reproduce the governed reference hash bit-for-bit.
 #
-# It (1) runs a fault-free reference sweep, (2) replays it with every cell's
-# first worker attempt crashing/hanging/OOMing and requires the retried
-# results hash to match the reference bit-for-bit, (3) SIGSTOPs a live
-# worker from outside and requires the watchdog to fire and the retry to
-# heal it, (4) SIGKILLs the *supervisor* mid-sweep `supervisor_kills` times
-# and requires every --resume to reproduce the reference hash, and (5) runs
-# poison cells that fail deterministically and requires them quarantined in
-# the result log without crashing the supervisor or blocking healthy cells.
+# Sweep mode runs every sweep as a one-shard, one-pool sweep directory. It
+# (1) runs a fault-free reference sweep, (2) replays it with every cell's
+# first worker attempt crashing/hanging/OOMing, requires all of those
+# faults to end quarantined when a cell gets one attempt, and requires the
+# retried results hash to match the reference bit-for-bit, (3) SIGSTOPs a
+# live worker from outside and requires the watchdog to fire and the retry
+# to heal it, (4) SIGKILLs the whole sweep mid-run `supervisor_kills` times
+# and requires every rerun to reproduce the reference hash, and (5) runs
+# poison cells that fail deterministically and requires them quarantined
+# in the result log without crashing the supervisor or blocking healthy
+# cells, and a rerun to leave every shard log byte-identical.
 set -u
 
 # In the sweep and shard modes, no process of the soak — supervisor,
@@ -75,13 +78,16 @@ if [[ "${1:-}" == "--sweep" ]]; then
         --buffers-ms 10 --sources 2 --frames 2048 --seed 1994)
   CELLS=18
   FAULTS=(--fault-rate 1 --fault-seed 42 --mem-mib 512 --deadline-sec 2)
+  # One shard covering the whole grid, one pool. A killed sweep leaves its
+  # lease behind, and the rerun steals it once it is --lease-ttl old.
+  SWEEP=(--shards 1 --pools 1 --lease-ttl 2 --heartbeat 0.3)
 
   fail=0
   note() { echo "sweep_soak: $*"; }
 
   # Phase 1: fault-free reference.
   t0=$(date +%s%N)
-  "$BIN" --log "$WORK/ref.log" "${GRID[@]}" --deadline-sec 30 \
+  "$BIN" --shard-dir "$WORK/ref.d" "${SWEEP[@]}" "${GRID[@]}" --deadline-sec 30 \
     --hash-out "$WORK/ref.hash" --quiet >/dev/null || {
     note "reference sweep failed" >&2
     exit 1
@@ -91,37 +97,45 @@ if [[ "${1:-}" == "--sweep" ]]; then
   ((window_ms < 50)) && window_ms=50
   note "reference $(cat "$WORK/ref.hash") ($CELLS cells, ~${window_ms}ms)"
 
-  # Phase 2: every cell's first attempt faults (crash/hang/OOM mix); the
-  # retried sweep must be bit-identical and absorb >= CELLS worker faults.
-  out=$("$BIN" --log "$WORK/faulted.log" "${GRID[@]}" "${FAULTS[@]}" \
-    --hash-out "$WORK/faulted.hash" --quiet) || { note "fault run FAILED"; fail=1; }
-  retries=$(awk '/^retries/{print $2}' <<<"$out")
-  if ((retries < 10)); then
-    note "fault run absorbed only ${retries:-0} worker faults (need >= 10)"
+  # Phase 2: every cell's first attempt faults (crash/hang/OOM mix). With
+  # one attempt per cell nothing can heal, so every cell must end
+  # quarantined: the faults fire. With the default three attempts the
+  # retried sweep must be bit-identical to the reference.
+  out=$("$BIN" --shard-dir "$WORK/unhealed.d" "${SWEEP[@]}" "${GRID[@]}" "${FAULTS[@]}" \
+    --attempts 1 --quiet) || { note "one-attempt fault run FAILED"; fail=1; }
+  faulted=$(awk '/^quarantined/{print $2}' <<<"$out")
+  if [[ "$faulted" != "$CELLS" ]]; then
+    note "one-attempt fault run quarantined ${faulted:-0} of $CELLS cells (need all)"
     fail=1
   fi
+  "$BIN" --shard-dir "$WORK/faulted.d" "${SWEEP[@]}" "${GRID[@]}" "${FAULTS[@]}" \
+    --hash-out "$WORK/faulted.hash" --quiet >/dev/null || { note "fault run FAILED"; fail=1; }
   if cmp -s "$WORK/ref.hash" "$WORK/faulted.hash"; then
-    note "worker faults: $retries absorbed, hash identical"
+    note "worker faults: ${faulted:-0} fired, all healed by retry, hash identical"
   else
     note "worker faults: HASH MISMATCH after retries"
     fail=1
   fi
 
   # Phase 3: hang a worker from the outside. SIGSTOP the first live worker
-  # we can catch; the supervisor's watchdog must SIGKILL it and the cell
-  # must heal (rerun in a fresh worker, or retried). One worker serves the
+  # we can catch; the pool's watchdog must SIGKILL it and the cell must
+  # heal (rerun in a fresh worker, or retried). The dispatcher forks the
+  # pool and the pool forks the worker, so the worker is the dispatcher's
+  # grandchild; a stopped pool would hang the soak. One worker serves the
   # whole sweep, but the sweep takes only tens of milliseconds, so it can
   # still finish before the polling loop lands a SIGSTOP; such a run, if
-  # it succeeded, proves nothing and is started again from an empty log, up
-  # to five times.
+  # it succeeded, proves nothing and is started again in an empty
+  # directory, up to five times.
   stopped=""
   for attempt in 1 2 3 4 5; do
-    rm -f "$WORK"/stopped.*
-    "$BIN" --log "$WORK/stopped.log" "${GRID[@]}" --deadline-sec 2 \
+    rm -rf "$WORK/stopped.d" "$WORK/stopped.hash"
+    "$BIN" --shard-dir "$WORK/stopped.d" "${SWEEP[@]}" "${GRID[@]}" --deadline-sec 2 \
       --hash-out "$WORK/stopped.hash" --quiet >/dev/null 2>&1 &
     sup=$!
     while kill -0 "$sup" 2>/dev/null; do
-      worker=$(pgrep -P "$sup" | head -1)
+      worker=""
+      pool=$(pgrep -P "$sup" | head -1)
+      [[ -n "$pool" ]] && worker=$(pgrep -P "$pool" | head -1)
       if [[ -n "$worker" ]] && kill -STOP "$worker" 2>/dev/null; then
         stopped=$worker
         break
@@ -145,20 +159,21 @@ if [[ "${1:-}" == "--sweep" ]]; then
   fi
   assert_none_left "phase 3"
 
-  # Phase 4: SIGKILL the supervisor mid-sweep, resume, compare.
+  # Phase 4: SIGKILL the whole sweep (dispatcher, pool and worker: its
+  # process group) mid-run, rerun the same command, compare. The rerun
+  # waits out the dead pool's lease (--lease-ttl) before it steals it.
   for i in $(seq 1 "$KILLS"); do
-    rm -f "$WORK"/run.*
+    rm -rf "$WORK/run.d" "$WORK/run.hash"
     delay_ms=$((RANDOM % window_ms))
-    "$BIN" --log "$WORK/run.log" "${GRID[@]}" "${FAULTS[@]}" \
+    setsid "$BIN" --shard-dir "$WORK/run.d" "${SWEEP[@]}" "${GRID[@]}" "${FAULTS[@]}" \
       --fault-kinds crash,oom --hash-out "$WORK/run.hash" --quiet >/dev/null 2>&1 &
     pid=$!
     sleep "$(awk "BEGIN{printf \"%.3f\", $delay_ms / 1000}")"
-    if kill -9 "$pid" 2>/dev/null; then outcome=killed; else outcome=completed; fi
+    if kill -9 -- "-$pid" 2>/dev/null; then outcome=killed; else outcome=completed; fi
     wait "$pid" 2>/dev/null
 
-    if ! "$BIN" --log "$WORK/run.log" "${GRID[@]}" "${FAULTS[@]}" \
-      --fault-kinds crash,oom --resume --hash-out "$WORK/run.hash" \
-      --quiet >/dev/null; then
+    if ! "$BIN" --shard-dir "$WORK/run.d" "${SWEEP[@]}" "${GRID[@]}" "${FAULTS[@]}" \
+      --fault-kinds crash,oom --hash-out "$WORK/run.hash" --quiet >/dev/null; then
       note "iter $i (delay ${delay_ms}ms, $outcome): resume FAILED"
       fail=1
       continue
@@ -173,10 +188,15 @@ if [[ "${1:-}" == "--sweep" ]]; then
   assert_none_left "phase 4"
 
   # Phase 5: poison cells fail deterministically every attempt; they must be
-  # quarantined in the log while every healthy cell completes, and a
-  # resume must salvage the whole record set without re-running anything.
-  out=$("$BIN" --log "$WORK/poison.log" "${GRID[@]}" --deadline-sec 30 \
-    --poison 2,7 --quiet) || { note "poison sweep FAILED (rc=$?)"; fail=1; }
+  # quarantined in the log while every healthy cell completes. A rerun
+  # must salvage the whole record set, quarantine included, without
+  # re-running or appending anything: first of the finished directory, then
+  # with its done markers removed (a pool killed after its last append), so
+  # the rerun replays the log. Each leaves every shard log byte-identical
+  # and prints the same report.
+  POISON=(--shard-dir "$WORK/poison.d" "${SWEEP[@]}" "${GRID[@]}" --deadline-sec 30
+          --poison 2,7 --quiet)
+  out=$("$BIN" "${POISON[@]}") || { note "poison sweep FAILED (rc=$?)"; fail=1; }
   quarantined=$(awk '/^quarantined/{print $2}' <<<"$out")
   completed=$(awk '/^completed/{print $2}' <<<"$out")
   if [[ "$quarantined" == 2 && "$completed" == $((CELLS - 2)) ]]; then
@@ -185,20 +205,27 @@ if [[ "${1:-}" == "--sweep" ]]; then
     note "poison: expected 2 quarantined / $((CELLS - 2)) done, got ${quarantined:-?} / ${completed:-?}"
     fail=1
   fi
-  out=$("$BIN" --log "$WORK/poison.log" "${GRID[@]}" --deadline-sec 30 \
-    --poison 2,7 --resume --quiet) || { note "poison resume FAILED"; fail=1; }
-  resumed=$(awk '/^resumed/{print $2}' <<<"$out")
-  if [[ "$resumed" == "$CELLS" ]]; then
-    note "poison resume: all $CELLS records salvaged (quarantine included)"
-  else
-    note "poison resume: salvaged ${resumed:-?} of $CELLS records"
-    fail=1
-  fi
+  mkdir -p "$WORK/poison.logs"
+  cp "$WORK"/poison.d/shard_*.log "$WORK/poison.logs/"
+  for rerun in finished unmarked; do
+    [[ "$rerun" == unmarked ]] && rm -f "$WORK"/poison.d/shard_*.done
+    again=$("$BIN" "${POISON[@]}") || { note "poison rerun ($rerun) FAILED"; fail=1; }
+    same=1
+    for log in "$WORK"/poison.logs/shard_*.log; do
+      cmp -s "$log" "$WORK/poison.d/${log##*/}" || same=0
+    done
+    if ((same)) && [[ "$again" == "$out" ]]; then
+      note "poison rerun ($rerun): all $CELLS records salvaged, every shard log byte-identical"
+    else
+      note "poison rerun ($rerun): shard log changed or report differs"
+      fail=1
+    fi
+  done
 
   if ((fail)); then
     note "FAILED (seed ${CRASH_SOAK_SEED:-1994})" >&2
   else
-    note "$retries worker faults + 1 external SIGSTOP + $KILLS supervisor kills: all bit-identical"
+    note "${faulted:-0} worker faults + 1 external SIGSTOP + $KILLS supervisor kills: all bit-identical"
   fi
   exit $fail
 fi
@@ -250,10 +277,10 @@ if [[ "${1:-}" == "--shard" ]]; then
     done
   }
 
-  # Phase 1: single-pool fault-free reference.
+  # Phase 1: fault-free reference, one shard and one pool.
   t0=$(date +%s%N)
-  "$BIN" --log "$WORK/ref.log" "${GRID[@]}" --hash-out "$WORK/ref.hash" \
-    --quiet >/dev/null || {
+  "$BIN" --shard-dir "$WORK/ref.d" --shards 1 --pools 1 "${GRID[@]}" \
+    --hash-out "$WORK/ref.hash" --quiet >/dev/null || {
     note "reference sweep failed" >&2
     exit 1
   }

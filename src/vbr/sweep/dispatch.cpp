@@ -320,10 +320,12 @@ bool work_shard(const PoolOptions& options, const ShardWork& work,
   return true;
 }
 
-}  // namespace
-
-PoolReport run_pool(const PoolOptions& options) {
-  options.grid.validate();
+/// Everything a pool checks before it touches the directory. A bad
+/// configuration must fail here, once: past this point it would leave a
+/// sweep.meta, a held lease and a shard log behind, and read as a pool
+/// death that a rerun resumes.
+void validate_pool_options(const PoolOptions& options) {
+  validate_sweep_inputs(options.grid, options.limits, options.faults);
   VBR_ENSURE(options.shard_count >= 1 && options.shard_count <= kMaxShards,
              "pool shard count out of range");
   VBR_ENSURE(options.lease.ttl_seconds > 0.0, "lease ttl must be positive");
@@ -331,6 +333,12 @@ PoolReport run_pool(const PoolOptions& options) {
                  options.lease.heartbeat_seconds < options.lease.ttl_seconds,
              "lease heartbeat must be shorter than the ttl");
   VBR_ENSURE(!options.sweep_dir.empty(), "pool needs a sweep directory");
+}
+
+}  // namespace
+
+PoolReport run_pool(const PoolOptions& options) {
+  validate_pool_options(options);
 
   std::filesystem::create_directories(options.sweep_dir / "leases");
   ensure_sweep_meta(options.sweep_dir,
@@ -402,6 +410,7 @@ MultiPoolReport run_pools(const PoolOptions& base, std::size_t pool_count,
                           const std::function<PoolFaultPlan(std::size_t)>&
                               plan_for_pool) {
   VBR_ENSURE(pool_count >= 1, "run_pools needs at least one pool");
+  validate_pool_options(base);
   MultiPoolReport report;
   report.pools = pool_count;
 

@@ -33,8 +33,8 @@
 // PoolFaultPlan is the crash-soak seam: a pool can be told to SIGKILL
 // itself mid-shard (optionally leaving a torn tail), or to claim a shard
 // it has no right to. collect_sweep() then proves the point: whatever the
-// fault schedule, the merged records hash bit-identically to a single-pool
-// fault-free sweep.
+// fault schedule, the merged records hash bit-identically to a fault-free
+// one-pool sweep.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +101,11 @@ struct PoolReport {
 /// Run one pool to completion: claim shards, settle their cells into the
 /// per-shard logs, steal stale leases, stop when every shard is done.
 /// Safe to run concurrently from any number of processes on one sweep_dir.
+/// Rerunning it on a finished or interrupted directory resumes: settled
+/// cells are salvaged, never re-run. Throws vbr::InvalidArgument on a bad
+/// grid, limits, fault plan (validate_sweep_inputs), shard count or lease
+/// timing before it creates anything, and vbr::IoError when the directory
+/// belongs to another grid or shard count (naming both fingerprints).
 PoolReport run_pool(const PoolOptions& options);
 
 struct MultiPoolReport {
@@ -113,15 +118,17 @@ struct MultiPoolReport {
 /// `plan_for_pool` (optional) assigns each pool index its fault plan — the
 /// soak harness kills pool 0 mid-shard and lets 1..N-1 steal the wreckage.
 /// An injected pool death makes the sweep report incomplete only if every
-/// survivor also died; callers re-invoke (or resume) to finish.
+/// survivor also died; callers re-invoke to finish. `base` is checked as
+/// run_pool checks it, before the first fork.
 MultiPoolReport run_pools(const PoolOptions& base, std::size_t pool_count,
                           const std::function<PoolFaultPlan(std::size_t)>&
                               plan_for_pool = {});
 
 /// Merge every shard log in the directory into one SweepReport whose
-/// records and results_hash are bit-identical to a single-pool fault-free
-/// run_sweep over the same grid. With `require_complete`, throws if any
-/// cell is still unsettled. Read-only: logs are scanned, not healed.
+/// records and results_hash are bit-identical to a fault-free one-pool
+/// sweep of the same grid at any shard count. With `require_complete`,
+/// throws if any cell is still unsettled. Read-only: logs are scanned, not
+/// healed.
 SweepReport collect_sweep(const std::filesystem::path& sweep_dir,
                           const SweepGrid& grid, std::uint64_t shard_count,
                           bool require_complete = true);

@@ -45,7 +45,8 @@ inline constexpr std::array<char, 8> kResultLogMagic = {'V', 'B', 'R', 'S',
 inline constexpr std::uint32_t kResultLogVersion = 1;
 
 /// Identity and shape of one shard's log, sealed into the header. A
-/// single-pool whole-grid sweep is the shard_count == 1 special case.
+/// one-shard sweep directory, the whole grid in one log, is the
+/// shard_count == 1 case.
 struct ResultLogHeader {
   std::uint64_t sweep_fingerprint = 0;
   std::uint64_t shard_fingerprint = 0;

@@ -15,8 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -27,8 +25,6 @@
 #include "vbr/model/fgn_generator.hpp"
 #include "vbr/model/marginal_transform.hpp"
 #include "vbr/run/envelope.hpp"
-#include "vbr/sweep/result_log.hpp"
-#include "vbr/sweep/shard.hpp"
 
 namespace vbr::sweep {
 
@@ -400,22 +396,6 @@ AttemptOutcome run_attempt_inprocess(const CellSpec& spec, InjectedFault fault) 
   return outcome;
 }
 
-void validate_sweep_inputs(const SweepGrid& grid, const SweepLimits& limits,
-                           const SweepFaultPlan& faults) {
-  grid.validate();
-  VBR_ENSURE(limits.max_attempts >= 1, "sweep needs at least one attempt");
-  VBR_ENSURE(limits.backoff_seconds >= 0.0, "negative retry backoff");
-  if (faults.rate > 0.0) {
-    VBR_ENSURE(faults.rate <= 1.0, "fault rate must be a probability");
-    VBR_ENSURE(limits.isolate || !(faults.crash || faults.hang || faults.oom),
-               "crash/hang/OOM injection requires process isolation");
-    VBR_ENSURE(!faults.oom || limits.worker.memory_bytes > 0 || !limits.isolate,
-               "OOM injection requires a memory ceiling");
-    VBR_ENSURE(!faults.hang || limits.worker.deadline_seconds > 0.0 || !limits.isolate,
-               "hang injection requires a watchdog deadline");
-  }
-}
-
 CellRecord settled_record(std::uint64_t cell_index, AttemptOutcome&& outcome,
                           std::size_t attempts) {
   CellRecord record;
@@ -474,6 +454,22 @@ InjectedFault fault_for_attempt(const SweepFaultPlan& faults, std::uint64_t cell
   if (faults.oom) kinds[enabled++] = InjectedFault::kOom;
   if (enabled == 0) return InjectedFault::kNone;
   return kinds[(digest & 0x7ff) % enabled];
+}
+
+void validate_sweep_inputs(const SweepGrid& grid, const SweepLimits& limits,
+                           const SweepFaultPlan& faults) {
+  grid.validate();
+  VBR_ENSURE(limits.max_attempts >= 1, "sweep needs at least one attempt");
+  VBR_ENSURE(limits.backoff_seconds >= 0.0, "negative retry backoff");
+  if (faults.rate > 0.0) {
+    VBR_ENSURE(faults.rate <= 1.0, "fault rate must be a probability");
+    VBR_ENSURE(limits.isolate || !(faults.crash || faults.hang || faults.oom),
+               "crash/hang/OOM injection requires process isolation");
+    VBR_ENSURE(!faults.oom || limits.worker.memory_bytes > 0 || !limits.isolate,
+               "OOM injection requires a memory ceiling");
+    VBR_ENSURE(!faults.hang || limits.worker.deadline_seconds > 0.0 || !limits.isolate,
+               "hang injection requires a watchdog deadline");
+  }
 }
 
 std::uint64_t results_hash(std::span<const CellRecord> records) {
@@ -590,73 +586,6 @@ void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells
                                        std::chrono::duration<double>(delay_s))});
     }
   }
-}
-
-SweepReport run_sweep(const SweepOptions& options) {
-  validate_sweep_inputs(options.grid, options.limits, options.faults);
-
-  const std::size_t cells = cell_count(options.grid);
-  const bool persist = !options.log_path.empty();
-
-  std::map<std::uint64_t, CellRecord> settled;
-  SweepReport report;
-  report.total_cells = cells;
-
-  // Persistence is the whole-grid special case of a shard log: one shard,
-  // covering [0, cells). Resume scans the log, truncates a torn tail, and
-  // salvages every settled cell; the sealed header rejects a log from a
-  // different grid with an error naming both fingerprints.
-  std::optional<ResultLogWriter> writer;
-  if (persist) {
-    const ResultLogHeader header = shard_log_header(options.grid, 1, 0);
-    std::optional<ResultLogScan> scan;
-    if (options.resume) scan = recover_result_log(options.log_path, header);
-    if (scan.has_value()) {
-      for (CellRecord& record : scan->records) {
-        settled.emplace(record.cell_index, std::move(record));
-      }
-      report.resumed_cells = settled.size();
-      writer = ResultLogWriter::append_to(options.log_path, *scan, options.durable);
-    } else {
-      // A fresh sweep seals its header up front so a fingerprint mismatch
-      // on a later resume is caught even if no cell ever settled.
-      writer = ResultLogWriter::create(options.log_path, header, options.durable);
-    }
-  }
-
-  if (options.on_cell_settled) {
-    for (const auto& [index, record] : settled) options.on_cell_settled(record);
-  }
-
-  std::vector<std::uint64_t> todo;
-  todo.reserve(cells - settled.size());
-  for (std::uint64_t index = 0; index < cells; ++index) {
-    if (!settled.contains(index)) todo.push_back(index);
-  }
-
-  SettleStats stats;
-  settle_cells(options.grid, todo, options.limits, options.faults,
-               [&](const CellRecord& record) {
-                 if (writer.has_value()) writer->append(record);
-                 const auto [it, inserted] = settled.emplace(record.cell_index, record);
-                 (void)inserted;
-                 if (options.on_cell_settled) options.on_cell_settled(it->second);
-                 return true;
-               },
-               /*tick=*/{}, &stats);
-  report.retried_attempts = stats.retried_attempts;
-
-  report.records.reserve(settled.size());
-  for (auto& [index, record] : settled) {
-    if (record.status == CellStatus::kDone) {
-      report.completed += 1;
-    } else {
-      report.quarantined += 1;
-    }
-    report.records.push_back(std::move(record));
-  }
-  report.results_hash = results_hash(report.records);
-  return report;
 }
 
 }  // namespace vbr::sweep

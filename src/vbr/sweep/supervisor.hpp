@@ -32,18 +32,17 @@
 // it — and because every record is a pure function of its spec, the final
 // results hash is independent of settling order.
 //
-// Progress persists in the VBRSWPL1 append-only result log (result_log.hpp)
-// — one CRC-framed record per settled cell, O(1) write cost per settle —
-// so SIGKILLing the *supervisor* and rerunning with resume truncates any
-// torn tail, salvages every settled cell, and reproduces the uninterrupted
-// sweep's merged results bit-for-bit (scripts/crash_soak.sh sweep and
-// shard modes enforce exactly that; the worker dies with its supervisor).
-// Multi-pool work-stealing dispatch over sharded logs lives in dispatch.hpp
-// and shares settle_cells().
+// Progress persists in the pools' VBRSWPL1 append-only shard logs
+// (dispatch.hpp, result_log.hpp) — one CRC-framed record per settled cell,
+// O(1) write cost per settle — so SIGKILLing a sweep and rerunning the same
+// command truncates any torn tail, salvages every settled cell, and
+// reproduces the uninterrupted sweep's merged results bit-for-bit
+// (scripts/crash_soak.sh sweep and shard modes enforce exactly that; the
+// worker dies with its supervisor). settle_cells() is the core every shard
+// pool runs.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <span>
 #include <vector>
@@ -86,33 +85,12 @@ struct SweepFaultPlan {
   bool enabled() const { return rate > 0.0 || !poison.empty(); }
 };
 
-struct SweepOptions {
-  SweepGrid grid;
-  /// VBRSWPL1 result-log path; empty disables persistence (and resume).
-  std::filesystem::path log_path;
-  /// Continue from log_path if it exists (torn tail truncated, settled
-  /// cells salvaged); a fresh sweep otherwise. Resuming against a log whose
-  /// header carries a different sweep fingerprint fails fast with an
-  /// IoError naming both fingerprints — never a silent re-seed.
-  bool resume = false;
-  /// fsync log appends (power-loss safety; SIGKILL safety needs none).
-  bool durable = false;
-  SweepLimits limits;
-  SweepFaultPlan faults;
-  /// Optional per-cell progress hook: salvaged cells first (ascending cell
-  /// index), then fresh cells in settling order — which can differ from
-  /// cell order when a retry is deferred past healthy cells.
-  std::function<void(const CellRecord&)> on_cell_settled;
-};
-
+/// A whole sweep's records, merged from its shard logs (collect_sweep,
+/// dispatch.hpp).
 struct SweepReport {
   std::size_t total_cells = 0;
   std::size_t completed = 0;
   std::size_t quarantined = 0;
-  /// Cells salvaged from the result log instead of re-run.
-  std::size_t resumed_cells = 0;
-  /// Attempts beyond each cell's first (watchdog fires, crashes absorbed).
-  std::size_t retried_attempts = 0;
   /// Every cell, ascending cell_index.
   std::vector<CellRecord> records;
   /// Determinism witness over the deterministic record bytes (see
@@ -125,12 +103,13 @@ struct SweepReport {
 /// nature and deliberately excluded.
 std::uint64_t results_hash(std::span<const CellRecord> records);
 
-/// Run (or resume) a sweep. Throws vbr::IoError on result-log I/O failures
-/// and fingerprint mismatches, vbr::InvalidArgument on a bad grid or an
-/// unsafe fault plan (OOM injection without a memory ceiling, hang
-/// injection without a watchdog deadline). Worker failures never propagate:
-/// they end as retries or quarantine records.
-SweepReport run_sweep(const SweepOptions& options);
+/// Reject a bad grid, retry budget or fault plan with vbr::InvalidArgument:
+/// OOM injection without a memory ceiling, hang injection without a
+/// watchdog deadline, crash/hang/OOM injection without isolation. The
+/// pools (dispatch.hpp) call it before they create or fork anything, so a
+/// bad configuration fails once, up front, instead of in every pool.
+void validate_sweep_inputs(const SweepGrid& grid, const SweepLimits& limits,
+                           const SweepFaultPlan& faults);
 
 /// The deterministic per-attempt fault decision (exposed for tests).
 InjectedFault fault_for_attempt(const SweepFaultPlan& faults, std::uint64_t cell_index,
@@ -145,17 +124,16 @@ struct SettleStats {
 };
 
 /// Settle an arbitrary set of cells under the non-blocking retry scheduler
-/// — the shared core of run_sweep and the shard pools (dispatch.hpp). A
-/// failed attempt requeues its cell with a due time instead of sleeping,
-/// so healthy cells keep settling while a flaky cell backs off.
+/// — the core of every shard pool (dispatch.hpp). A failed attempt
+/// requeues its cell with a due time instead of sleeping, so healthy cells
+/// keep settling while a flaky cell backs off.
 /// `on_settled` receives each record as it settles; returning false stops
 /// early (a pool abandons a lost lease this way). `tick` runs at least
 /// once per attempt and during idle waits — the lease-heartbeat seam.
 /// The worker is killed and reaped on every way out, an exception from
 /// either callback included.
-/// Throws vbr::InvalidArgument on a bad grid, an out-of-range cell index,
-/// or an unsafe fault plan (crash/hang/OOM injection without isolation,
-/// OOM without a memory ceiling, hang without a watchdog deadline).
+/// Throws vbr::InvalidArgument on what validate_sweep_inputs rejects and on
+/// an out-of-range cell index.
 void settle_cells(const SweepGrid& grid, const std::vector<std::uint64_t>& cells,
                   const SweepLimits& limits, const SweepFaultPlan& faults,
                   const std::function<bool(const CellRecord&)>& on_settled,

@@ -72,8 +72,9 @@ CellSpec cell_at(const SweepGrid& grid, std::size_t index);
 /// cell count.
 std::vector<std::uint64_t> derive_cell_seeds(const SweepGrid& grid);
 
-/// FNV-1a over every semantic grid field. A resume whose manifest carries a
-/// different fingerprint is rejected instead of silently blending sweeps.
+/// FNV-1a over every semantic grid field. A sweep directory or shard log
+/// that carries a different fingerprint is rejected instead of silently
+/// blending sweeps.
 std::uint64_t sweep_fingerprint(const SweepGrid& grid);
 
 }  // namespace vbr::sweep

@@ -14,6 +14,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,12 +64,20 @@ PoolOptions base_pool_options(const TempDir& dir, std::uint64_t shards) {
   return options;
 }
 
-/// The fault-free single-pool reference hash for test_grid().
+/// The fault-free reference hash for test_grid(): every cell settled in
+/// one call, no directory.
 std::uint64_t reference_hash() {
-  SweepOptions options;
-  options.grid = test_grid();
-  options.limits.isolate = false;
-  return run_sweep(options).results_hash;
+  const SweepGrid grid = test_grid();
+  std::vector<std::uint64_t> cells(cell_count(grid));
+  std::iota(cells.begin(), cells.end(), std::uint64_t{0});
+  std::vector<CellRecord> records(cells.size());
+  SweepLimits limits;
+  limits.isolate = false;
+  settle_cells(grid, cells, limits, SweepFaultPlan{}, [&](const CellRecord& record) {
+    records.at(record.cell_index) = record;
+    return true;
+  });
+  return results_hash(records);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +305,7 @@ TEST(Dispatch, InterruptedSweepResumesAcrossInvocations) {
   EXPECT_TRUE(second.sweep_complete);
   const SweepReport merged = collect_sweep(options.sweep_dir, options.grid, 4);
   EXPECT_EQ(merged.results_hash, reference_hash());
-  EXPECT_GT(merged.resumed_cells + merged.completed, 0u);
+  EXPECT_EQ(merged.completed, cell_count(options.grid));
 }
 
 TEST(Dispatch, IdlePoolSeesAForeignShardFinishWithinMilliseconds) {

@@ -2,7 +2,7 @@
 // enumeration and split-seed derivation, pure-function cell evaluation,
 // the worker frame protocol, deterministic fault injection, crash/hang/OOM
 // retry, poison quarantine, scheduling-independence of the results hash,
-// and kill/resume determinism against the VBRSWPL1 log (a resumed sweep's
+// kill/resume determinism on a one-shard sweep directory (a resumed sweep's
 // results hash must equal an uninterrupted one's, bit for bit), the
 // marginal-map fill that forked workers inherit, and the reused worker:
 // records independent of what it ran before, a CPU ceiling re-armed per
@@ -35,6 +35,7 @@
 #include "vbr/model/davies_harte.hpp"
 #include "vbr/model/marginal_transform.hpp"
 #include "vbr/sweep/cell_eval.hpp"
+#include "vbr/sweep/dispatch.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/shard.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
@@ -43,14 +44,15 @@
 namespace vbr::sweep {
 namespace {
 
-/// A result log path under the test temp dir, removed on destruction.
-class TempLog {
+/// A sweep directory path under the test temp dir, absent at the start and
+/// removed on destruction.
+class TempDir {
  public:
-  explicit TempLog(const std::string& tag)
-      : path_(std::filesystem::temp_directory_path() / ("vbr_sweep_" + tag + ".bin")) {
-    std::filesystem::remove(path_);
+  explicit TempDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() / ("vbr_sweep_" + tag)) {
+    std::filesystem::remove_all(path_);
   }
-  ~TempLog() { std::filesystem::remove(path_); }
+  ~TempDir() { std::filesystem::remove_all(path_); }
   const std::filesystem::path& path() const { return path_; }
 
  private:
@@ -337,30 +339,51 @@ TEST(FaultPlan, PerSeedFaultCountFollowsTheBinomial) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor end-to-end (forks real workers)
+// Supervisor end-to-end: one pool, in-process, over a one-shard sweep
+// directory (forks real workers)
 
-SweepOptions base_options(const TempLog& log) {
-  SweepOptions options;
+PoolOptions base_options(const TempDir& dir) {
+  PoolOptions options;
+  options.sweep_dir = dir.path();
   options.grid = small_grid();
-  options.log_path = log.path();
   options.limits.worker.deadline_seconds = 30.0;
   options.limits.max_attempts = 3;
   return options;
 }
 
+/// Run one pool in-process over the options' one-shard directory and merge
+/// what it left there.
+SweepReport run_one_pool(const PoolOptions& options, PoolReport* pool = nullptr) {
+  const PoolReport report = run_pool(options);
+  EXPECT_TRUE(report.sweep_complete);
+  if (pool != nullptr) *pool = report;
+  return collect_sweep(options.sweep_dir, options.grid, options.shard_count);
+}
+
+/// The directory's one shard log, holding `records` after its sealed
+/// header: a sweep whose pool died after settling them.
+void write_partial_shard(const PoolOptions& options, const std::vector<CellRecord>& records) {
+  std::filesystem::create_directories(options.sweep_dir);
+  ResultLogWriter writer = ResultLogWriter::create(
+      shard_log_path(options.sweep_dir, 0), shard_log_header(options.grid, 1, 0), false);
+  for (const CellRecord& record : records) writer.append(record);
+  writer.close();
+}
+
 TEST(Supervisor, CleanSweepCompletesEveryCell) {
-  TempLog log("clean");
-  SweepOptions options = base_options(log);
+  TempDir dir("clean");
+  PoolOptions options = base_options(dir);
   std::size_t callbacks = 0;
   options.on_cell_settled = [&](const CellRecord&) { callbacks += 1; };
 
-  const SweepReport report = run_sweep(options);
+  PoolReport pool;
+  const SweepReport report = run_one_pool(options, &pool);
   EXPECT_EQ(report.total_cells, 4u);
   EXPECT_EQ(report.completed, 4u);
   EXPECT_EQ(report.quarantined, 0u);
-  EXPECT_EQ(report.retried_attempts, 0u);
+  EXPECT_EQ(pool.retried_attempts, 0u);
   EXPECT_EQ(callbacks, 4u);
-  EXPECT_TRUE(std::filesystem::exists(log.path()));
+  EXPECT_TRUE(std::filesystem::exists(shard_log_path(options.sweep_dir, 0)));
 
   // Every record's result matches an in-process evaluation of the same spec:
   // process isolation must not change a single bit.
@@ -373,29 +396,29 @@ TEST(Supervisor, CleanSweepCompletesEveryCell) {
 }
 
 TEST(Supervisor, InjectedFaultsAreHealedByRetryBitIdentically) {
-  TempLog clean_log("ref");
-  SweepOptions clean = base_options(clean_log);
-  const SweepReport reference = run_sweep(clean);
+  TempDir clean_dir("ref");
+  const SweepReport reference = run_one_pool(base_options(clean_dir));
 
-  TempLog faulted_log("faulted");
-  SweepOptions faulted = base_options(faulted_log);
+  TempDir faulted_dir("faulted");
+  PoolOptions faulted = base_options(faulted_dir);
   faulted.limits.worker.deadline_seconds = 3.0;
   faulted.limits.worker.memory_bytes = std::uint64_t{512} << 20;
   faulted.faults.rate = 1.0;  // every cell's first attempt faults
   faulted.faults.seed = 42;
-  const SweepReport report = run_sweep(faulted);
+  PoolReport pool;
+  const SweepReport report = run_one_pool(faulted, &pool);
 
   EXPECT_EQ(report.completed, report.total_cells);
-  EXPECT_GE(report.retried_attempts, report.total_cells);
+  EXPECT_GE(pool.retried_attempts, report.total_cells);
   EXPECT_EQ(report.results_hash, reference.results_hash);
 }
 
 TEST(Supervisor, PoisonCellIsQuarantinedWithoutBlockingOthers) {
-  TempLog log("poison");
-  SweepOptions options = base_options(log);
+  TempDir dir("poison");
+  PoolOptions options = base_options(dir);
   options.faults.poison = {1};
 
-  const SweepReport report = run_sweep(options);
+  const SweepReport report = run_one_pool(options);
   EXPECT_EQ(report.completed, report.total_cells - 1);
   EXPECT_EQ(report.quarantined, 1u);
   const CellRecord& bad = report.records[1];
@@ -408,8 +431,8 @@ TEST(Supervisor, PoisonCellIsQuarantinedWithoutBlockingOthers) {
 }
 
 TEST(Supervisor, CrashOnFirstAttemptIsRetriedAndHealed) {
-  TempLog log("crashy");
-  SweepOptions options = base_options(log);
+  TempDir dir("crashy");
+  PoolOptions options = base_options(dir);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.max_attempts = 2;
@@ -417,15 +440,16 @@ TEST(Supervisor, CrashOnFirstAttemptIsRetriedAndHealed) {
   options.faults.hang = false;
   options.faults.oom = false;
 
-  const SweepReport report = run_sweep(options);
+  PoolReport pool;
+  const SweepReport report = run_one_pool(options, &pool);
   EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.retried_attempts, 1u);
+  EXPECT_EQ(pool.retried_attempts, 1u);
   EXPECT_EQ(report.quarantined, 0u);
 }
 
 TEST(Supervisor, HangIsKilledByWatchdogAndRetried) {
-  TempLog log("hang");
-  SweepOptions options = base_options(log);
+  TempDir dir("hang");
+  PoolOptions options = base_options(dir);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.worker.deadline_seconds = 1.0;
@@ -433,14 +457,15 @@ TEST(Supervisor, HangIsKilledByWatchdogAndRetried) {
   options.faults.crash = false;
   options.faults.oom = false;
 
-  const SweepReport report = run_sweep(options);
+  PoolReport pool;
+  const SweepReport report = run_one_pool(options, &pool);
   EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.retried_attempts, 1u);
+  EXPECT_EQ(pool.retried_attempts, 1u);
 }
 
 TEST(Supervisor, OomUnderMemoryCeilingIsRetried) {
-  TempLog log("oom");
-  SweepOptions options = base_options(log);
+  TempDir dir("oom");
+  PoolOptions options = base_options(dir);
   options.grid.queues = {QueueKind::kFbm};
   options.grid.hursts = {0.8};
   options.limits.worker.memory_bytes = std::uint64_t{512} << 20;
@@ -448,81 +473,69 @@ TEST(Supervisor, OomUnderMemoryCeilingIsRetried) {
   options.faults.crash = false;
   options.faults.hang = false;
 
-  const SweepReport report = run_sweep(options);
+  PoolReport pool;
+  const SweepReport report = run_one_pool(options, &pool);
   EXPECT_EQ(report.completed, 1u);
-  EXPECT_EQ(report.retried_attempts, 1u);
+  EXPECT_EQ(pool.retried_attempts, 1u);
 }
 
 TEST(Supervisor, ResumeSalvagesSettledCellsBitIdentically) {
-  TempLog reference_log("resume_ref");
-  SweepOptions reference_options = base_options(reference_log);
-  const SweepReport reference = run_sweep(reference_options);
+  TempDir reference_dir("resume_ref");
+  const SweepReport reference = run_one_pool(base_options(reference_dir));
 
-  // Simulate a supervisor killed mid-sweep: a log holding only the first
-  // two settled records.
-  TempLog partial("resume_partial");
-  {
-    ResultLogWriter writer = ResultLogWriter::create(
-        partial.path(), shard_log_header(reference_options.grid, 1, 0), false);
-    writer.append(reference.records[0]);
-    writer.append(reference.records[1]);
-    writer.close();
-  }
+  // Simulate a pool killed mid-sweep: a shard log holding only the first
+  // two settled records, and no sweep.meta, lease or done marker.
+  TempDir partial("resume_partial");
+  const PoolOptions options = base_options(partial);
+  write_partial_shard(options, {reference.records[0], reference.records[1]});
 
-  SweepOptions resumed_options = base_options(partial);
-  resumed_options.resume = true;
-  const SweepReport resumed = run_sweep(resumed_options);
-
-  EXPECT_EQ(resumed.resumed_cells, 2u);
+  PoolReport pool;
+  const SweepReport resumed = run_one_pool(options, &pool);
+  EXPECT_EQ(pool.cells_salvaged, 2u);
+  EXPECT_EQ(pool.cells_settled, reference.total_cells - 2);
   EXPECT_EQ(resumed.completed, reference.completed);
   EXPECT_EQ(resumed.results_hash, reference.results_hash);
 
   // The resumed log recovers to the full record set.
-  const auto healed =
-      recover_result_log(partial.path(), shard_log_header(reference_options.grid, 1, 0));
+  const auto healed = recover_result_log(shard_log_path(options.sweep_dir, 0),
+                                         shard_log_header(options.grid, 1, 0));
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->records.size(), reference.records.size());
   EXPECT_EQ(healed->torn_bytes, 0u);
 }
 
 TEST(Supervisor, ResumeSalvagesThroughATornTail) {
-  TempLog reference_log("torn_ref");
-  SweepOptions reference_options = base_options(reference_log);
-  const SweepReport reference = run_sweep(reference_options);
+  TempDir reference_dir("torn_ref");
+  const SweepReport reference = run_one_pool(base_options(reference_dir));
 
   // A log killed mid-append: two whole records, then half a frame header.
-  TempLog torn("torn_partial");
+  TempDir torn("torn_partial");
+  const PoolOptions options = base_options(torn);
+  write_partial_shard(options, {reference.records[0], reference.records[1]});
   {
-    ResultLogWriter writer = ResultLogWriter::create(
-        torn.path(), shard_log_header(reference_options.grid, 1, 0), false);
-    writer.append(reference.records[0]);
-    writer.append(reference.records[1]);
-    writer.close();
-    std::ofstream tail(torn.path(), std::ios::binary | std::ios::app);
+    std::ofstream tail(shard_log_path(options.sweep_dir, 0), std::ios::binary | std::ios::app);
     tail.write("\x40\x00\x00\x00\x00\x00\x00", 7);
   }
 
-  SweepOptions resumed_options = base_options(torn);
-  resumed_options.resume = true;
-  const SweepReport resumed = run_sweep(resumed_options);
-  EXPECT_EQ(resumed.resumed_cells, 2u);
+  PoolReport pool;
+  const SweepReport resumed = run_one_pool(options, &pool);
+  EXPECT_EQ(pool.cells_salvaged, 2u);
   EXPECT_EQ(resumed.results_hash, reference.results_hash);
 }
 
 TEST(Supervisor, ResumeRejectsLogFromDifferentGridNamingBothFingerprints) {
-  TempLog log("fingerprint");
-  SweepOptions options = base_options(log);
-  (void)run_sweep(options);
+  TempDir dir("fingerprint");
+  const PoolOptions options = base_options(dir);
+  (void)run_one_pool(options);
 
-  SweepOptions other = options;
+  PoolOptions other = options;
   other.grid.hursts = {0.6, 0.85};
-  other.resume = true;
   try {
-    (void)run_sweep(other);
+    (void)run_pool(other);
     FAIL() << "mismatched grid must not resume";
   } catch (const IoError& e) {
     // Fail-fast diagnostics must name BOTH identities: the grid the caller
-    // asked for and the grid the log actually belongs to.
+    // asked for and the grid the directory actually belongs to.
     char expected[17];
     char found[17];
     std::snprintf(expected, sizeof expected, "%016llx",
@@ -536,18 +549,25 @@ TEST(Supervisor, ResumeRejectsLogFromDifferentGridNamingBothFingerprints) {
 }
 
 TEST(Supervisor, UnsafeFaultPlansAreRejected) {
-  TempLog log("unsafe");
-  SweepOptions options = base_options(log);
+  // Refused before anything is made: no sweep directory, no sweep.meta, no
+  // lease for a rerun to wait out, and no pool forked.
+  TempDir dir("unsafe");
+  PoolOptions options = base_options(dir);
+  const auto rejected_before_anything = [&] {
+    EXPECT_THROW((void)run_pool(options), InvalidArgument);
+    EXPECT_THROW((void)run_pools(options, 2), InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(options.sweep_dir));
+  };
   options.faults.rate = 0.5;
   options.faults.crash = false;
   options.faults.hang = false;
   options.faults.oom = true;  // but no memory ceiling
-  EXPECT_THROW(run_sweep(options), InvalidArgument);
+  rejected_before_anything();
 
   options.faults.oom = false;
   options.faults.hang = true;
   options.limits.worker.deadline_seconds = 0.0;  // but no watchdog
-  EXPECT_THROW(run_sweep(options), InvalidArgument);
+  rejected_before_anything();
 }
 
 TEST(Supervisor, RetryBackoffDoesNotBlockOtherCells) {
